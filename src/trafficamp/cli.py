@@ -307,9 +307,15 @@ def cmd_amp(args):
     labels, _ = _block_label_vector(cfg, n)
 
     divergences = []
+    fixed = None
+    if _is_deterministic(spec):
+        # built once for all trials; read-only, so a runner that writes into
+        # it raises instead of altering the matrix of later trials
+        fixed = ensembles.generate(spec).values
+        fixed.flags.writeable = False
 
     def one(trial):
-        m = _generate_trial(spec, master_seed, trial)
+        m = fixed if fixed is not None else _generate_trial(spec, master_seed, trial)
         acfg = _amp_config_from(cfg, seed=master_seed + 1000003 * (trial + 1))
         try:
             trace = amp_mod.run(m, acfg, stream=trial)

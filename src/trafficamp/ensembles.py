@@ -79,7 +79,6 @@ class EnsembleSpec:
 class GeneratedMatrix:
     values: np.ndarray
     spec: EnsembleSpec
-    provenance: tuple  # (seed, stream)
 
 
 def stream_rng(seed, stream=0):
@@ -89,23 +88,71 @@ def stream_rng(seed, stream=0):
 
 
 def puncture(m):
-    """Conjugate by the projection orthogonal to the all-ones vector, in O(n^2)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Conjugate by the projection orthogonal to the all-ones vector.
+
+    O(n^2) time with one n x n copy of the input, which is not modified; the
+    result is centered and symmetrized in that copy.
+    """
+    out = np.array(m, dtype=np.float64)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError("puncture needs a square matrix")
-    n = m.shape[0]
-    col = m.sum(axis=1) / n
+    n = out.shape[0]
+    col = out.sum(axis=1) / n
     tot = col.sum() / n
-    out = m - col[:, None] - col[None, :] + tot
-    return (out + out.T) / 2.0
+    out -= col[:, None]
+    out -= col[None, :]
+    out += tot
+    _symmetrize(out)
+    return out
 
 
-def _symmetrize_from_upper(rng, n, off_std, diag_std):
+# edge of the square tiles that the in-place transposes below work on
+_TILE = 64
+
+
+def _tiles(n):
+    return [(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
+
+
+def _symmetrize(a):
+    """Replace square `a` by (a + a.T) / 2.0 in place, tile by tile."""
+    tiles = _tiles(a.shape[0])
+    for k, (i, e) in enumerate(tiles):
+        d = a[i:e, i:e]
+        d[...] = (d + d.T) / 2.0
+        for j, f in tiles[k + 1:]:
+            avg = a[i:e, j:f] + a[j:f, i:e].T
+            avg /= 2.0
+            a[i:e, j:f] = avg
+            a[j:f, i:e] = avg.T
+
+
+def _symmetric_from_upper(z, n, k):
+    """Symmetric n x n matrix whose upper triangle (diagonal included when
+    k == 0, strict when k == 1) holds the values z in row-major order; the
+    diagonal is left zero when k == 1.  z is consumed as scratch."""
+    z += 0.0  # maps -0.0 to +0.0, as adding the zero lower triangle did
     a = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    a[iu] = rng.standard_normal(len(iu[0])) * off_std
-    a = a + a.T
-    a[np.diag_indices(n)] = rng.standard_normal(n) * diag_std
+    start = 0
+    for i in range(n - k):
+        stop = start + n - i - k
+        a[i, i + k:] = z[start:stop]
+        start = stop
+    tiles = _tiles(n)
+    for t, (i, e) in enumerate(tiles):
+        d = a[i:e, i:e]
+        for r in range(e - i - 1):
+            d[r + 1:, r] = d[r, r + 1:]
+        for j, f in tiles[t + 1:]:
+            a[j:f, i:e] = a[i:e, j:f].T
+    return a
+
+
+def _goe_fill(rng, n, off_std, diag_std):
+    z = rng.standard_normal(n * (n - 1) // 2)
+    z *= off_std
+    a = _symmetric_from_upper(z, n, 1)
+    np.fill_diagonal(a, rng.standard_normal(n) * diag_std)
     return a
 
 
@@ -138,7 +185,7 @@ def generate(spec, stream=0):
     n = spec.n
     kind = spec.kind
     if kind == "goe":
-        m = _symmetrize_from_upper(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+        m = _goe_fill(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     elif kind == "wigner":
         if spec.entry_law == "normal":
             draw = lambda size: rng.standard_normal(size)
@@ -146,10 +193,9 @@ def generate(spec, stream=0):
             draw = lambda size: rng.integers(0, 2, size=size) * 2.0 - 1.0
         else:
             raise ValueError("unknown entry law %r" % spec.entry_law)
-        a = np.zeros((n, n))
-        iu = np.triu_indices(n)
-        a[iu] = draw(len(iu[0])) / np.sqrt(n)
-        m = np.triu(a, 1) + a.T
+        z = draw(n * (n + 1) // 2)
+        z /= np.sqrt(n)
+        m = _symmetric_from_upper(z, n, 0)
     elif kind == "haar_orthogonal":
         # raw Haar draw; orthogonal but not symmetric (building block for
         # rom / orth_invariant, which conjugate it into symmetric matrices)
@@ -158,7 +204,7 @@ def generate(spec, stream=0):
         q = _haar(rng, n)
         d = rng.integers(0, 2, size=n) * 2.0 - 1.0
         m = (q * d[None, :]) @ q.T
-        m = (m + m.T) / 2.0
+        _symmetrize(m)
     elif kind == "r_rom":
         inner = generate(EnsembleSpec("rom", n, spec.seed), stream)
         m = puncture(inner.values)
@@ -181,10 +227,10 @@ def generate(spec, stream=0):
         q = _haar(rng, n)
         lam = _eigen_sample(rng, n, spec.eigenvalues or "rademacher")
         m = (q * lam[None, :]) @ q.T
-        m = (m + m.T) / 2.0
+        _symmetrize(m)
     else:  # pragma: no cover
         raise AssertionError(kind)
-    return GeneratedMatrix(m, spec, (spec.seed, stream))
+    return GeneratedMatrix(m, spec)
 
 
 def _eigen_sample(rng, n, name):
@@ -213,8 +259,8 @@ def _block_goe(rng, n, q, sigma):
     for r in range(q):
         for c in range(r, q):
             # blocks are themselves symmetric; the (c, r) block repeats (r, c)
-            blk = _symmetrize_from_upper(rng, b, np.sqrt(sigma[r, c] / n),
-                                         np.sqrt(2.0 * sigma[r, c] / n))
+            blk = _goe_fill(rng, b, np.sqrt(sigma[r, c] / n),
+                            np.sqrt(2.0 * sigma[r, c] / n))
             m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
             if c != r:
                 m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk
@@ -231,17 +277,18 @@ def _community(rng, n, q, inner):
         qq = _haar(rng, b)
         d = rng.integers(0, 2, size=b) * 2.0 - 1.0
         blk = (qq * d[None, :]) @ qq.T
-        blk = (blk + blk.T) / 2.0 * scale
+        _symmetrize(blk)
     elif inner == "goe":
-        blk = _symmetrize_from_upper(rng, b, np.sqrt(1.0 / b), np.sqrt(2.0 / b)) * scale
+        blk = _goe_fill(rng, b, np.sqrt(1.0 / b), np.sqrt(2.0 / b))
     else:
         raise ValueError("unknown community inner kind %r" % inner)
+    blk *= scale
     m[:b, :b] = blk
     for r in range(q):
         for c in range(r, q):
             if r == 0 and c == 0:
                 continue
-            blk = _symmetrize_from_upper(rng, b, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+            blk = _goe_fill(rng, b, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
             m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
             if c != r:
                 m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk

@@ -283,8 +283,15 @@ def compare_empirical(kernel, report, threshold=4.0, se_floor=1e-9):
     `report` aggregates per-seed empirical_state outputs: it must carry
     {"second": {(s,t): (mean, se)}, "power": {(t,k): (mean, se)}} and, for
     mixture kernels, "blocks": {r: {...same...}}.  Returns a verdict table
-    (list of row dicts) and an overall pass flag.
+    (list of row dicts) and an overall pass flag.  A report whose SEs are all
+    0 (one trial) gives no z-scores and raises ValueError.
     """
+    groups = [report] + list(report.get("blocks", {}).values())
+    ses = [se for g in groups for part in ("second", "power")
+           for _, se in g.get(part, {}).values()]
+    if ses and not any(ses):
+        raise ValueError("every across-trial SE in the report is 0, as from a "
+                         "1-trial run; compare needs at least 2 trials")
     rows = []
 
     def z(mean, se, target):

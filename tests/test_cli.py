@@ -162,3 +162,60 @@ def test_preset_configs_load():
         path = os.path.join(here, "configs", "%s.json" % name)
         cfg = json.load(open(path))
         assert "ensemble" in cfg and "amp" in cfg and "master_seed" in cfg
+
+
+def _punctured_hadamard_config(tmp_path):
+    return _write_config(
+        tmp_path, ensemble={"kind": "punctured", "inner": "hadamard", "n": 256},
+        amp={"nonlinearities": ["identity", "cube_hermite", "cube_hermite"],
+             "T": 3, "mode": "punctured_kappa", "kappa": "rom", "init": "gaussian"},
+        trials=4)
+
+
+def test_amp_threads_byte_identical(tmp_path):
+    cfg = _punctured_hadamard_config(tmp_path)
+    outputs = []
+    for threads, out in (("1", "t1"), ("2", "t2")):
+        assert run_cli("--threads", threads, "amp", "--config", cfg,
+                       "--out", str(tmp_path / out)) == 0
+        names = sorted(os.listdir(tmp_path / out))
+        assert "moments.csv" in names
+        assert len([nm for nm in names if nm.startswith("trace_")]) == 4
+        outputs.append({nm: (tmp_path / out / nm).read_bytes() for nm in names
+                        if nm == "moments.csv" or nm.endswith(".tamp")})
+    assert outputs[0] == outputs[1]
+
+
+def test_amp_builds_deterministic_matrix_once_read_only(tmp_path, monkeypatch):
+    import trafficamp.amp as amp_mod
+    from trafficamp import ensembles
+
+    calls = []
+    real_generate = ensembles.generate
+
+    def counting_generate(spec, stream=0):
+        calls.append(spec.kind)
+        return real_generate(spec, stream)
+
+    def writing_run(a, cfg, stream=0):
+        a[0, 0] = 0.0
+        raise AssertionError("the shared matrix accepted a write")
+
+    monkeypatch.setattr(ensembles, "generate", counting_generate)
+    cfg = _punctured_hadamard_config(tmp_path)
+    assert run_cli("amp", "--config", cfg) == 0
+    assert calls == ["punctured", "hadamard"]  # the outer kind builds its inner once
+    monkeypatch.setattr(amp_mod, "run", writing_run)
+    assert run_cli("amp", "--config", cfg) == 2
+
+
+def test_compare_single_trial_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, trials=1)
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+    kernel = tmp_path / "out" / "kernel.json"
+    assert run_cli("se", "--config", cfg, "--out", str(kernel)) == 0
+    code = run_cli("compare", "--kernel", str(kernel),
+                   "--moments", str(tmp_path / "out" / "moments.csv"),
+                   "--out", str(tmp_path / "out" / "verdict.csv"))
+    assert code == 2
+    assert "1-trial" in capsys.readouterr().err

@@ -3,8 +3,10 @@ import pytest
 
 from trafficamp.diagrams import Diagram
 from trafficamp.ensembles import (EnsembleSpec, block_labels,
-                                  community_kappa_table, delocalization_audit,
-                                  generate, operator_norm, puncture, stream_rng)
+                                  community_kappa_table, dct_matrix,
+                                  delocalization_audit, dst_matrix, generate,
+                                  hadamard_matrix, operator_norm, puncture,
+                                  stream_rng)
 
 
 def test_spec_validation():
@@ -156,3 +158,151 @@ def test_delocalization_audit():
     assert vals[0] > vals[1] > vals[2]
     rep = delocalization_audit(np.eye(32), [octri])
     assert rep["diagrams"][0]["max_offdiag"] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# byte-identity oracles: the scatter-based fills and the out-of-place
+# puncture formula that the tiled in-place versions replace
+# ---------------------------------------------------------------------------
+
+def _oracle_symmetrize_from_upper(rng, n, off_std, diag_std):
+    a = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    a[iu] = rng.standard_normal(len(iu[0])) * off_std
+    a = a + a.T
+    a[np.diag_indices(n)] = rng.standard_normal(n) * diag_std
+    return a
+
+
+def _oracle_wigner(rng, n, entry_law):
+    if entry_law == "normal":
+        draw = lambda size: rng.standard_normal(size)
+    else:
+        draw = lambda size: rng.integers(0, 2, size=size) * 2.0 - 1.0
+    a = np.zeros((n, n))
+    iu = np.triu_indices(n)
+    a[iu] = draw(len(iu[0])) / np.sqrt(n)
+    return np.triu(a, 1) + a.T
+
+
+def _oracle_puncture(m):
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[0]
+    col = m.sum(axis=1) / n
+    tot = col.sum() / n
+    out = m - col[:, None] - col[None, :] + tot
+    return (out + out.T) / 2.0
+
+
+def _oracle_rom(rng, n):
+    q = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q[0] * np.sign(np.diag(q[1]))[None, :]
+    d = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    m = (q * d[None, :]) @ q.T
+    return (m + m.T) / 2.0
+
+
+def _oracle_block_goe(rng, n, q, sigma):
+    m = np.zeros((n, n))
+    b = n // q
+    for r in range(q):
+        for c in range(r, q):
+            blk = _oracle_symmetrize_from_upper(rng, b, np.sqrt(sigma[r, c] / n),
+                                                np.sqrt(2.0 * sigma[r, c] / n))
+            m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
+            if c != r:
+                m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk
+    return m
+
+
+def _oracle_community(rng, n, q, inner):
+    m = np.zeros((n, n))
+    b = n // q
+    scale = 1.0 / np.sqrt(q)
+    if inner == "rom":
+        blk = _oracle_rom(rng, b) * scale
+    else:
+        blk = _oracle_symmetrize_from_upper(rng, b, np.sqrt(1.0 / b),
+                                            np.sqrt(2.0 / b)) * scale
+    m[:b, :b] = blk
+    for r in range(q):
+        for c in range(r, q):
+            if r == 0 and c == 0:
+                continue
+            blk = _oracle_symmetrize_from_upper(rng, b, np.sqrt(1.0 / n),
+                                                np.sqrt(2.0 / n))
+            m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
+            if c != r:
+                m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk
+    return m
+
+
+def _oracle(spec, stream):
+    rng = stream_rng(spec.seed, stream)
+    n = spec.n
+    if spec.kind == "goe":
+        return _oracle_symmetrize_from_upper(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    if spec.kind == "wigner":
+        return _oracle_wigner(rng, n, spec.entry_law)
+    if spec.kind == "rom":
+        return _oracle_rom(rng, n)
+    if spec.kind == "r_rom":
+        return _oracle_puncture(_oracle_rom(rng, n))
+    if spec.kind == "punctured":
+        det = {"hadamard": hadamard_matrix, "dst": dst_matrix, "dct": dct_matrix}
+        return _oracle_puncture(det[spec.inner](n))
+    if spec.kind == "block_goe":
+        return _oracle_block_goe(rng, n, spec.q, spec.sigma_matrix())
+    if spec.kind == "community":
+        return _oracle_community(rng, n, spec.q, spec.inner)
+    raise AssertionError(spec.kind)
+
+
+ORACLE_NS = (1, 2, 63, 64, 65, 130)  # around the edges of the 64-wide tiles
+
+
+def _smallest_factor(n):
+    return next((q for q in range(2, n + 1) if n % q == 0), 1)
+
+
+def _zero_sigma(q):
+    # zero off-diagonal variances give -0.0 draws, which the old fill's
+    # a + a.T turned into +0.0
+    return tuple(1.0 if r == c else (0.0 if (r + c) % 2 else 0.5)
+                 for r in range(q) for c in range(q))
+
+
+def _oracle_specs(n):
+    q = _smallest_factor(n)
+    specs = [EnsembleSpec("goe", n, seed=5),
+             EnsembleSpec("wigner", n, seed=6, entry_law="normal"),
+             EnsembleSpec("wigner", n, seed=6, entry_law="rademacher"),
+             EnsembleSpec("rom", n, seed=7),
+             EnsembleSpec("r_rom", n, seed=7),
+             EnsembleSpec("block_goe", n, seed=8, q=q, sigma=_zero_sigma(q)),
+             EnsembleSpec("community", n, seed=9, q=q, inner="rom"),
+             EnsembleSpec("community", n, seed=9, q=q, inner="goe"),
+             EnsembleSpec("punctured", n, inner="dst"),
+             EnsembleSpec("punctured", n, inner="dct")]
+    if not n & (n - 1):
+        specs.append(EnsembleSpec("punctured", n, inner="hadamard"))
+    return specs
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_generate_matches_scatter_oracles_bytewise(n):
+    for spec in _oracle_specs(n):
+        got = generate(spec, stream=2).values
+        want = _oracle(spec, 2)
+        assert got.tobytes() == want.tobytes(), spec
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_puncture_matches_oracle_and_keeps_input(n):
+    rng = stream_rng(11, n)
+    for m in (rng.standard_normal((n, n)),            # not symmetric
+              hadamard_matrix(64) if n == 64 else dst_matrix(n)):
+        before = m.copy()
+        got = puncture(m)
+        assert got.tobytes() == _oracle_puncture(m).tobytes()
+        assert m.tobytes() == before.tobytes()
