@@ -9,6 +9,7 @@ punctured models) or an entrywise-squared matrix product (block GOE).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -61,6 +62,9 @@ class AMPConfig:
                 raise ValueError("punctured mode requires f_0(x) = x")
             if self.init != "gaussian":
                 raise ValueError("punctured mode requires gaussian init")
+        if self.mode == "exact_treelike" and self.init != "ones":
+            raise ValueError("exact_treelike mode starts from x_0 = 1; "
+                             "init must be \"ones\", not %r" % self.init)
 
     def to_json(self):
         out = {"nonlinearities": [list(p.coeffs) for p in self.nonlinearities],
@@ -114,13 +118,56 @@ def _init_vector(cfg, n, stream):
 # exact Onsager vectors
 # ---------------------------------------------------------------------------
 
-def onsager_b(a, fprime_vectors, s, t, budget=None):
+@functools.lru_cache(maxsize=None)
+def _window_terms(w):
+    """One (quotient, weighted vertices, walk positions weighted at each,
+    edge leaf keys, Mobius coefficient) per partition of the w walk positions."""
+    cyc = cycle_diagram(w, rooted=True)
+    terms = []
+    for part in set_partitions(range(w)):
+        q = quotient(cyc, part)
+        blocks = sorted([sorted(b) for b in part], key=lambda b: b[0])
+        # position 0 is the root; every later position carries a weight
+        verts = tuple(bi for bi, block in enumerate(blocks) if block != [0])
+        positions = tuple(tuple(p for p in blocks[bi] if p) for bi in verts)
+        edge_keys = tuple("diag A" if u == v else "A" for u, v in q.edges)
+        terms.append((q, verts, positions, edge_keys,
+                      graphpoly.partition_mobius(part)))
+    return tuple(terms)
+
+
+def _window_leaf_keys(s, positions, edge_keys):
+    # a weight is keyed by the absolute steps whose f' it multiplies, in order
+    return edge_keys + tuple(tuple(s + p for p in ps) for ps in positions)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_uses(calls, n):
+    """How often each contraction step is requested by onsager_b over the
+    (s, t) windows in `calls` on one n x n matrix."""
+    uses = {}
+    for s, t in calls:
+        if t - s < 2:
+            continue
+        for q, verts, positions, edge_keys, _ in _window_terms(t - s):
+            steps = graphpoly._plan(q, verts, n)[0]
+            leaf_keys = _window_leaf_keys(s, positions, edge_keys)
+            for key in graphpoly._step_keys(steps, leaf_keys):
+                if key is not None:
+                    uses[key] = uses.get(key, 0) + 1
+    return tuple(uses.items())
+
+
+def onsager_b(a, fprime_vectors, s, t, budget=None, _memo=None):
     """Distinct-index closed-walk sum b_{s,t}, exactly.
 
     fprime_vectors[r] supplies the weight vector at interior step r, needed
     for s < r < t.  Computed by Mobius inversion over set partitions of the
     t-s walk positions, evaluating each contracted weighted cycle with the
-    graph-polynomial engine.
+    graph-polynomial engine.  The quotients and their contraction plans are
+    built once per window and size.  Contraction steps that recur across
+    partitions are computed once: within this call, or, when run_treelike
+    passes its per-trial `_memo` (and has checked `a`), across the trial.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -129,23 +176,24 @@ def onsager_b(a, fprime_vectors, s, t, budget=None):
         raise ValueError("window %d outside 1..%d" % (w, EXACT_WINDOW_CAP))
     if w == 1:
         return np.diag(a).copy()
-    cyc = cycle_diagram(w, rooted=True)
+    if _memo is None:
+        a = graphpoly._as_matrix(a)
+        _memo = graphpoly._Memo(_step_uses(((s, t),), n))
+    labels = [a] * w
     weights = {p: np.asarray(fprime_vectors[s + p], dtype=np.float64)
                for p in range(1, w)}
     total = np.zeros(n)
-    for part in set_partitions(range(w)):
-        q = quotient(cyc, part)
-        blocks = sorted([sorted(b) for b in part], key=lambda b: b[0])
+    for q, verts, positions, edge_keys, mu in _window_terms(w):
         vw = {}
-        for bi, block in enumerate(blocks):
-            acc = None
-            for p in block:
-                if p in weights:
-                    acc = weights[p] if acc is None else acc * weights[p]
-            if acc is not None:
-                vw[bi] = acc
-        val = graphpoly.eval_w(q, a, vertex_weights=vw, budget=budget)
-        total += graphpoly.partition_mobius(part) * val
+        for v, ps in zip(verts, positions):
+            acc = weights[ps[0]]
+            for p in ps[1:]:
+                acc = acc * weights[p]
+            vw[v] = acc
+        val = graphpoly._eval_w(q, labels, n, vertex_weights=vw, budget=budget,
+                                memo=_memo,
+                                leaf_keys=_window_leaf_keys(s, positions, edge_keys))
+        total += mu * val
     return total
 
 
@@ -182,9 +230,11 @@ def run_treelike(a, cfg, stream=0, n_cap=EXACT_N_CAP, budget=None):
         raise ValueError("config mode must be exact_treelike")
     if n > n_cap or cfg.T > EXACT_T_CAP:
         raise ValueError("exact mode budget: n <= %d, T <= %d" % (n_cap, EXACT_T_CAP))
+    a = graphpoly._as_matrix(a)
+    calls = tuple((s, t) for t in range(1, cfg.T + 1) for s in range(t))
+    memo = graphpoly._Memo(_step_uses(calls, n))  # shared steps of this trial
     fs = list(cfg.nonlinearities)
     fs[0] = Polynomial((1.0,))  # f_0 = all-ones by convention
-    x = np.ones(n)
     fvec = [np.ones(n)]
     fprime = [np.zeros(n)]
     iters = np.empty((cfg.T, n))
@@ -192,7 +242,7 @@ def run_treelike(a, cfg, stream=0, n_cap=EXACT_N_CAP, budget=None):
     for t in range(1, cfg.T + 1):
         xt = a @ fvec[t - 1]
         for s in range(t):
-            b = onsager_b(a, fprime, s, t, budget=budget)
+            b = onsager_b(a, fprime, s, t, budget=budget, _memo=memo)
             onsager[(s, t)] = b
             xt = xt - b * fvec[s]
         _check_finite(xt, t)

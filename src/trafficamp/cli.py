@@ -322,7 +322,8 @@ def cmd_amp(args):
         except amp_mod.DivergenceError as exc:
             return ("diverged", trial, exc.t, exc.i)
         state = amp_mod.empirical_state(trace, block_labels=labels)
-        return ("ok", trial, trace, state)
+        # only the iterates are written; the Onsager vectors are dropped here
+        return ("ok", trial, trace.iterates, state)
 
     results = _run_trials(one, trials, args.threads)
     states = []
@@ -330,11 +331,11 @@ def cmd_amp(args):
         if res[0] == "diverged":
             divergences.append(res[1:])
             continue
-        _, trial, trace, state = res
+        _, trial, iterates, state = res
         states.append(state)
         if not args.no_save_traces:
             matrixio.write_matrix(os.path.join(outdir, "trace_%03d.tamp" % trial),
-                                  trace.iterates)
+                                  iterates)
     if not states:
         print("all %d trials diverged" % trials, file=sys.stderr)
         return 4

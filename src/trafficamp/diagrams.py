@@ -430,11 +430,6 @@ def canonical_form(d, cap=CANON_CAP):
     return (c.vertex_count, c.roots, c.edges)
 
 
-def diagram_from_key(key):
-    n, roots, edges = key
-    return Diagram(n, edges, roots)
-
-
 def isomorphic(d1, d2, cap=CANON_CAP):
     return canonical_form(d1, cap) == canonical_form(d2, cap)
 
@@ -519,14 +514,6 @@ def graft(parts):
             blocks.append([v])
     merged = quotient(Diagram(total, tuple(edges), (keep,)), blocks)
     return merged
-
-
-def is_open_cactus(d):
-    try:
-        open_cactus_parts(d)
-        return True
-    except DiagramError:
-        return False
 
 
 def open_cactus_parts(d):

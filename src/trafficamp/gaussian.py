@@ -216,13 +216,3 @@ def wick_product(alpha, law):
         out[mono] = out.get(mono, 0.0) + coef
     return {k: v for k, v in out.items() if v != 0.0}
 
-
-def expectation_of_monomials(expansion, law):
-    """E of a {monomial tuple: coeff} expansion, e.g. a wick_product output."""
-    total = 0.0
-    for mono, coef in expansion.items():
-        expo = [0] * law.dim
-        for i in mono:
-            expo[i] += 1
-        total += coef * isserlis_moment(expo, law)
-    return total

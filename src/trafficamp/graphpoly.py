@@ -4,10 +4,18 @@ A diagram with 0/1/2 roots evaluates to a scalar/vector/matrix: the sum over
 all vertex labelings (w-basis) or injective labelings (z-basis) of the product
 of matrix entries along edges.  The main evaluator contracts vertices in a
 greedy min-width order; a literal nested-loop oracle is kept alongside.
+
+The public functions check their matrix labels once per call and hand them
+to a private core.  The core's plan (elimination order, einsum specs and
+paths, cost estimates) is built once per (diagram, weighted vertices, n)
+and reused.  Callers that evaluate many diagrams on one matrix, such as the
+Onsager partition sums of a treelike AMP trial, can pass a memo that
+computes each repeated contraction step once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -22,23 +30,49 @@ class BudgetError(RuntimeError):
 
 
 def _as_labels(d, labels):
-    """Normalize labels to one symmetric n x n array per edge, in edge order."""
+    """Normalize labels to one symmetric n x n array per edge, in edge order.
+
+    Each distinct array is checked once, however many edges it labels.
+    """
     if isinstance(labels, np.ndarray):
         labels = [labels] * d.edge_count
-    labels = [np.asarray(a, dtype=np.float64) for a in labels]
+    labels = list(labels)
     if len(labels) != d.edge_count:
         raise ValueError("need one label per edge (%d edges, %d labels)"
                          % (d.edge_count, len(labels)))
     if d.edge_count == 0:
         raise ValueError("cannot infer dimension from an edgeless diagram; "
                          "pass n explicitly where supported")
-    n = labels[0].shape[0]
+    n = np.asarray(labels[0]).shape[0]
+    checked = {}
     for a in labels:
-        if a.shape != (n, n):
-            raise ValueError("all edge labels must be n x n with equal n")
-        if not np.array_equal(a, a.T):
-            raise ValueError("edge labels must be symmetric")
-    return labels, n
+        if id(a) not in checked:
+            checked[id(a)] = _as_matrix(a, n)
+    return [checked[id(a)] for a in labels], n
+
+
+def _as_matrix(a, n=None):
+    """One edge label as a float64 array, checked to be symmetric n x n."""
+    a = np.asarray(a, dtype=np.float64)
+    if n is None:
+        n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("all edge labels must be n x n with equal n")
+    if not np.array_equal(a, a.T):
+        raise ValueError("edge labels must be symmetric")
+    return a
+
+
+def _labels_and_n(d, labels, n):
+    """Checked labels (None for an edgeless diagram) and the dimension."""
+    if d.edge_count:
+        return _as_labels(d, labels)
+    if n is None:
+        if isinstance(labels, np.ndarray):
+            n = labels.shape[0]
+        else:
+            raise ValueError("edgeless diagram needs explicit n")
+    return None, n
 
 
 def _default_budget(n):
@@ -54,32 +88,28 @@ def eval_w(d, labels, n=None, vertex_weights=None, budget=None):
     Raises BudgetError when the estimated flop count exceeds `budget`
     (default 8 n^3); pass budget=float("inf") to force through.
     """
-    if d.edge_count:
-        labels, n = _as_labels(d, labels)
-    elif n is None:
-        if isinstance(labels, np.ndarray):
-            n = labels.shape[0]
-        else:
-            raise ValueError("edgeless diagram needs explicit n")
-    if budget is None:
-        budget = _default_budget(n)
+    labels, n = _labels_and_n(d, labels, n)
+    return _eval_w(d, labels, n, vertex_weights, budget)
 
-    factors = []
-    for ei, (u, v) in enumerate(d.edges):
-        if u == v:
-            factors.append(((u,), np.diag(labels[ei]).copy()))
-        else:
-            factors.append(((u, v), labels[ei]))
-    if vertex_weights:
-        for v, w in vertex_weights.items():
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != (n,):
-                raise ValueError("vertex weight must be a length-n vector")
-            factors.append(((v,), w))
 
+@functools.lru_cache(maxsize=None)
+def _plan(d, weighted, n):
+    """The contraction plan of d with vertex weights at `weighted`, at size n.
+
+    A plan is (steps, costs, leftover) and is never changed once built.
+    Factors are numbered: the edges in edge order, then the weights in
+    `weighted` order, then each step's result.  A step is None for an
+    isolated vertex (a factor n), else (input factor ids, einsum spec,
+    einsum path, whether it leaves a factor); costs holds the running flop
+    estimate after each contraction; leftover lists the (indices, factor
+    id) pairs left for the roots.
+    """
+    factors = [((u,) if u == v else (u, v), ei) for ei, (u, v) in enumerate(d.edges)]
+    factors += [((v,), d.edge_count + k) for k, v in enumerate(weighted)]
+    next_id = len(factors)
     root_set = set(d.roots)
     remaining = [v for v in range(d.vertex_count) if v not in root_set]
-    scale = 1.0
+    steps, costs = [], []
     cost = 0.0
 
     def width(v):
@@ -95,24 +125,106 @@ def eval_w(d, labels, n=None, vertex_weights=None, budget=None):
         group = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         if not group:
-            scale *= n  # isolated vertex: free labeling
+            steps.append(None)  # isolated vertex: free labeling
             continue
         idx_all = sorted({i for t, _ in group for i in t})
         cost += float(n) ** len(idx_all)
-        if cost > budget:
-            raise BudgetError("contraction cost %.3g exceeds budget %.3g"
-                              % (cost, budget))
+        costs.append(cost)
         out_idx = tuple(i for i in idx_all if i != v)
         letters = {i: chr(97 + k) for k, i in enumerate(idx_all)}
         spec = (",".join("".join(letters[i] for i in t) for t, _ in group)
                 + "->" + "".join(letters[i] for i in out_idx))
-        arr = np.einsum(spec, *[a for _, a in group], optimize=True)
+        # the path numpy's optimize=True would pick; it depends on shapes only
+        shapes = [np.broadcast_to(0.0, (n,) * len(t)) for t, _ in group]
+        path = np.einsum_path(spec, *shapes, optimize="greedy")[0]
+        steps.append((tuple(i for _, i in group), spec, path, bool(out_idx)))
         if out_idx:
-            factors.append((out_idx, arr))
+            factors.append((out_idx, next_id))
+            next_id += 1
+    return tuple(steps), tuple(costs), tuple(factors)
+
+
+def _step_keys(steps, leaf_keys):
+    """Memo key of each step (None for isolated vertices): its spec and the
+    keys of its inputs, starting from one key per edge and weight factor."""
+    keys = list(leaf_keys)
+    out = []
+    for step in steps:
+        if step is None:
+            out.append(None)
+            continue
+        inputs, spec, _, leaves_factor = step
+        key = (spec, tuple(keys[i] for i in inputs))
+        out.append(key)
+        if leaves_factor:
+            keys.append(key)
+    return out
+
+
+class _Memo:
+    """Contraction results shared by evaluations on the same leaf factors.
+
+    `uses` gives, as (step key, count) pairs, how many times the evaluations
+    will request each step; a result is kept while requests remain and
+    dropped after the last.
+    """
+
+    def __init__(self, uses):
+        self._left = dict(uses)
+        self._values = {}
+
+    def run(self, key, spec, ops, path):
+        arr = self._values.pop(key, None)
+        if arr is None:
+            arr = np.einsum(spec, *ops, optimize=path)
+        left = self._left.get(key, 1) - 1
+        self._left[key] = left
+        if left > 0:
+            self._values[key] = arr
+        return arr
+
+
+def _eval_w(d, labels, n, vertex_weights=None, budget=None, memo=None,
+            leaf_keys=None):
+    """eval_w on labels already checked by _as_labels (None when edgeless).
+
+    With a memo, each step is looked up by its key, derived from
+    `leaf_keys` (one per edge, then one per weighted vertex).
+    """
+    if budget is None:
+        budget = _default_budget(n)
+    weighted = tuple(vertex_weights) if vertex_weights else ()
+    steps, costs, leftover = _plan(d, weighted, n)
+    vals = [np.diag(labels[ei]).copy() if u == v else labels[ei]
+            for ei, (u, v) in enumerate(d.edges)]
+    for v in weighted:
+        w = np.asarray(vertex_weights[v], dtype=np.float64)
+        if w.shape != (n,):
+            raise ValueError("vertex weight must be a length-n vector")
+        vals.append(w)
+    if costs and costs[-1] > budget:
+        cost = next(c for c in costs if c > budget)
+        raise BudgetError("contraction cost %.3g exceeds budget %.3g"
+                          % (cost, budget))
+
+    keys = _step_keys(steps, leaf_keys) if memo is not None else None
+    scale = 1.0
+    for k, step in enumerate(steps):
+        if step is None:
+            scale *= n  # isolated vertex: free labeling
+            continue
+        inputs, spec, path, leaves_factor = step
+        ops = [vals[i] for i in inputs]
+        if memo is None:
+            arr = np.einsum(spec, *ops, optimize=path)
+        else:
+            arr = memo.run(keys[k], spec, ops, path)
+        if leaves_factor:
+            vals.append(arr)
         else:
             scale *= float(arr)
 
-    return _combine_roots(d, factors, scale, n)
+    return _combine_roots(d, [(t, vals[i]) for t, i in leftover], scale, n)
 
 
 def _combine_roots(d, factors, scale, n):
@@ -147,13 +259,7 @@ def _combine_roots(d, factors, scale, n):
 
 def eval_w_brute(d, labels, n=None, vertex_weights=None, budget=1e8):
     """Literal nested-loop w-basis sum with compensated accumulation."""
-    if d.edge_count:
-        labels, n = _as_labels(d, labels)
-    elif n is None:
-        if isinstance(labels, np.ndarray):
-            n = labels.shape[0]
-        else:
-            raise ValueError("edgeless diagram needs explicit n")
+    labels, n = _labels_and_n(d, labels, n)
     if float(n) ** d.vertex_count > budget:
         raise BudgetError("brute force needs %g terms > budget %g"
                           % (float(n) ** d.vertex_count, budget))
@@ -234,19 +340,21 @@ def eval_z(d, labels, n=None, budget=None, cap=diagrams.CANON_CAP):
     """
     if d.vertex_count > cap:
         raise diagrams.DiagramSizeError("vertex count exceeds cap")
-    if isinstance(labels, np.ndarray) and d.edge_count:
+    uniform = isinstance(labels, np.ndarray) and d.edge_count
+    # quotients keep the edges and their order, so one checked list serves all
+    lab, n = _labels_and_n(d, labels, n)
+    if uniform:
         # uniform labels: group isomorphic quotients through the coefficient table
         coeffs = diagrams.z_to_w_coefficients(d, cap=cap)
         total = None
         for a, c in coeffs.items():
-            val = eval_w(a, labels, n=n, budget=budget)
+            val = _eval_w(a, lab, n, budget=budget)
             total = c * val if total is None else total + c * val
         return total
     total = None
     for part in set_partitions(range(d.vertex_count)):
         q = quotient(d, part)
-        lab = labels if d.edge_count else None
-        val = eval_w(q, lab, n=n, budget=budget)
+        val = _eval_w(q, lab, n, budget=budget)
         mu = partition_mobius(part)
         total = mu * val if total is None else total + mu * val
     return total
@@ -254,22 +362,16 @@ def eval_z(d, labels, n=None, budget=None, cap=diagrams.CANON_CAP):
 
 def eval_z_brute(d, labels, n=None, budget=1e8):
     """Injective-labeling oracle for eval_z (test device)."""
-    if d.edge_count:
-        labels, n = _as_labels(d, labels)
-    elif n is None:
-        if isinstance(labels, np.ndarray):
-            n = labels.shape[0]
-        else:
-            raise ValueError("edgeless diagram needs explicit n")
+    labels, n = _labels_and_n(d, labels, n)
     k = d.vertex_count
     if math.perm(n, k) * max(1, d.edge_count) > budget:
         raise BudgetError("injective brute force over budget")
     roots = d.roots
     if not roots:
         out = 0.0
-    elif len(roots) == 1 or roots[0] == roots[1]:
+    elif len(roots) == 1:
         out = np.zeros(n)
-    else:
+    else:  # two roots, coinciding ones fill the diagonal as eval_w does
         out = np.zeros((n, n))
     for assign in itertools.permutations(range(n), k):
         term = 1.0
@@ -293,11 +395,11 @@ def eval_w_neq(d, labels, s, t, n=None, budget=None):
     """
     if s == t:
         raise DiagramError("s and t must be distinct vertices")
-    full = eval_w(d, labels, n=n, budget=budget)
+    lab, n = _labels_and_n(d, labels, n)
+    full = _eval_w(d, lab, n, budget=budget)
     blocks = [[s, t]] + [[v] for v in range(d.vertex_count) if v not in (s, t)]
     merged = quotient(d, blocks)
-    lab = labels if d.edge_count else None
-    return full - eval_w(merged, lab, n=n, budget=budget)
+    return full - _eval_w(merged, lab, n, budget=budget)
 
 
 def eval_open_cactus_matrix(d, a, budget=None):
@@ -334,8 +436,8 @@ def fundamental_bound_audit(d, labels, n=None, budget=None):
     """
     if not diagrams.classify(d).two_edge_connected:
         raise DiagramError("fundamental bound applies to 2-edge-connected diagrams")
-    lab, n = _as_labels(d, labels) if d.edge_count else (None, n)
-    val = eval_w(d, labels, n=n, budget=budget)
+    lab, n = _labels_and_n(d, labels, n)
+    val = _eval_w(d, lab, n, budget=budget)
     bound = 1.0
     for a in (lab or []):
         bound *= np.linalg.norm(a, 2)

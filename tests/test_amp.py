@@ -7,6 +7,10 @@ from trafficamp.amp import (AMPConfig, DivergenceError, empirical_state,
 from trafficamp.ensembles import (EnsembleSpec, block_labels, generate,
                                   puncture)
 from trafficamp.freeprob import named_table
+from trafficamp.gaussian import Polynomial
+from trafficamp.graphpoly import BudgetError
+
+from test_graphpoly import _legacy_eval_w
 
 
 def _rand_sym(rng, n):
@@ -177,3 +181,158 @@ def test_exact_mode_budget_guard():
         run_treelike(a, cfg)
     with pytest.raises(ValueError):
         onsager_b(a, [None] * 8, 0, 7)
+
+
+# ---------------------------------------------------------------------------
+# byte oracle: onsager_b and run_treelike as they were before quotient plans
+# and contraction steps were shared, copied literally on the legacy engine
+# ---------------------------------------------------------------------------
+
+def _legacy_onsager_b(a, fprime_vectors, s, t, budget=None):
+    from trafficamp.amp import EXACT_WINDOW_CAP
+    from trafficamp.diagrams import cycle_diagram, quotient, set_partitions
+    from trafficamp.graphpoly import partition_mobius
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    w = t - s
+    if not 1 <= w <= EXACT_WINDOW_CAP:
+        raise ValueError("window %d outside 1..%d" % (w, EXACT_WINDOW_CAP))
+    if w == 1:
+        return np.diag(a).copy()
+    cyc = cycle_diagram(w, rooted=True)
+    weights = {p: np.asarray(fprime_vectors[s + p], dtype=np.float64)
+               for p in range(1, w)}
+    total = np.zeros(n)
+    for part in set_partitions(range(w)):
+        q = quotient(cyc, part)
+        blocks = sorted([sorted(b) for b in part], key=lambda b: b[0])
+        vw = {}
+        for bi, block in enumerate(blocks):
+            acc = None
+            for p in block:
+                if p in weights:
+                    acc = weights[p] if acc is None else acc * weights[p]
+            if acc is not None:
+                vw[bi] = acc
+        val = _legacy_eval_w(q, a, vertex_weights=vw, budget=budget)
+        total += partition_mobius(part) * val
+    return total
+
+
+def _legacy_run_treelike(a, cfg, budget=None):
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    fs = list(cfg.nonlinearities)
+    fs[0] = Polynomial((1.0,))  # f_0 = all-ones by convention
+    fvec = [np.ones(n)]
+    fprime = [np.zeros(n)]
+    iters = np.empty((cfg.T, n))
+    onsager = {}
+    for t in range(1, cfg.T + 1):
+        xt = a @ fvec[t - 1]
+        for s in range(t):
+            b = _legacy_onsager_b(a, fprime, s, t, budget=budget)
+            onsager[(s, t)] = b
+            xt = xt - b * fvec[s]
+        iters[t - 1] = xt
+        if t < cfg.T:
+            fvec.append(fs[t](xt))
+            fprime.append(fs[t].derivative()(xt))
+    return iters, onsager
+
+
+def test_onsager_bytes_match_legacy():
+    rng = np.random.default_rng(20)
+    for n in (9, 40, 9):  # back to n = 9: plans are keyed by size
+        a = _rand_sym(rng, n)
+        fprime = [rng.standard_normal(n) for _ in range(7)]
+        for s in (0, 2):
+            for w in range(1, 6):
+                for budget in (None, float("inf")):
+                    old = _legacy_onsager_b(a, fprime, s, s + w, budget=budget)
+                    new = onsager_b(a, fprime, s, s + w, budget=budget)
+                    assert new.tobytes() == old.tobytes(), (n, s, w)
+
+
+def test_onsager_budget_error_unchanged():
+    rng = np.random.default_rng(21)
+    a = _rand_sym(rng, 16)
+    fprime = [rng.standard_normal(16) for _ in range(6)]
+    for budget in (10.0, 16.0 ** 2, 16.0 ** 3, 3 * 16.0 ** 3):
+        for w in range(2, 6):
+            try:
+                old = _legacy_onsager_b(a, fprime, 0, w, budget=budget).tobytes()
+            except BudgetError as exc:
+                old = str(exc)
+            try:
+                new = onsager_b(a, fprime, 0, w, budget=budget).tobytes()
+            except BudgetError as exc:
+                new = str(exc)
+            assert new == old, (budget, w)
+
+
+def test_treelike_bytes_match_legacy():
+    n = 64
+    a = generate(EnsembleSpec("community", n, seed=3, q=4, inner="rom")).values
+    cfg = AMPConfig(nonlinearities=("identity", "cube_hermite", "square_centered",
+                                    "identity", "cube_hermite"),
+                    T=5, mode="exact_treelike")
+    iters, onsager = _legacy_run_treelike(a, cfg)
+    for _ in range(2):  # a second trial reuses the step counts and plans
+        tr = run_treelike(a, cfg)
+        assert tr.iterates.tobytes() == iters.tobytes()
+        assert sorted(tr.onsager) == sorted(onsager)
+        for key, b in onsager.items():
+            assert tr.onsager[key].tobytes() == b.tobytes(), key
+
+
+def test_treelike_rejects_ignored_init():
+    with pytest.raises(ValueError, match="init"):
+        AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike",
+                  init="gaussian")
+    cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
+    assert AMPConfig.from_json(cfg.to_json()).init == "ones"
+
+
+def test_treelike_concurrent_trials_match_legacy():
+    # worker threads build and share plans while each trial keeps its own memo
+    import concurrent.futures
+    import sys
+
+    n = 24  # a size the other tests do not use, so plans are built under contention
+    mats = [generate(EnsembleSpec("goe", n, seed=30 + k)).values for k in range(6)]
+    cfg = AMPConfig(nonlinearities=("identity", "cube_hermite") * 3, T=5,
+                    mode="exact_treelike")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_treelike, m, cfg) for m in mats]
+            traces = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for m, tr in zip(mats, traces):
+        assert tr.iterates.tobytes() == _legacy_run_treelike(m, cfg)[0].tobytes()
+
+
+def test_treelike_memo_serves_every_counted_request(monkeypatch):
+    from trafficamp import graphpoly
+
+    memos = []
+
+    class Recording(graphpoly._Memo):
+        def __init__(self, uses):
+            super().__init__(uses)
+            self.uses = dict(uses)
+            memos.append(self)
+
+    monkeypatch.setattr(graphpoly, "_Memo", Recording)
+    a = generate(EnsembleSpec("goe", 32, seed=9)).values
+    cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
+    run_treelike(a, cfg)
+    (memo,) = memos
+    # 162 step requests per T=5 trial, 60 of them distinct
+    assert (sum(memo.uses.values()), len(memo.uses)) == (162, 60)
+    assert set(memo._left) == set(memo.uses)  # no request the counts missed
+    assert set(memo._left.values()) == {0}  # every counted request was made
+    assert not memo._values  # and each shared result freed after its last use

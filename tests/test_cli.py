@@ -219,3 +219,47 @@ def test_compare_single_trial_is_usage_error(tmp_path, capsys):
                    "--out", str(tmp_path / "out" / "verdict.csv"))
     assert code == 2
     assert "1-trial" in capsys.readouterr().err
+
+
+def _outputs(outdir):
+    return {nm: (outdir / nm).read_bytes() for nm in sorted(os.listdir(outdir))}
+
+
+def test_cactus_audit_threads_byte_identical(tmp_path):
+    cfg = _write_config(tmp_path, dimension_sweep=[32, 64], trials=4)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t" + threads)
+        assert run_cli("--threads", threads, "cactus-audit", "--config", cfg,
+                       "--out", str(out)) == 0
+        outputs.append(_outputs(out))
+    assert "cactus_audit.csv" in outputs[0] and "delocalization.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def _treelike_config(tmp_path, **amp):
+    return _write_config(
+        tmp_path, ensemble={"kind": "community", "n": 64, "q": 4, "inner": "rom"},
+        amp={"nonlinearities": ["identity", "cube_hermite", "identity",
+                                "square_centered", "identity"],
+             "T": 5, "mode": "exact_treelike", "init": "ones", **amp},
+        trials=4)
+
+
+def test_amp_treelike_threads_byte_identical(tmp_path):
+    # worker threads share the contraction plans; each trial has its own memo
+    cfg = _treelike_config(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t" + threads)
+        assert run_cli("--threads", threads, "amp", "--config", cfg,
+                       "--out", str(out)) == 0
+        outputs.append(_outputs(out))
+    assert len([nm for nm in outputs[0] if nm.startswith("trace_")]) == 4
+    assert outputs[0] == outputs[1]
+
+
+def test_amp_treelike_rejects_gaussian_init(tmp_path, capsys):
+    cfg = _treelike_config(tmp_path, init="gaussian")
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 2
+    assert "init" in capsys.readouterr().err

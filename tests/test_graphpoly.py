@@ -175,3 +175,216 @@ def test_matrix_io_roundtrip(tmp_path):
     c = tmp_path / "m.csv"
     matrixio.write_csv(c, m)
     assert np.allclose(matrixio.read_csv(c), m)
+
+
+# ---------------------------------------------------------------------------
+# byte oracle: the engine as it was before plans were cached and labels were
+# checked once per call, copied literally (names prefixed with _legacy)
+# ---------------------------------------------------------------------------
+
+def _legacy_as_labels(d, labels):
+    """Normalize labels to one symmetric n x n array per edge, in edge order."""
+    if isinstance(labels, np.ndarray):
+        labels = [labels] * d.edge_count
+    labels = [np.asarray(a, dtype=np.float64) for a in labels]
+    if len(labels) != d.edge_count:
+        raise ValueError("need one label per edge (%d edges, %d labels)"
+                         % (d.edge_count, len(labels)))
+    if d.edge_count == 0:
+        raise ValueError("cannot infer dimension from an edgeless diagram; "
+                         "pass n explicitly where supported")
+    n = labels[0].shape[0]
+    for a in labels:
+        if a.shape != (n, n):
+            raise ValueError("all edge labels must be n x n with equal n")
+        if not np.array_equal(a, a.T):
+            raise ValueError("edge labels must be symmetric")
+    return labels, n
+
+
+def _legacy_eval_w(d, labels, n=None, vertex_weights=None, budget=None):
+    if d.edge_count:
+        labels, n = _legacy_as_labels(d, labels)
+    elif n is None:
+        if isinstance(labels, np.ndarray):
+            n = labels.shape[0]
+        else:
+            raise ValueError("edgeless diagram needs explicit n")
+    if budget is None:
+        budget = 8.0 * n ** 3
+
+    factors = []
+    for ei, (u, v) in enumerate(d.edges):
+        if u == v:
+            factors.append(((u,), np.diag(labels[ei]).copy()))
+        else:
+            factors.append(((u, v), labels[ei]))
+    if vertex_weights:
+        for v, w in vertex_weights.items():
+            w = np.asarray(w, dtype=np.float64)
+            if w.shape != (n,):
+                raise ValueError("vertex weight must be a length-n vector")
+            factors.append(((v,), w))
+
+    root_set = set(d.roots)
+    remaining = [v for v in range(d.vertex_count) if v not in root_set]
+    scale = 1.0
+    cost = 0.0
+
+    def width(v):
+        idx = set()
+        for t, _ in factors:
+            if v in t:
+                idx.update(t)
+        return len(idx)
+
+    while remaining:
+        v = min(remaining, key=lambda u: (width(u), u))
+        remaining.remove(v)
+        group = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        if not group:
+            scale *= n  # isolated vertex: free labeling
+            continue
+        idx_all = sorted({i for t, _ in group for i in t})
+        cost += float(n) ** len(idx_all)
+        if cost > budget:
+            raise gp.BudgetError("contraction cost %.3g exceeds budget %.3g"
+                                 % (cost, budget))
+        out_idx = tuple(i for i in idx_all if i != v)
+        letters = {i: chr(97 + k) for k, i in enumerate(idx_all)}
+        spec = (",".join("".join(letters[i] for i in t) for t, _ in group)
+                + "->" + "".join(letters[i] for i in out_idx))
+        arr = np.einsum(spec, *[a for _, a in group], optimize=True)
+        if out_idx:
+            factors.append((out_idx, arr))
+        else:
+            scale *= float(arr)
+
+    return _legacy_combine_roots(d, factors, scale, n)
+
+
+def _legacy_combine_roots(d, factors, scale, n):
+    roots = d.roots
+    if not roots:
+        assert not factors
+        return scale
+    if len(roots) == 1 or roots[0] == roots[1]:
+        r = roots[0]
+        vec = np.full(n, scale)
+        for t, a in factors:
+            assert t == (r,)
+            vec = vec * a
+        if len(roots) == 2:
+            return np.diag(vec)
+        return vec
+    r1, r2 = roots
+    mat = np.full((n, n), scale)
+    for t, a in factors:
+        if t == (r1,):
+            mat = mat * a[:, None]
+        elif t == (r2,):
+            mat = mat * a[None, :]
+        elif t == (r1, r2):
+            mat = mat * a
+        elif t == (r2, r1):
+            mat = mat * a.T
+        else:
+            raise AssertionError("unexpected leftover factor %r" % (t,))
+    return mat
+
+
+def _legacy_eval_z(d, labels, n=None, budget=None, cap=12):
+    from trafficamp import diagrams
+    from trafficamp.diagrams import quotient, set_partitions
+    if d.vertex_count > cap:
+        raise diagrams.DiagramSizeError("vertex count exceeds cap")
+    if isinstance(labels, np.ndarray) and d.edge_count:
+        coeffs = diagrams.z_to_w_coefficients(d, cap=cap)
+        total = None
+        for a, c in coeffs.items():
+            val = _legacy_eval_w(a, labels, n=n, budget=budget)
+            total = c * val if total is None else total + c * val
+        return total
+    total = None
+    for part in set_partitions(range(d.vertex_count)):
+        q = quotient(d, part)
+        lab = labels if d.edge_count else None
+        val = _legacy_eval_w(q, lab, n=n, budget=budget)
+        mu = gp.partition_mobius(part)
+        total = mu * val if total is None else total + mu * val
+    return total
+
+
+def _outcome(fn, *args, **kwargs):
+    """Value bytes, or the BudgetError message, of one evaluation."""
+    try:
+        return np.asarray(fn(*args, **kwargs)).tobytes()
+    except gp.BudgetError as exc:
+        return "BudgetError: %s" % exc
+
+
+def _root_options(d):
+    opts = [(), (0,)]
+    if d.vertex_count >= 2:
+        opts += [(0, 1), (1, 1)]
+    return opts
+
+
+def test_eval_w_bytes_match_legacy_engine():
+    rng = np.random.default_rng(11)
+    raised = 0
+    for n in (7, 64, 7):  # back to n = 7: a plan built at 64 must not serve it
+        a = _rand_sym(rng, n)
+        for name, d0 in sorted(CATALOG.items()):
+            for roots in _root_options(d0):
+                d = d0.with_roots(roots)
+                # weights inserted in reverse vertex order: the order is positional
+                weights = {v: rng.standard_normal(n)
+                           for v in reversed(range(d.vertex_count))}
+                for vw in (None, weights):
+                    for budget in (None, float("inf"), 2.0 * n ** 2, 1.5 * n ** 3):
+                        lab = a if d.edge_count else None
+                        old = _outcome(_legacy_eval_w, d, lab, n=n,
+                                       vertex_weights=vw, budget=budget)
+                        for _ in range(2):  # the second call runs a cached plan
+                            new = _outcome(gp.eval_w, d, lab, n=n,
+                                           vertex_weights=vw, budget=budget)
+                            assert new == old, (name, roots, n, vw is None, budget)
+                        raised += isinstance(old, str)
+    assert raised > 50  # the budget cases are exercised, not skipped
+
+
+def test_eval_z_bytes_match_legacy_engine():
+    rng = np.random.default_rng(12)
+    for n in (7, 64):
+        a = _rand_sym(rng, n)
+        for name in ("edge", "loop", "path2", "cycle3", "cycle4", "theta",
+                     "bowtie", "star3", "k4"):
+            d = CATALOG[name]
+            per_edge = [_rand_sym(rng, n) for _ in range(d.edge_count)]
+            for labels in (a, per_edge):
+                for budget in (None, float("inf")):
+                    assert (_outcome(gp.eval_z, d, labels, budget=budget)
+                            == _outcome(_legacy_eval_z, d, labels, budget=budget)), name
+    assert (_outcome(gp.eval_z, Diagram(2), None, n=5)
+            == _outcome(_legacy_eval_z, Diagram(2), None, n=5))
+
+
+def test_labels_checked_once_per_distinct_array(monkeypatch):
+    a = _rand_sym(np.random.default_rng(13), 6)
+    seen = []
+    real = np.array_equal
+
+    def counting(x, y, *args, **kwargs):
+        seen.append(x.shape)
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    gp.eval_z(CATALOG["bowtie"], a)
+    assert len(seen) == 1
+    seen.clear()
+    gp.eval_w(CATALOG["path2"], [a, a.copy()])
+    assert len(seen) == 2
+    with pytest.raises(ValueError, match="symmetric"):
+        gp.eval_w(CATALOG["path2"], [a, np.triu(a)])

@@ -1,0 +1,69 @@
+"""Property tests: the contraction engine and the exact Onsager sums against
+their nested-loop oracles on random small multigraphs and matrices."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from trafficamp import graphpoly as gp
+from trafficamp.amp import onsager_b, onsager_b_brute
+from trafficamp.diagrams import Diagram
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def multigraphs(draw):
+    """A diagram on at most 5 vertices with loops, parallel edges and 0-2 roots."""
+    k = draw(st.integers(1, 5))
+    vertex = st.integers(0, k - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    roots = draw(st.lists(vertex, max_size=2))
+    return Diagram(k, tuple(edges), tuple(roots))
+
+
+def _sym(rng, n):
+    a = rng.standard_normal((n, n))
+    return (a + a.T) / 2
+
+
+def _labels(rng, d, n, per_edge):
+    if not d.edge_count:
+        return None
+    if per_edge:
+        return [_sym(rng, n) for _ in range(d.edge_count)]
+    return _sym(rng, n)
+
+
+@SETTINGS
+@given(d=multigraphs(), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       per_edge=st.booleans(), weighted=st.sets(st.integers(0, 4)))
+def test_eval_w_matches_brute(d, n, seed, per_edge, weighted):
+    rng = np.random.default_rng(seed)
+    labels = _labels(rng, d, n, per_edge)
+    vw = {v: rng.standard_normal(n) for v in sorted(weighted) if v < d.vertex_count}
+    fast = gp.eval_w(d, labels, n=n, vertex_weights=vw, budget=float("inf"))
+    slow = gp.eval_w_brute(d, labels, n=n, vertex_weights=vw)
+    assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9), d
+
+
+@SETTINGS
+@given(d=multigraphs(), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       per_edge=st.booleans())
+def test_eval_z_matches_brute(d, n, seed, per_edge):
+    rng = np.random.default_rng(seed)
+    labels = _labels(rng, d, n, per_edge)
+    fast = gp.eval_z(d, labels, n=n, budget=float("inf"))
+    slow = gp.eval_z_brute(d, labels, n=n)
+    assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9), d
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 6), s=st.integers(0, 2), w=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_onsager_b_matches_brute(n, s, w, seed):
+    rng = np.random.default_rng(seed)
+    a = _sym(rng, n)
+    fprime = [rng.standard_normal(n) for _ in range(s + w)]
+    fast = onsager_b(a, fprime, s, s + w, budget=float("inf"))
+    slow = onsager_b_brute(a, fprime, s, s + w)
+    assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9)
