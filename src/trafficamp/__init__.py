@@ -18,7 +18,8 @@ from .graphpoly import (eval_open_cactus_matrix, eval_w, eval_w_brute,
 from .amp import (AMPConfig, AMPTrace, DivergenceError, empirical_state,
                   onsager_b, run_block_goe, run_oamp, run_punctured,
                   run_treelike)
-from .state_evolution import (SEKernel, compare_empirical, se_block_goe,
-                              se_community, se_orthogonal, se_punctured)
+from .state_evolution import (SEDivergenceError, SEKernel, compare_empirical,
+                              se_block_goe, se_community, se_orthogonal,
+                              se_punctured)
 
 __version__ = "0.1.0"

@@ -130,8 +130,7 @@ def _window_terms(w):
         # position 0 is the root; every later position carries a weight
         verts = tuple(bi for bi, block in enumerate(blocks) if block != [0])
         positions = tuple(tuple(p for p in blocks[bi] if p) for bi in verts)
-        edge_keys = tuple("diag A" if u == v else "A" for u, v in q.edges)
-        terms.append((q, verts, positions, edge_keys,
+        terms.append((q, verts, positions, graphpoly._edge_keys(q),
                       graphpoly.partition_mobius(part)))
     return tuple(terms)
 
@@ -145,17 +144,10 @@ def _window_leaf_keys(s, positions, edge_keys):
 def _step_uses(calls, n):
     """How often each contraction step is requested by onsager_b over the
     (s, t) windows in `calls` on one n x n matrix."""
-    uses = {}
-    for s, t in calls:
-        if t - s < 2:
-            continue
-        for q, verts, positions, edge_keys, _ in _window_terms(t - s):
-            steps = graphpoly._plan(q, verts, n)[0]
-            leaf_keys = _window_leaf_keys(s, positions, edge_keys)
-            for key in graphpoly._step_keys(steps, leaf_keys):
-                if key is not None:
-                    uses[key] = uses.get(key, 0) + 1
-    return tuple(uses.items())
+    return tuple(graphpoly._step_uses(
+        ((q, verts, _window_leaf_keys(s, positions, edge_keys))
+         for s, t in calls if t - s >= 2
+         for q, verts, positions, edge_keys, _ in _window_terms(t - s)), n).items())
 
 
 def onsager_b(a, fprime_vectors, s, t, budget=None, _memo=None):

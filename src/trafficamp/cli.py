@@ -2,7 +2,7 @@
 AMP runs, state-evolution prediction, and empirical-vs-analytic comparison.
 
 Exit codes: 0 success/pass, 1 comparison fail, 2 usage error, 3 budget error,
-4 divergence-only failures.
+4 divergence-only failures (AMP trials, or the state-evolution recursion).
 """
 
 from __future__ import annotations
@@ -173,17 +173,16 @@ def cmd_traffic(args):
     rows = []
     series = {}
     budget = float(cfg.get("eval_budget", 0)) or None
+    keys = [(name, basis) for name, _ in diagrams_ for basis in ("w", "z")]
+    requests = [(d, basis) for _, d in diagrams_ for basis in ("w", "z")]
     for n in sweep:
         spec = _ensemble_from_config(cfg, n=n)
         eff_trials = 1 if _is_deterministic(spec) else trials
 
         def one(trial):
             m = _generate_trial(spec, master_seed, trial)
-            vals = {}
-            for name, d in diagrams_:
-                vals[(name, "w")] = graphpoly.eval_w(d, m, budget=budget) / n
-                vals[(name, "z")] = graphpoly.eval_z(d, m, budget=budget) / n
-            return vals
+            vals = graphpoly.eval_catalog(requests, m, budget=budget)
+            return {key: v / n for key, v in zip(keys, vals)}
 
         results = _run_trials(one, eff_trials, args.threads)
         for name, d in diagrams_:
@@ -196,21 +195,25 @@ def cmd_traffic(args):
                              "" if target is None else target))
                 series.setdefault((name, basis), []).append((n, mean))
 
+    write_csv(os.path.join(outdir, "traffic.csv"),
+              ["n", "diagram", "basis", "mean", "se", "target"], rows, cfg)
+    write_csv(os.path.join(outdir, "traffic_exponents.csv"),
+              ["diagram", "basis", "exponent"], _fit_exponents(series), cfg)
+    print("wrote %s (%d rows)" % (os.path.join(outdir, "traffic.csv"), len(rows)))
+    return 0
+
+
+def _fit_exponents(series):
+    """(diagram, basis, slope) of the log-log fit of |mean| against n, per
+    (diagram, basis) series with at least two means above 1e-14 in size."""
     exps = []
     for (name, basis), pts in sorted(series.items()):
         pts = [(n, v) for n, v in pts if abs(v) > 1e-14]
         if len(pts) >= 2:
             ls = np.log([p[0] for p in pts])
             lv = np.log([abs(p[1]) for p in pts])
-            slope = float(np.polyfit(ls, lv, 1)[0])
-            exps.append((name, basis, slope))
-
-    write_csv(os.path.join(outdir, "traffic.csv"),
-              ["n", "diagram", "basis", "mean", "se", "target"], rows, cfg)
-    write_csv(os.path.join(outdir, "traffic_exponents.csv"),
-              ["diagram", "basis", "exponent"], exps, cfg)
-    print("wrote %s (%d rows)" % (os.path.join(outdir, "traffic.csv"), len(rows)))
-    return 0
+            exps.append((name, basis, float(np.polyfit(ls, lv, 1)[0])))
+    return exps
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +235,25 @@ def cmd_cactus_audit(args):
 
     rows, audit_rows = [], []
     series = {}
+    requests = []
+    for _, d in diagrams_:
+        cls = classify(d)
+        requests.append((d, "z" if (cls.two_edge_connected and not cls.cactus) else "w"))
     for n in sweep:
         spec = _ensemble_from_config(cfg, n=n)
         eff_trials = 1 if _is_deterministic(spec) else trials
 
         def one(trial):
             m = _generate_trial(spec, master_seed, trial)
-            vals = {}
-            for name, d in diagrams_:
-                cls = classify(d)
-                basis = "z" if (cls.two_edge_connected and not cls.cactus) else "w"
-                fn = graphpoly.eval_z if basis == "z" else graphpoly.eval_w
-                vals[name] = (basis, fn(d, m, budget=budget) / n)
+            vals = graphpoly.eval_catalog(requests, m, budget=budget)
             rep = ensembles.delocalization_audit(m, [d for _, d in open_set],
                                                  budget=budget)
-            return vals, rep
+            return [v / n for v in vals], rep
 
         results = _run_trials(one, eff_trials, args.threads)
-        for name, d in diagrams_:
-            basis = results[0][0][name][0]
-            vals = np.array([r[0][name][1] for r in results])
+        for i, (name, _) in enumerate(diagrams_):
+            basis = requests[i][1]
+            vals = np.array([r[0][i] for r in results])
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else ""
             rows.append((n, name, basis, mean, se))
@@ -261,18 +263,10 @@ def cmd_cactus_audit(args):
             audit_rows.append((n, nm, rep["norm"], dd["max_offdiag"],
                                dd["centered_vec_norm"]))
 
-    exps = []
-    for (name, basis), pts in sorted(series.items()):
-        pts = [(nn, v) for nn, v in pts if abs(v) > 1e-14]
-        if len(pts) >= 2:
-            ls = np.log([p[0] for p in pts])
-            lv = np.log([abs(p[1]) for p in pts])
-            exps.append((name, basis, float(np.polyfit(ls, lv, 1)[0])))
-
     write_csv(os.path.join(outdir, "cactus_audit.csv"),
               ["n", "diagram", "basis", "mean", "se"], rows, cfg)
     write_csv(os.path.join(outdir, "cactus_audit_exponents.csv"),
-              ["diagram", "basis", "exponent"], exps, cfg)
+              ["diagram", "basis", "exponent"], _fit_exponents(series), cfg)
     write_csv(os.path.join(outdir, "delocalization.csv"),
               ["n", "open_cactus", "norm", "max_offdiag", "centered_vec_norm"],
               audit_rows, cfg)
@@ -523,6 +517,9 @@ def main(argv=None):
     except graphpoly.BudgetError as exc:
         print("budget error: %s" % exc, file=sys.stderr)
         return 3
+    except se_mod.SEDivergenceError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -45,17 +45,27 @@ class NCPartition:
 
 
 def _crosses(blocks):
-    owner = {}
+    """Whether some a < b < c < d have a, c in one block and b, d in another.
+
+    One scan of the elements in order, with a stack of the blocks that have
+    begun and not ended: a block crosses another exactly when it resumes
+    while a block begun after it is still open above it.
+    """
+    owner, last = {}, {}
     for bi, b in enumerate(blocks):
         for x in b:
             owner[x] = bi
-    k = len(owner)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for kk in range(j + 1, k + 1):
-                for ll in range(kk + 1, k + 1):
-                    if owner[i] == owner[kk] and owner[j] == owner[ll] and owner[i] != owner[j]:
-                        return True
+            last[bi] = max(last.get(bi, x), x)
+    begun, stack = set(), []
+    for x in sorted(owner):
+        bi = owner[x]
+        if bi not in begun:
+            begun.add(bi)
+            stack.append(bi)
+        elif stack[-1] != bi:
+            return True
+        if x == last[bi]:
+            stack.pop()
     return False
 
 

@@ -46,10 +46,6 @@ class Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
 
-def derivative(p):
-    return p.derivative()
-
-
 # ReLU projected onto polynomials of degree <= 3 under the standard Gaussian
 # (Hermite coefficients; the cubic Hermite coefficient of ReLU vanishes).
 _RELU_H0 = 1.0 / np.sqrt(2 * np.pi)

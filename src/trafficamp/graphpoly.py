@@ -8,9 +8,12 @@ greedy min-width order; a literal nested-loop oracle is kept alongside.
 The public functions check their matrix labels once per call and hand them
 to a private core.  The core's plan (elimination order, einsum specs and
 paths, cost estimates) is built once per (diagram, weighted vertices, n)
-and reused.  Callers that evaluate many diagrams on one matrix, such as the
-Onsager partition sums of a treelike AMP trial, can pass a memo that
-computes each repeated contraction step once.
+and reused.  Evaluations that share one matrix can share a memo that
+computes each repeated contraction step once and frees it after its last
+use: `eval_catalog` evaluates a whole list of diagrams (and, in the
+z-basis, their quotient families) on one matrix with one label check and
+one memo, and the Onsager partition sums of a treelike AMP trial share one
+memo across the trial.
 """
 
 from __future__ import annotations
@@ -161,12 +164,28 @@ def _step_keys(steps, leaf_keys):
     return out
 
 
+def _edge_keys(d):
+    """Leaf key of each edge of d labelled by one shared matrix."""
+    return tuple("diag A" if u == v else "A" for u, v in d.edges)
+
+
+def _step_uses(evaluations, n):
+    """How often each step key is requested by the (diagram, weighted
+    vertices, leaf keys) evaluations at size n, as a dict for _Memo."""
+    uses = {}
+    for d, weighted, leaf_keys in evaluations:
+        for key in _step_keys(_plan(d, weighted, n)[0], leaf_keys):
+            if key is not None:
+                uses[key] = uses.get(key, 0) + 1
+    return uses
+
+
 class _Memo:
     """Contraction results shared by evaluations on the same leaf factors.
 
-    `uses` gives, as (step key, count) pairs, how many times the evaluations
-    will request each step; a result is kept while requests remain and
-    dropped after the last.
+    `uses` gives, as a dict or its (step key, count) items, how many times
+    the evaluations will request each step; a result is kept while requests
+    remain and dropped after the last.
     """
 
     def __init__(self, uses):
@@ -336,21 +355,15 @@ def eval_z(d, labels, n=None, budget=None, cap=diagrams.CANON_CAP):
 
     Computed exactly by Mobius inversion over the vertex-partition lattice,
     z_d = sum_P mu(P) w_{d_P}; per-edge labels survive contraction since
-    quotients preserve edge order.
+    quotients preserve edge order.  One shared matrix goes through
+    eval_catalog, which groups isomorphic quotients.
     """
     if d.vertex_count > cap:
         raise diagrams.DiagramSizeError("vertex count exceeds cap")
-    uniform = isinstance(labels, np.ndarray) and d.edge_count
+    if isinstance(labels, np.ndarray) and d.edge_count:
+        return eval_catalog([(d, "z")], labels, budget=budget, cap=cap)[0]
     # quotients keep the edges and their order, so one checked list serves all
     lab, n = _labels_and_n(d, labels, n)
-    if uniform:
-        # uniform labels: group isomorphic quotients through the coefficient table
-        coeffs = diagrams.z_to_w_coefficients(d, cap=cap)
-        total = None
-        for a, c in coeffs.items():
-            val = _eval_w(a, lab, n, budget=budget)
-            total = c * val if total is None else total + c * val
-        return total
     total = None
     for part in set_partitions(range(d.vertex_count)):
         q = quotient(d, part)
@@ -358,6 +371,37 @@ def eval_z(d, labels, n=None, budget=None, cap=diagrams.CANON_CAP):
         mu = partition_mobius(part)
         total = mu * val if total is None else total + mu * val
     return total
+
+
+def eval_catalog(requests, a, budget=None, cap=diagrams.CANON_CAP):
+    """Values of (diagram, basis) requests on one shared matrix, in order.
+
+    basis is "w" or "z"; a z-value sums its quotients' w-values with the
+    integer coefficients of z_to_w_coefficients.  The matrix is checked
+    once, and every contraction step that recurs across the requests and
+    their quotients runs once and is freed after its last use.  The values
+    equal those of eval_w and eval_z bit for bit.
+    """
+    a = _as_matrix(a)
+    n = a.shape[0]
+    tables = []  # per request: w-diagram -> coefficient
+    for d, basis in requests:
+        if basis == "w":
+            tables.append({d: 1})
+        elif basis == "z":
+            tables.append(diagrams.z_to_w_coefficients(d, cap=cap))
+        else:
+            raise ValueError("basis must be 'w' or 'z', not %r" % (basis,))
+    memo = _Memo(_step_uses(((q, (), _edge_keys(q)) for t in tables for q in t), n))
+    out = []
+    for table in tables:
+        total = None
+        for q, c in table.items():
+            val = _eval_w(q, [a] * q.edge_count, n, budget=budget, memo=memo,
+                          leaf_keys=_edge_keys(q))
+            total = c * val if total is None else total + c * val
+        out.append(total)
+    return out
 
 
 def eval_z_brute(d, labels, n=None, budget=1e8):

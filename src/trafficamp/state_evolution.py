@@ -16,6 +16,21 @@ from .gaussian import GaussianLaw, Polynomial, named_polynomial, poly_expectatio
 PSD_TOL = -1e-9
 
 
+class SEDivergenceError(RuntimeError):
+    """A kernel entry of the recursion overflowed to a non-finite value."""
+
+    def __init__(self, t):
+        super().__init__("state evolution diverged: kernel not finite at t=%d" % t)
+        self.t = t
+
+
+def _finite(x, t):
+    """x, a kernel entry computed at step t, if it is finite."""
+    if not np.isfinite(x):
+        raise SEDivergenceError(t)
+    return x
+
+
 @dataclass
 class SEKernel:
     """State-evolution prediction: one covariance kernel, or a block family
@@ -129,8 +144,7 @@ def se_orthogonal(fs, kappa, T):
                     if coef == 0.0:
                         continue
                     total += coef * _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
-            gamma[s - 1, t - 1] = total
-            gamma[t - 1, s - 1] = total
+            gamma[s - 1, t - 1] = gamma[t - 1, s - 1] = _finite(total, t)
     return SEKernel((gamma,), (1.0,), "orthogonal", T)
 
 
@@ -168,8 +182,7 @@ def se_punctured(fs, kappa, T):
                     if coef == 0.0:
                         continue
                     total += coef * _centered_pair(lw, fs, fmean, sp, tp)
-            gamma[s - 1, t - 1] = total
-            gamma[t - 1, s - 1] = total
+            gamma[s - 1, t - 1] = gamma[t - 1, s - 1] = _finite(total, t)
     return SEKernel((gamma,), (1.0,), "punctured", T)
 
 
@@ -212,7 +225,7 @@ def se_block_goe(fs, sigma, q, T):
                         continue
                     e = _pair_expectation(laws[c], fs[s - 1], s - 1, fs[t - 1], t - 1)
                     total += sigma[r, c] / q * e
-                vals.append(total)
+                vals.append(_finite(total, t))
             for r in range(q):
                 gammas[r][s - 1, t - 1] = vals[r]
                 gammas[r][t - 1, s - 1] = vals[r]
@@ -258,8 +271,8 @@ def se_community(fs, kappa_inner, q, T):
                     if coef == 0.0:
                         continue
                     extra += coef * _pair_expectation(lw1, fs[sp], sp, fs[tp], tp)
-            g0[s - 1, t - 1] = g0[t - 1, s - 1] = mix
-            g1[s - 1, t - 1] = g1[t - 1, s - 1] = mix + extra
+            g0[s - 1, t - 1] = g0[t - 1, s - 1] = _finite(mix, t)
+            g1[s - 1, t - 1] = g1[t - 1, s - 1] = _finite(mix + extra, t)
     return SEKernel((g0, g1), (w0, w1), "community", T)
 
 

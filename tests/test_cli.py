@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from trafficamp import matrixio
+from trafficamp import graphpoly, matrixio
 from trafficamp.cli import main, read_moments_csv
+from trafficamp.freeprob import named_table
 
 
 def run_cli(*argv):
@@ -152,6 +153,61 @@ def test_divergence_exit_code(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli("amp", "--config", str(path))
     assert code == 4
+
+
+def test_se_divergence_exit_code(tmp_path, capsys):
+    # cubic steps overflow the scalar-kappa recursion at T = 8
+    cfg = _write_config(tmp_path, amp={
+        "nonlinearities": ["identity"] + ["cube_hermite"] * 7, "T": 8,
+        "mode": "scalar_kappa", "kappa": named_table("rom", 16).to_json()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json"))
+    assert code == 4
+    assert "kernel not finite at t=8" in capsys.readouterr().err
+
+
+def _count_engine_work(monkeypatch):
+    """Record label checks, einsum runs and the memos the engine builds."""
+    seen = {"checks": 0, "einsums": 0, "requests": 0, "memos": []}
+    check, einsum = graphpoly._as_matrix, np.einsum
+
+    def counting_check(*args):
+        seen["checks"] += 1
+        return check(*args)
+
+    def counting_einsum(*args, **kwargs):
+        seen["einsums"] += 1
+        return einsum(*args, **kwargs)
+
+    class Memo(graphpoly._Memo):
+        def __init__(self, uses):
+            super().__init__(uses)
+            seen["requests"] += sum(dict(uses).values())
+            seen["memos"].append(self)
+
+    monkeypatch.setattr(graphpoly, "_as_matrix", counting_check)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(graphpoly, "_Memo", Memo)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["traffic", "cactus-audit"])
+def test_catalog_checks_once_and_runs_each_step_once(tmp_path, monkeypatch, command):
+    cfg = _write_config(tmp_path, dimension_sweep=[16, 24], trials=3,
+                        diagrams=["cycle2", "cycle4", "bowtie", "cycle3",
+                                  "path3", "star3", "theta"],
+                        open_cactuses=["open_path1", "open_path2"])
+    seen = _count_engine_work(monkeypatch)
+    assert run_cli(command, "--config", cfg) == 0
+    trials = 2 * 3
+    assert seen["checks"] == trials  # one symmetry check per trial
+    assert len(seen["memos"]) == trials
+    # every distinct step key runs once, and its result is freed after its last use
+    assert seen["einsums"] == sum(len(m._left) for m in seen["memos"])
+    for memo in seen["memos"]:
+        assert memo._values == {}
+        assert set(memo._left.values()) == {0}
+    assert seen["einsums"] < seen["requests"]  # the diagrams share steps
 
 
 def test_preset_configs_load():

@@ -221,3 +221,34 @@ def test_block_cactus_limit_monte_carlo():
     for r in range(q):
         target = block_cactus_limit(d, r, tabs, q)
         assert abs(vals[r] - target) < 0.08, (r, vals[r], target)
+
+
+def _quartic_crosses(blocks):
+    # the earlier O(k^4) scan, kept literally as the oracle
+    owner = {}
+    for bi, b in enumerate(blocks):
+        for x in b:
+            owner[x] = bi
+    k = len(owner)
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            for kk in range(j + 1, k + 1):
+                for ll in range(kk + 1, k + 1):
+                    if owner[i] == owner[kk] and owner[j] == owner[ll] and owner[i] != owner[j]:
+                        return True
+    return False
+
+
+def test_crosses_matches_quartic_scan():
+    from trafficamp.diagrams import set_partitions
+    from trafficamp.freeprob import _crosses
+    crossing = 0
+    for k in range(1, 9):
+        for part in set_partitions(range(1, k + 1)):
+            blocks = tuple(tuple(b) for b in part)
+            old = _quartic_crosses(blocks)
+            assert _crosses(blocks) == old, blocks
+            crossing += old
+    # Bell(k) partitions, Catalan(k) of them non-crossing, for k = 1..8
+    bell = (1, 2, 5, 15, 52, 203, 877, 4140)
+    assert crossing == sum(bell) - sum(catalan(k) for k in range(1, 9))

@@ -388,3 +388,65 @@ def test_labels_checked_once_per_distinct_array(monkeypatch):
     assert len(seen) == 2
     with pytest.raises(ValueError, match="symmetric"):
         gp.eval_w(CATALOG["path2"], [a, np.triu(a)])
+
+
+# ---------------------------------------------------------------------------
+# eval_catalog: one check and one memo for many diagrams on one matrix
+# ---------------------------------------------------------------------------
+
+def _catalog_requests():
+    """Every catalog diagram in both bases, in catalog order (edgeless first,
+    so budget errors come mid-list), with each root option up to 6 vertices
+    (rooted z-coefficients of cycle7/cycle8 take seconds to enumerate)."""
+    return [(d0.with_roots(roots), basis) for d0 in CATALOG.values()
+            for roots in (_root_options(d0) if d0.vertex_count <= 6 else [()])
+            for basis in ("w", "z")]
+
+
+def _legacy_value(d, basis, a, budget):
+    lab = a if d.edge_count else None
+    fn = _legacy_eval_w if basis == "w" else _legacy_eval_z
+    return fn(d, lab, n=a.shape[0], budget=budget)
+
+
+def test_eval_catalog_bytes_match_legacy_engine():
+    rng = np.random.default_rng(14)
+    requests = _catalog_requests()
+    for n in (7, 64):
+        a = _rand_sym(rng, n)
+        values = gp.eval_catalog(requests, a, budget=float("inf"))
+        assert len(values) == len(requests)
+        for (d, basis), val in zip(requests, values):
+            old = _outcome(_legacy_value, d, basis, a, float("inf"))
+            assert np.asarray(val).tobytes() == old, (d, basis, n)
+
+
+def test_eval_catalog_budget_error_at_same_request():
+    rng = np.random.default_rng(15)
+    requests = _catalog_requests()
+    mid_list = 0
+    for n in (7, 64):
+        a = _rand_sym(rng, n)
+        for budget in (None, 2.0 * n ** 2, 1.5 * n ** 3):
+            old = [_outcome(_legacy_value, d, basis, a, budget) for d, basis in requests]
+            first = next(i for i, o in enumerate(old) if isinstance(o, str))
+            with pytest.raises(gp.BudgetError) as exc:
+                gp.eval_catalog(requests, a, budget=budget)
+            assert "BudgetError: %s" % exc.value == old[first]
+            # the requests before the failing one evaluate as before
+            head = gp.eval_catalog(requests[:first], a, budget=budget)
+            assert [np.asarray(v).tobytes() for v in head] == old[:first]
+            mid_list += first > 0
+    assert mid_list >= 4
+
+
+def test_eval_catalog_usage():
+    a = _rand_sym(np.random.default_rng(16), 5)
+    assert gp.eval_catalog([], a) == []
+    with pytest.raises(ValueError, match="basis"):
+        gp.eval_catalog([(CATALOG["edge"], "x")], a)
+    with pytest.raises(ValueError, match="symmetric"):
+        gp.eval_catalog([(CATALOG["edge"], "w")], np.triu(a))
+    from trafficamp.diagrams import DiagramSizeError
+    with pytest.raises(DiagramSizeError):
+        gp.eval_catalog([(CATALOG["cycle8"], "z")], a, cap=7)

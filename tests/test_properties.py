@@ -1,5 +1,8 @@
 """Property tests: the contraction engine and the exact Onsager sums against
-their nested-loop oracles on random small multigraphs and matrices."""
+their nested-loop oracles on random small multigraphs and matrices, and
+round trips of cumulant tables."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from trafficamp import graphpoly as gp
 from trafficamp.amp import onsager_b, onsager_b_brute
 from trafficamp.diagrams import Diagram
+from trafficamp.freeprob import (CumulantTable, cumulants_to_moments,
+                                 moments_to_cumulants)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -67,3 +72,35 @@ def test_onsager_b_matches_brute(n, s, w, seed):
     fast = onsager_b(a, fprime, s, s + w, budget=float("inf"))
     slow = onsager_b_brute(a, fprime, s, s + w)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9)
+
+
+def tables(tag):
+    values = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=8)
+    return st.builds(CumulantTable, values, st.just(tag))
+
+
+@SETTINGS
+@given(t=st.one_of(tables("cumulants"), tables("moments")))
+def test_cumulant_table_json_round_trip(t):
+    back = CumulantTable.from_json(json.loads(json.dumps(t.to_json())))
+    assert back == t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=tables("cumulants"))
+def test_cumulants_moments_round_trip(t):
+    m = cumulants_to_moments(t)
+    assert m.tag == "moments" and len(m) == len(t)
+    back = moments_to_cumulants(m)
+    assert back.tag == "cumulants"
+    scale = max(1.0, max(abs(v) for v in m.values))
+    assert np.allclose(back.values, t.values, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=tables("moments"))
+def test_moments_cumulants_round_trip(t):
+    k = moments_to_cumulants(t)
+    back = cumulants_to_moments(k)
+    scale = max(1.0, max(abs(v) for v in k.values))
+    assert np.allclose(back.values, t.values, rtol=0, atol=1e-12 * scale)

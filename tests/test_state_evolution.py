@@ -4,7 +4,8 @@ import pytest
 from trafficamp.amp import AMPTrace, empirical_state
 from trafficamp.ensembles import community_kappa_table
 from trafficamp.freeprob import CumulantTable, named_table
-from trafficamp.state_evolution import (SEKernel, aggregate_reports,
+from trafficamp.state_evolution import (SEDivergenceError, SEKernel,
+                                        aggregate_reports,
                                         compare_empirical,
                                         gaussian_power_moment, se_block_goe,
                                         se_community, se_orthogonal,
@@ -154,3 +155,25 @@ def test_aggregate_reports_block():
     assert set(rep["blocks"]) == {0, 1}
     mean, se = rep["blocks"][0]["second"][(1, 1)]
     assert se > 0
+
+
+def test_se_divergence_names_first_nonfinite_step():
+    fs = ["identity"] + ["cube_hermite"] * 7
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SEDivergenceError, match="t=8") as exc:
+            se_orthogonal(fs, named_table("rom", 16), 8)
+        assert exc.value.t == 8
+        # one step earlier the kernel is still finite
+        assert np.isfinite(se_orthogonal(fs, named_table("rom", 14), 7).gamma).all()
+
+
+@pytest.mark.parametrize("variant, t", [("punctured", 8), ("community", 7)])
+def test_se_divergence_in_other_variants(variant, t):
+    fs = ["identity"] + ["cube_hermite"] * 7
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SEDivergenceError) as exc:
+            if variant == "punctured":
+                se_punctured(fs, named_table("rom", 16), 8)
+            else:
+                se_community(fs, community_kappa_table(4, "rom", length=16), 4, 8)
+    assert exc.value.t == t
