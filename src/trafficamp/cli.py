@@ -48,9 +48,31 @@ def _cell(x):
     return str(x)
 
 
+# accepted config keys, per section (None: the top level)
+CONFIG_KEYS = {
+    None: ("ensemble", "diagrams", "amp", "trials", "dimension_sweep",
+           "output_dir", "master_seed", "eval_budget", "open_cactuses"),
+    "ensemble": ("kind", "n", "seed", "entry_law", "inner", "q", "sigma",
+                 "eigenvalues"),
+    "amp": ("nonlinearities", "T", "mode", "kappa", "init"),
+}
+
+
 def load_config(path):
+    """Read a JSON config; a key outside CONFIG_KEYS is a ValueError that
+    names the key and its section."""
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config %s is not a JSON object" % path)
+    for section, allowed in CONFIG_KEYS.items():
+        obj = cfg if section is None else cfg.get(section)
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in allowed:
+                where = "the top level" if section is None else "section %r" % section
+                raise ValueError("unknown config key %r in %s of %s"
+                                 % (key, where, path))
+    return cfg
 
 
 def _ensemble_from_config(cfg, n=None, seed=None):
@@ -123,10 +145,17 @@ def cmd_gen(args):
         json.dump(gm.spec.to_json(), fh, indent=2)
     msg = "wrote %s (%d x %d)" % (out, spec.n, spec.n)
     if spec.kind in ("hadamard", "dst", "dct", "rom"):
-        err = float(np.max(np.abs(gm.values @ gm.values - np.eye(spec.n))))
-        msg += "; max |H^2 - I| = %.2e" % err
+        msg += "; max |H^2 - I| = %.2e" % _orthogonality_error(gm.values)
     print(msg)
     return 0
+
+
+def _orthogonality_error(h):
+    """max |H^2 - I| over the entries, from one product and no other n x n
+    array."""
+    p = h @ h
+    p[np.diag_indices(len(p))] -= 1.0
+    return float(np.max(np.abs(p, out=p)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,19 @@ def puncture(m):
     out = np.array(m, dtype=np.float64)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError("puncture needs a square matrix")
-    n = out.shape[0]
-    col = out.sum(axis=1) / n
+    return _puncture_in_place(out)
+
+
+def _puncture_in_place(a):
+    """puncture(a), computed in a's own buffer; returns a."""
+    n = a.shape[0]
+    col = a.sum(axis=1) / n
     tot = col.sum() / n
-    out -= col[:, None]
-    out -= col[None, :]
-    out += tot
-    _symmetrize(out)
-    return out
+    a -= col[:, None]
+    a -= col[None, :]
+    a += tot
+    _symmetrize(a)
+    return a
 
 
 # edge of the square tiles that the in-place transposes below work on
@@ -127,17 +132,27 @@ def _symmetrize(a):
             a[j:f, i:e] = avg.T
 
 
-def _symmetric_from_upper(z, n, k):
+def _symmetric_fill(n, k, fill):
     """Symmetric n x n matrix whose upper triangle (diagonal included when
-    k == 0, strict when k == 1) holds the values z in row-major order; the
-    diagonal is left zero when k == 1.  z is consumed as scratch."""
-    z += 0.0  # maps -0.0 to +0.0, as adding the zero lower triangle did
-    a = np.zeros((n, n))
-    start = 0
+    k == 0, strict when k == 1) holds, in row-major order, the values that
+    fill(z) writes into the 1-d array z; the diagonal is left unset when
+    k == 1.
+
+    Works in the matrix's own buffer: z is its tail, and each row moves
+    forward into place in turn.  Row i's destination ends at (i + 1) n, no
+    later than where row i + 1's source begins: that needs
+    (i + 1)(i + 2) <= n (n + 1) when k == 1 and i (i + 1) <= n (n - 1) when
+    k == 0, and both hold for every row.
+    """
+    a = np.empty((n, n))
+    flat = a.reshape(-1)
+    src = n * n - n * (n + 1 - 2 * k) // 2
+    fill(flat[src:])
+    flat[src:] += 0.0  # maps -0.0 to +0.0, as adding a zero lower triangle did
     for i in range(n - k):
-        stop = start + n - i - k
-        a[i, i + k:] = z[start:stop]
-        start = stop
+        stop = src + n - i - k
+        flat[i * n + i + k:(i + 1) * n] = flat[src:stop]
+        src = stop
     tiles = _tiles(n)
     for t, (i, e) in enumerate(tiles):
         d = a[i:e, i:e]
@@ -149,11 +164,27 @@ def _symmetric_from_upper(z, n, k):
 
 
 def _goe_fill(rng, n, off_std, diag_std):
-    z = rng.standard_normal(n * (n - 1) // 2)
-    z *= off_std
-    a = _symmetric_from_upper(z, n, 1)
+    def fill(z):
+        rng.standard_normal(out=z)
+        z *= off_std
+    a = _symmetric_fill(n, 1, fill)
     np.fill_diagonal(a, rng.standard_normal(n) * diag_std)
     return a
+
+
+def _wigner_fill(rng, n, entry_law):
+    if entry_law == "normal":
+        def fill(z):
+            rng.standard_normal(out=z)
+            z /= np.sqrt(n)
+    elif entry_law == "rademacher":
+        def fill(z):
+            np.multiply(rng.integers(0, 2, size=len(z)), 2.0, out=z)
+            z -= 1.0
+            z /= np.sqrt(n)
+    else:
+        raise ValueError("unknown entry law %r" % entry_law)
+    return _symmetric_fill(n, 0, fill)
 
 
 def _haar(rng, n):
@@ -162,21 +193,57 @@ def _haar(rng, n):
     return q * np.sign(np.diag(r))[None, :]
 
 
+def _conjugated(rng, n, eigenvalues):
+    """Q diag(lam) Q^T for a Haar Q and sampled eigenvalues, symmetrized."""
+    q = _haar(rng, n)
+    lam = _eigen_sample(rng, n, eigenvalues)
+    m = (q * lam[None, :]) @ q.T
+    _symmetrize(m)
+    return m
+
+
 def hadamard_matrix(n):
-    h = np.array([[1.0]])
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]]) / np.sqrt(2.0)
+    """Sylvester-Walsh-Hadamard matrix scaled to be orthogonal; n a power of 2.
+
+    Built by in-place doubling of a +-1 pattern; every entry is then +-c with
+    c = 1.0 divided by sqrt(2.0) once per doubling.  The top-right block is
+    copied row by row: as one block its source and destination share
+    address bounds, so numpy would stage it through a temporary copy.
+    """
+    if n < 1 or n & (n - 1):
+        raise ValueError("hadamard needs n a power of 2")
+    h = np.empty((n, n))
+    h[0, 0] = 1.0
+    c, s = 1.0, 1
+    while s < n:
+        for r in range(s):
+            h[r, s:2 * s] = h[r, :s]
+        h[s:2 * s, :s] = h[:s, :s]
+        np.negative(h[:s, :s], out=h[s:2 * s, s:2 * s])
+        c /= np.sqrt(2.0)
+        s *= 2
+    h *= c
     return h
 
 
 def dst_matrix(n):
-    i = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
+    i = np.arange(1, n + 1, dtype=np.float64)
+    a = np.outer(i, i)
+    a *= np.pi
+    a /= n + 1
+    np.sin(a, out=a)
+    a *= np.sqrt(2.0 / (n + 1))
+    return a
 
 
 def dct_matrix(n):
     i = np.arange(1, n + 1) - 0.5
-    return np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(i, i) / n)
+    a = np.outer(i, i)
+    a *= np.pi
+    a /= n
+    np.cos(a, out=a)
+    a *= np.sqrt(2.0 / n)
+    return a
 
 
 def generate(spec, stream=0):
@@ -187,27 +254,16 @@ def generate(spec, stream=0):
     if kind == "goe":
         m = _goe_fill(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
     elif kind == "wigner":
-        if spec.entry_law == "normal":
-            draw = lambda size: rng.standard_normal(size)
-        elif spec.entry_law == "rademacher":
-            draw = lambda size: rng.integers(0, 2, size=size) * 2.0 - 1.0
-        else:
-            raise ValueError("unknown entry law %r" % spec.entry_law)
-        z = draw(n * (n + 1) // 2)
-        z /= np.sqrt(n)
-        m = _symmetric_from_upper(z, n, 0)
+        m = _wigner_fill(rng, n, spec.entry_law)
     elif kind == "haar_orthogonal":
         # raw Haar draw; orthogonal but not symmetric (building block for
         # rom / orth_invariant, which conjugate it into symmetric matrices)
         m = _haar(rng, n)
     elif kind == "rom":
-        q = _haar(rng, n)
-        d = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        m = (q * d[None, :]) @ q.T
-        _symmetrize(m)
+        m = _conjugated(rng, n, "rademacher")
     elif kind == "r_rom":
         inner = generate(EnsembleSpec("rom", n, spec.seed), stream)
-        m = puncture(inner.values)
+        m = _puncture_in_place(inner.values)
     elif kind == "hadamard":
         m = hadamard_matrix(n)
     elif kind == "dst":
@@ -218,16 +274,14 @@ def generate(spec, stream=0):
         inner = generate(EnsembleSpec(spec.inner, n, spec.seed,
                                       entry_law=spec.entry_law,
                                       eigenvalues=spec.eigenvalues), stream)
-        m = puncture(inner.values)
+        m = _puncture_in_place(inner.values)
     elif kind == "block_goe":
-        m = _block_goe(rng, n, spec.q, spec.sigma_matrix())
+        m = np.empty((n, n))
+        _goe_blocks(rng, m, spec.q, spec.sigma_matrix())
     elif kind == "community":
         m = _community(rng, n, spec.q, spec.inner or "rom")
     elif kind == "orth_invariant":
-        q = _haar(rng, n)
-        lam = _eigen_sample(rng, n, spec.eigenvalues or "rademacher")
-        m = (q * lam[None, :]) @ q.T
-        _symmetrize(m)
+        m = _conjugated(rng, n, spec.eigenvalues or "rademacher")
     else:  # pragma: no cover
         raise AssertionError(kind)
     return GeneratedMatrix(m, spec)
@@ -253,45 +307,40 @@ def _eigen_sample(rng, n, name):
     raise ValueError("unknown eigenvalue sampler %r" % name)
 
 
-def _block_goe(rng, n, q, sigma):
-    m = np.zeros((n, n))
+def _goe_blocks(rng, m, q, sigma, skip_first=False):
+    """Fill the q x q blocks of m on and above the block diagonal, in
+    row-major order, with GOE fills of entry variance sigma[r, c] / n; the
+    blocks are themselves symmetric, so block (c, r) repeats block (r, c).
+    skip_first leaves block (0, 0) alone.  One block is alive at a time."""
+    n = m.shape[0]
     b = n // q
     for r in range(q):
         for c in range(r, q):
-            # blocks are themselves symmetric; the (c, r) block repeats (r, c)
+            if skip_first and r == c == 0:
+                continue
             blk = _goe_fill(rng, b, np.sqrt(sigma[r, c] / n),
                             np.sqrt(2.0 * sigma[r, c] / n))
             m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
             if c != r:
                 m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk
-    return m
+            del blk
 
 
 def _community(rng, n, q, inner):
     """One distinguished diagonal block with block-scale kappa_2 = 1/q, all
     other blocks GOE with entry variance 1/n."""
-    m = np.zeros((n, n))
+    m = np.empty((n, n))
     b = n // q
-    scale = 1.0 / np.sqrt(q)
     if inner == "rom":
-        qq = _haar(rng, b)
-        d = rng.integers(0, 2, size=b) * 2.0 - 1.0
-        blk = (qq * d[None, :]) @ qq.T
-        _symmetrize(blk)
+        blk = _conjugated(rng, b, "rademacher")
     elif inner == "goe":
         blk = _goe_fill(rng, b, np.sqrt(1.0 / b), np.sqrt(2.0 / b))
     else:
         raise ValueError("unknown community inner kind %r" % inner)
-    blk *= scale
+    blk *= 1.0 / np.sqrt(q)
     m[:b, :b] = blk
-    for r in range(q):
-        for c in range(r, q):
-            if r == 0 and c == 0:
-                continue
-            blk = _goe_fill(rng, b, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
-            m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
-            if c != r:
-                m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk
+    del blk
+    _goe_blocks(rng, m, q, np.ones((q, q)), skip_first=True)
     return m
 
 

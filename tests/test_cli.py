@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from trafficamp import graphpoly, matrixio
-from trafficamp.cli import main, read_moments_csv
+from trafficamp import ensembles, graphpoly, matrixio
+from trafficamp.cli import (CONFIG_KEYS, _orthogonality_error, load_config,
+                            main, read_moments_csv)
 from trafficamp.freeprob import named_table
 
 
@@ -214,10 +215,46 @@ def test_preset_configs_load():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     names = ["goe_identity", "rom_cubic", "hadamard_punctured",
              "dst_punctured", "blockgoe_q2", "community_q4"]
-    for name in names:
-        path = os.path.join(here, "configs", "%s.json" % name)
-        cfg = json.load(open(path))
+    paths = [os.path.join(here, "configs", "%s.json" % name) for name in names]
+    for path in paths + [os.path.join(here, "benchmark", "amp_treelike.json")]:
+        cfg = load_config(path)
+        assert cfg == json.load(open(path))
         assert "ensemble" in cfg and "amp" in cfg and "master_seed" in cfg
+
+
+@pytest.mark.parametrize("section,key", [(None, "trails"), ("ensemble", "sigam"),
+                                         ("amp", "kapa")])
+def test_config_rejects_unknown_keys(tmp_path, capsys, section, key):
+    cfg = json.loads(open(_write_config(tmp_path)).read())
+    (cfg if section is None else cfg[section])[key] = 1
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    where = "the top level" if section is None else "section %r" % section
+    with pytest.raises(ValueError, match="unknown config key %r in %s"
+                       % (key, where)):
+        load_config(str(path))
+    for command in ("traffic", "cactus-audit", "amp", "se"):
+        assert run_cli(command, "--config", str(path)) == 2
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_config_accepts_every_documented_key(tmp_path):
+    cfg = {key: 1 for key in CONFIG_KEYS[None]}
+    cfg["ensemble"] = {key: 1 for key in CONFIG_KEYS["ensemble"]}
+    cfg["amp"] = {key: 1 for key in CONFIG_KEYS["amp"]}
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(str(path)) == cfg
+
+
+@pytest.mark.parametrize("kind,n", [("hadamard", 64), ("dst", 64), ("dst", 50)])
+def test_gen_orthogonality_error_matches_old_expression(tmp_path, capsys, kind, n):
+    h = ensembles.generate(ensembles.EnsembleSpec(kind, n)).values
+    want = float(np.max(np.abs(h @ h - np.eye(n))))
+    assert _orthogonality_error(h.copy()) == want
+    assert run_cli("gen", "--kind", kind, "--n", str(n),
+                   "--out", str(tmp_path / "h.tamp")) == 0
+    assert capsys.readouterr().out.endswith("max |H^2 - I| = %.2e\n" % want)
 
 
 def _punctured_hadamard_config(tmp_path):

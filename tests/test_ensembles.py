@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trafficamp.diagrams import Diagram
 from trafficamp.ensembles import (EnsembleSpec, block_labels,
-                                  community_kappa_table, dct_matrix,
-                                  delocalization_audit, dst_matrix, generate,
+                                  community_kappa_table, delocalization_audit,
+                                  dst_matrix, generate,
                                   hadamard_matrix, operator_norm, puncture,
                                   stream_rng)
 
@@ -161,9 +163,31 @@ def test_delocalization_audit():
 
 
 # ---------------------------------------------------------------------------
-# byte-identity oracles: the scatter-based fills and the out-of-place
-# puncture formula that the tiled in-place versions replace
+# byte-identity oracles: the scatter-based fills, the out-of-place
+# deterministic builders and the out-of-place puncture formula that the
+# in-place versions replace
 # ---------------------------------------------------------------------------
+
+def _oracle_hadamard(n):
+    h = np.array([[1.0]])
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]]) / np.sqrt(2.0)
+    return h
+
+
+def _oracle_dst(n):
+    i = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
+
+
+def _oracle_dct(n):
+    i = np.arange(1, n + 1) - 0.5
+    return np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(i, i) / n)
+
+
+_ORACLE_DETERMINISTIC = {"hadamard": _oracle_hadamard, "dst": _oracle_dst,
+                         "dct": _oracle_dct}
+
 
 def _oracle_symmetrize_from_upper(rng, n, off_std, diag_std):
     a = np.zeros((n, n))
@@ -249,8 +273,7 @@ def _oracle(spec, stream):
     if spec.kind == "r_rom":
         return _oracle_puncture(_oracle_rom(rng, n))
     if spec.kind == "punctured":
-        det = {"hadamard": hadamard_matrix, "dst": dst_matrix, "dct": dct_matrix}
-        return _oracle_puncture(det[spec.inner](n))
+        return _oracle_puncture(_ORACLE_DETERMINISTIC[spec.inner](n))
     if spec.kind == "block_goe":
         return _oracle_block_goe(rng, n, spec.q, spec.sigma_matrix())
     if spec.kind == "community":
@@ -306,3 +329,66 @@ def test_puncture_matches_oracle_and_keeps_input(n):
         got = puncture(m)
         assert got.tobytes() == _oracle_puncture(m).tobytes()
         assert m.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", (3,) + ORACLE_NS)
+def test_deterministic_builders_match_oracles_bytewise(n):
+    for kind in ("dst", "dct"):
+        want = _ORACLE_DETERMINISTIC[kind](n).tobytes()
+        assert generate(EnsembleSpec(kind, n)).values.tobytes() == want, kind
+
+
+def test_hadamard_matches_oracle_bytewise():
+    for k in range(11):
+        n = 2 ** k
+        assert generate(EnsembleSpec("hadamard", n)).values.tobytes() \
+            == _oracle_hadamard(n).tobytes(), n
+    with pytest.raises(ValueError):
+        hadamard_matrix(12)
+
+
+# generation works in one n x n buffer: peak traced memory of one generate
+# call at n = 512, in units of one n x n float64 matrix
+PEAK_N = 512
+PEAK_SPECS = (
+    (1.3, dict(kind="goe")),
+    (1.3, dict(kind="wigner", entry_law="normal")),
+    # the integer draws of the upper triangle cannot go into the buffer
+    (1.55, dict(kind="wigner", entry_law="rademacher")),
+    (1.3, dict(kind="hadamard")),
+    (1.3, dict(kind="dst")),
+    (1.3, dict(kind="dct")),
+    (1.3, dict(kind="punctured", inner="hadamard")),
+    (1.3, dict(kind="punctured", inner="dst")),
+    (1.3, dict(kind="punctured", inner="dct")),
+    (1.3, dict(kind="punctured", inner="goe")),
+    (1.3, dict(kind="block_goe", q=2, sigma=(1.0, 0.5, 0.5, 1.0))),
+    (1.3, dict(kind="community", q=2, inner="goe")),
+)
+
+
+@pytest.mark.parametrize("bound,fields", PEAK_SPECS,
+                         ids=["-".join(str(v) for k, v in f.items() if k != "sigma")
+                              for _, f in PEAK_SPECS])
+def test_generate_peak_memory(bound, fields):
+    generate(EnsembleSpec(n=8, seed=1, **fields))  # one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = generate(EnsembleSpec(n=PEAK_N, seed=1, **fields)).values
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (PEAK_N, PEAK_N)
+    assert peak <= bound * 8 * PEAK_N ** 2, peak / (8 * PEAK_N ** 2)
+
+
+@pytest.mark.parametrize("n", (1, 64))
+def test_successive_generates_share_no_memory(n):
+    for spec in _oracle_specs(n) + [EnsembleSpec("hadamard", n),
+                                    EnsembleSpec("dst", n), EnsembleSpec("dct", n),
+                                    EnsembleSpec("orth_invariant", n, seed=3)]:
+        a = generate(spec, stream=1).values
+        b = generate(spec, stream=1).values
+        assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(a, b), spec
