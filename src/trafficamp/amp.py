@@ -245,106 +245,149 @@ def run_treelike(a, cfg, stream=0, n_cap=EXACT_N_CAP, budget=None):
     return AMPTrace(np.ones(n), iters, onsager, cfg.mode)
 
 
+class TrialBlock(tuple):
+    """AMPConfigs, differing only in seed, of trials run in lockstep on one
+    matrix; like a config it has a T and mode (read by benchmark/tracer.py)."""
+
+    def __new__(cls, cfgs):
+        block = super().__new__(cls, cfgs)
+        shared = [{k: v for k, v in c.to_json().items() if k != "seed"} for c in block]
+        if not block or any(s != shared[0] for s in shared):
+            raise ValueError("a trial block needs configs differing only in seed")
+        return block
+
+    T = property(lambda self: self[0].T)
+    mode = property(lambda self: self[0].mode)
+
+
+def _matvec(a, f, out):
+    """out[j] = a @ f[j] per row of f, each row tile of a (about 1 MiB) applied to
+    every row of f while in cache.  Tiles start on multiples of 16 rows and a one-row
+    tail (numpy's dot kernel) joins the tile before, so each row has the bytes of an
+    untiled a @ f[j] on one BLAS thread."""
+    m, n = a.shape
+    rows = max(16, 2 ** 20 // (8 * n) // 16 * 16)
+    ends = list(range(rows, m - 1, rows)) + [m]
+    for r0, r1 in zip([0] + ends, ends):
+        for v, y in zip(f, out):
+            np.matmul(a[r0:r1], v, out=y[r0:r1])
+    return out
+
+
+def _row_means(m):
+    # np.mean row by row: each the pairwise sum of one trial's vector
+    return np.array([np.mean(row) for row in m])
+
+
+def _memory_term(a, cfg):
+    """cfg's memory term: a generator of (t, fvec, fprime, fpmean) yielding per
+    Onsager key each row's coefficient and the term to subtract from A f_{t-1},
+    from rows f_s(x_s), f'_{t-1}(x_{t-1}) and the row means of f'_s(x_s)."""
+    if cfg.mode == "block_goe":
+        a2 = a * a
+
+        def memory(t, fvec, fprime, fpmean):
+            if t >= 2:
+                b = _matvec(a2, fprime, np.empty_like(fprime))
+                yield (t - 2, t), b, b * fvec[t - 2]
+        return memory
+
+    kap, centred = cfg.kappa, cfg.mode == "punctured_kappa"
+
+    def memory(t, fvec, fprime, fpmean):
+        for s in range(t):
+            coef = np.full(len(fvec[s]), kap[t - s])
+            for r in range(s + 1, t):
+                coef *= fpmean[r]
+            f = fvec[s] - _row_means(fvec[s])[:, None] if centred else fvec[s]
+            yield (s, t), coef.tolist(), coef[:, None] * f
+    return memory
+
+
+def _lockstep(a, block, streams):
+    """Scalar-Onsager or block-GOE AMP for the trials of `block` (one stream
+    each) in lockstep on `a`: one AMPTrace or DivergenceError per trial.  Row j
+    of each array, the j-th live trial, gets the operations of that trial run
+    alone; a trial leaves at its first non-finite iterate."""
+    cfg, k, n = block[0], len(block), a.shape[0]
+    fs, memory = cfg.nonlinearities, _memory_term(a, cfg)
+    x0 = np.stack([_init_vector(c, n, s) for c, s in zip(block, streams)])
+    iters = np.empty((k, cfg.T, n))
+    onsager, out, live = [{} for _ in range(k)], [None] * k, np.arange(k)
+    fvec, fprime = [fs[0](x0)], fs[0].derivative()(x0)
+    fpmean = [_row_means(fprime)]
+    for t in range(1, cfg.T + 1):
+        xt = _matvec(a, fvec[t - 1], np.empty((len(live), n)))
+        for key, coef, term in memory(t, fvec, fprime, fpmean):
+            for trial, c in zip(live, coef):
+                onsager[trial][key] = c
+            xt = xt - term
+        finite = np.isfinite(xt)
+        ok = finite.all(axis=1)
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                out[live[j]] = DivergenceError(t, int(np.flatnonzero(~finite[j])[0]))
+            live, xt, fprime = live[ok], xt[ok], fprime[ok]
+            fvec, fpmean = [f[ok] for f in fvec], [m[ok] for m in fpmean]
+        iters[live, t - 1] = xt
+        if t < cfg.T:
+            fvec.append(fs[t](xt))
+            fprime = fs[t].derivative()(xt)
+            fpmean.append(_row_means(fprime))
+    for j in live:
+        out[j] = AMPTrace(x0[j], iters[j], onsager[j], cfg.mode)
+    return out
+
+
+def _one_trial(a, cfg, stream, mode):
+    if cfg.mode != mode:
+        raise ValueError("config mode must be %s" % mode)
+    (res,) = _lockstep(np.asarray(a, dtype=np.float64), TrialBlock([cfg]), [stream])
+    if isinstance(res, DivergenceError):
+        raise res
+    return res
+
+
 def run_oamp(a, cfg, stream=0):
     """Scalar-Onsager AMP for matrices with factorizing cactus limits:
     the memory coefficient for lag t-s is kappa_{t-s} times the product of
     empirical mean derivatives along the interior steps."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if cfg.mode != "scalar_kappa":
-        raise ValueError("config mode must be scalar_kappa")
-    fs = cfg.nonlinearities
-    kap = cfg.kappa
-    x = _init_vector(cfg, n, stream)
-    fvec = [fs[0](x)]
-    fpmean = [float(np.mean(fs[0].derivative()(x)))]
-    iters = np.empty((cfg.T, n))
-    onsager = {}
-    for t in range(1, cfg.T + 1):
-        xt = a @ fvec[t - 1]
-        for s in range(t):
-            coef = kap[t - s]
-            for r in range(s + 1, t):
-                coef *= fpmean[r]
-            onsager[(s, t)] = coef
-            xt = xt - coef * fvec[s]
-        _check_finite(xt, t)
-        iters[t - 1] = xt
-        if t < cfg.T:
-            fvec.append(fs[t](xt))
-            fpmean.append(float(np.mean(fs[t].derivative()(xt))))
-    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+    return _one_trial(a, cfg, stream, "scalar_kappa")
 
 
 def run_punctured(a, cfg, stream=0):
     """Scalar-Onsager AMP for punctured matrices: gaussian start, f_0 = id,
     and centered memory terms f_s(x_s) - <f_s(x_s)> 1."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if cfg.mode != "punctured_kappa":
-        raise ValueError("config mode must be punctured_kappa")
-    fs = cfg.nonlinearities
-    kap = cfg.kappa
-    x = _init_vector(cfg, n, stream)
-    fvec = [fs[0](x)]
-    fpmean = [float(np.mean(fs[0].derivative()(x)))]
-    iters = np.empty((cfg.T, n))
-    onsager = {}
-    for t in range(1, cfg.T + 1):
-        xt = a @ fvec[t - 1]
-        for s in range(t):
-            coef = kap[t - s]
-            for r in range(s + 1, t):
-                coef *= fpmean[r]
-            onsager[(s, t)] = coef
-            centered = fvec[s] - np.mean(fvec[s])
-            xt = xt - coef * centered
-        _check_finite(xt, t)
-        iters[t - 1] = xt
-        if t < cfg.T:
-            fvec.append(fs[t](xt))
-            fpmean.append(float(np.mean(fs[t].derivative()(xt))))
-    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+    return _one_trial(a, cfg, stream, "punctured_kappa")
 
 
 def run_block_goe(a, cfg, stream=0):
     """Block-GOE AMP: the lag-2 memory coefficient is the entrywise-squared
     matrix applied to the derivative vector."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if cfg.mode != "block_goe":
-        raise ValueError("config mode must be block_goe")
-    fs = cfg.nonlinearities
-    a2 = a * a
-    x = _init_vector(cfg, n, stream)
-    fvec = [fs[0](x)]
-    fprime = [fs[0].derivative()(x)]
-    iters = np.empty((cfg.T, n))
-    onsager = {}
-    for t in range(1, cfg.T + 1):
-        xt = a @ fvec[t - 1]
-        if t >= 2:
-            b = a2 @ fprime[t - 1]
-            onsager[(t - 2, t)] = b
-            xt = xt - b * fvec[t - 2]
-        _check_finite(xt, t)
-        iters[t - 1] = xt
-        if t < cfg.T:
-            fvec.append(fs[t](xt))
-            fprime.append(fs[t].derivative()(xt))
-    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
-
-
-RUNNERS = {
-    "exact_treelike": run_treelike,
-    "scalar_kappa": run_oamp,
-    "punctured_kappa": run_punctured,
-    "block_goe": run_block_goe,
-}
+    return _one_trial(a, cfg, stream, "block_goe")
 
 
 def run(a, cfg, stream=0):
-    return RUNNERS[cfg.mode](a, cfg, stream=stream)
+    """AMP in cfg's mode.  One AMPConfig: its AMPTrace, or DivergenceError
+    raised.  A sequence of configs that differ only in their seed, with one
+    stream each: one AMPTrace or DivergenceError per trial, the trials run in
+    lockstep on `a` outside exact_treelike mode."""
+    if isinstance(cfg, AMPConfig):
+        if cfg.mode == "exact_treelike":
+            return run_treelike(a, cfg, stream=stream)
+        return _one_trial(a, cfg, stream, cfg.mode)
+    block = TrialBlock(cfg)
+    if len(stream) != len(block):
+        raise ValueError("%d streams for %d trials" % (len(stream), len(block)))
+    if block.mode != "exact_treelike":
+        return _lockstep(np.asarray(a, dtype=np.float64), block, stream)
+    out = []
+    for c in block:
+        try:
+            out.append(run_treelike(a, c))
+        except DivergenceError as exc:
+            out.append(exc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +397,17 @@ def run(a, cfg, stream=0):
 def empirical_state(trace, block_labels=None, max_power=6):
     """Empirical moments of the iterates: pair moments <x_s x_t> and powers
     <x_t^k>, optionally conditioned on block labels."""
-    T = trace.T
-    out = {"second": {}, "power": {}}
-    for s in range(1, T + 1):
-        for t in range(s, T + 1):
-            out["second"][(s, t)] = float(np.mean(trace.x(s) * trace.x(t)))
-    for t in range(1, T + 1):
-        for k in range(1, max_power + 1):
-            out["power"][(t, k)] = float(np.mean(trace.x(t) ** k))
+    def moments(xs):
+        T = len(xs)
+        return {"second": {(s, t): float(np.mean(xs[s - 1] * xs[t - 1]))
+                           for s in range(1, T + 1) for t in range(s, T + 1)},
+                "power": {(t, k): float(np.mean(xs[t - 1] ** k))
+                          for t in range(1, T + 1) for k in range(1, max_power + 1)}}
+
+    xs = [trace.x(t) for t in range(1, trace.T + 1)]
+    out = moments(xs)
     if block_labels is not None:
         labels = np.asarray(block_labels)
-        blocks = {}
-        for r in sorted(set(labels.tolist())):
-            mask = labels == r
-            sec = {}
-            pow_ = {}
-            for s in range(1, T + 1):
-                for t in range(s, T + 1):
-                    sec[(s, t)] = float(np.mean(trace.x(s)[mask] * trace.x(t)[mask]))
-                for k in range(1, max_power + 1):
-                    pow_[(s, k)] = float(np.mean(trace.x(s)[mask] ** k))
-            blocks[int(r)] = {"second": sec, "power": pow_}
-        out["blocks"] = blocks
+        out["blocks"] = {int(r): moments([x[labels == r] for x in xs])
+                         for r in sorted(set(labels.tolist()))}
     return out

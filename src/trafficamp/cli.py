@@ -59,8 +59,8 @@ CONFIG_KEYS = {
 
 
 def load_config(path):
-    """Read a JSON config; a key outside CONFIG_KEYS is a ValueError that
-    names the key and its section."""
+    """Read a JSON config; a key outside CONFIG_KEYS, or a `trials` that is
+    not an integer >= 1, is a ValueError that names the key."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -72,6 +72,10 @@ def load_config(path):
                 where = "the top level" if section is None else "section %r" % section
                 raise ValueError("unknown config key %r in %s of %s"
                                  % (key, where, path))
+    trials = cfg.get("trials", 1)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError("config key 'trials' must be an integer >= 1, not %r, in %s"
+                         % (trials, path))
     return cfg
 
 
@@ -116,16 +120,11 @@ def _generate_trial(spec, master_seed, trial):
 
 
 def _run_trials(fn, trials, threads):
-    out = [None] * trials
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(fn, t): t for t in range(trials)}
-            for fut in concurrent.futures.as_completed(futs):
-                out[futs[fut]] = fut.result()
-    else:
-        for t in range(trials):
-            out[t] = fn(t)
-    return out
+    """[fn(0), ..., fn(trials - 1)], on `threads` worker threads when > 1."""
+    if not threads or threads <= 1:
+        return [fn(t) for t in range(trials)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,39 +325,37 @@ def cmd_amp(args):
     outdir = args.out or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
     spec = _ensemble_from_config(cfg)
-    n = spec.n
-    labels, _ = _block_label_vector(cfg, n)
-
-    divergences = []
+    labels, _ = _block_label_vector(cfg, spec.n)
     fixed = None
     if _is_deterministic(spec):
         # built once for all trials; read-only, so a runner that writes into
         # it raises instead of altering the matrix of later trials
         fixed = ensembles.generate(spec).values
         fixed.flags.writeable = False
+    # trials on the shared matrix run in lockstep, in contiguous blocks of at most
+    # 32 split between the threads; a trial with its own matrix is a block of one
+    size = min(32, -(-trials // max(1, args.threads))) if fixed is not None else 1
+    blocks = [range(b, min(b + size, trials)) for b in range(0, trials, size)]
 
-    def one(trial):
-        m = fixed if fixed is not None else _generate_trial(spec, master_seed, trial)
-        acfg = _amp_config_from(cfg, seed=master_seed + 1000003 * (trial + 1))
-        try:
-            trace = amp_mod.run(m, acfg, stream=trial)
-        except amp_mod.DivergenceError as exc:
-            return ("diverged", trial, exc.t, exc.i)
-        state = amp_mod.empirical_state(trace, block_labels=labels)
-        # only the iterates are written; the Onsager vectors are dropped here
-        return ("ok", trial, trace.iterates, state)
+    def one(block):
+        m = fixed if fixed is not None else _generate_trial(spec, master_seed, block[0])
+        cfgs = amp_mod.TrialBlock(
+            _amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1)) for t in block)
+        # only the iterates are kept; the Onsager vectors are dropped here
+        return [res if isinstance(res, amp_mod.DivergenceError) else
+                (res.iterates, amp_mod.empirical_state(res, block_labels=labels))
+                for res in amp_mod.run(m, cfgs, block)]
 
-    results = _run_trials(one, trials, args.threads)
-    states = []
-    for res in results:
-        if res[0] == "diverged":
-            divergences.append(res[1:])
+    results = [res for out in _run_trials(lambda i: one(blocks[i]), len(blocks),
+                                          args.threads) for res in out]
+    states, divergences = [], []
+    for trial, res in enumerate(results):
+        if isinstance(res, amp_mod.DivergenceError):
+            divergences.append((trial, res.t, res.i))
             continue
-        _, trial, iterates, state = res
-        states.append(state)
+        states.append(res[1])
         if not args.no_save_traces:
-            matrixio.write_matrix(os.path.join(outdir, "trace_%03d.tamp" % trial),
-                                  iterates)
+            matrixio.write_matrix(os.path.join(outdir, "trace_%03d.tamp" % trial), res[0])
     if not states:
         print("all %d trials diverged" % trials, file=sys.stderr)
         return 4
@@ -379,17 +376,11 @@ def cmd_amp(args):
 
 
 def _report_rows(report):
-    rows = []
-    for (s, t), (mean, se) in sorted(report["second"].items()):
-        rows.append(("all", "second", s, t, mean, se))
-    for (t, k), (mean, se) in sorted(report["power"].items()):
-        rows.append(("all", "power", t, k, mean, se))
-    for r, sub in sorted(report.get("blocks", {}).items()):
-        for (s, t), (mean, se) in sorted(sub["second"].items()):
-            rows.append(("block%d" % r, "second", s, t, mean, se))
-        for (t, k), (mean, se) in sorted(sub["power"].items()):
-            rows.append(("block%d" % r, "power", t, k, mean, se))
-    return rows
+    groups = [("all", report)] + [("block%d" % r, sub) for r, sub
+                                  in sorted(report.get("blocks", {}).items())]
+    return [(group, kind, a, b, mean, se) for group, sub in groups
+            for kind in ("second", "power")
+            for (a, b), (mean, se) in sorted(sub[kind].items())]
 
 
 def read_moments_csv(path):

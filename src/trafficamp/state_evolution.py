@@ -106,6 +106,28 @@ def _poly_mul(p, q):
     return Polynomial(tuple(out))
 
 
+def _kappa_sum(kappa, fprime_mean, s, t, pair, skip=None):
+    """Sum over s' < s, t' < t, other than skip, of kappa_{s-s'+t-t'} times
+    the mean derivatives at the interior steps of both lags times
+    pair(s', t'); terms with a zero coefficient are not evaluated."""
+    total = 0.0
+    for sp in range(s):
+        for tp in range(t):
+            if (sp, tp) == skip:
+                continue
+            coef = kappa[s - sp + t - tp]
+            if coef == 0.0:
+                continue
+            for r in range(sp + 1, s):
+                coef *= fprime_mean[r]
+            for r in range(tp + 1, t):
+                coef *= fprime_mean[r]
+            if coef == 0.0:
+                continue
+            total += coef * pair(sp, tp)
+    return total
+
+
 def se_orthogonal(fs, kappa, T):
     """Kernel for the scalar-kappa iteration on factorizing-cactus matrices.
 
@@ -113,39 +135,7 @@ def se_orthogonal(fs, kappa, T):
     times E[f_{s'}(X_{s'}) f_{t'}(X_{t'})], all under the partially built
     kernel with X_0 = 1.
     """
-    fs = [named_polynomial(f) for f in fs]
-    if len(fs) < T:
-        raise ValueError("need f_0..f_{T-1}")
-    if len(kappa) < 2 * T:
-        raise ValueError("kappa table must cover order 2T")
-    gamma = np.zeros((T, T))
-
-    def law():
-        return _law(gamma, T)
-
-    fprime_mean = {}
-    for t in range(1, T + 1):
-        lw = law()
-        if t - 1 >= 1:
-            fprime_mean[t - 1] = poly_expectation(
-                {t - 1: fs[t - 1].derivative()}, lw)
-        for s in range(1, t + 1):
-            lw = law()
-            total = 0.0
-            for sp in range(s):
-                for tp in range(t):
-                    coef = kappa[s - sp + t - tp]
-                    if coef == 0.0:
-                        continue
-                    for r in range(sp + 1, s):
-                        coef *= fprime_mean[r]
-                    for r in range(tp + 1, t):
-                        coef *= fprime_mean[r]
-                    if coef == 0.0:
-                        continue
-                    total += coef * _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
-            gamma[s - 1, t - 1] = gamma[t - 1, s - 1] = _finite(total, t)
-    return SEKernel((gamma,), (1.0,), "orthogonal", T)
+    return _se_scalar([named_polynomial(f) for f in fs], kappa, T, "orthogonal")
 
 
 def se_punctured(fs, kappa, T):
@@ -154,36 +144,33 @@ def se_punctured(fs, kappa, T):
     fs = [named_polynomial(f) for f in fs]
     if fs[0].coeffs != (0.0, 1.0):
         raise ValueError("punctured state evolution requires f_0(x) = x")
+    return _se_scalar(fs, kappa, T, "punctured")
+
+
+def _se_scalar(fs, kappa, T, variant):
     if len(fs) < T:
         raise ValueError("need f_0..f_{T-1}")
     if len(kappa) < 2 * T:
         raise ValueError("kappa table must cover order 2T")
     gamma = np.zeros((T, T))
+    fprime_mean, fmean = {}, {}
 
-    fprime_mean = {}
-    fmean = {}
+    def pair(sp, tp):  # under the law lw of the current step
+        if variant == "punctured":
+            return _centered_pair(lw, fs, fmean, sp, tp)
+        return _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
+
     for t in range(1, T + 1):
         lw = _law(gamma, T)
         if t - 1 >= 1:
             fprime_mean[t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()}, lw)
-            fmean[t - 1] = poly_expectation({t - 1: fs[t - 1]}, lw)
+            if variant == "punctured":
+                fmean[t - 1] = poly_expectation({t - 1: fs[t - 1]}, lw)
         for s in range(1, t + 1):
             lw = _law(gamma, T)
-            total = 0.0
-            for sp in range(s):
-                for tp in range(t):
-                    coef = kappa[s - sp + t - tp]
-                    if coef == 0.0:
-                        continue
-                    for r in range(sp + 1, s):
-                        coef *= fprime_mean[r]
-                    for r in range(tp + 1, t):
-                        coef *= fprime_mean[r]
-                    if coef == 0.0:
-                        continue
-                    total += coef * _centered_pair(lw, fs, fmean, sp, tp)
+            total = _kappa_sum(kappa, fprime_mean, s, t, pair)
             gamma[s - 1, t - 1] = gamma[t - 1, s - 1] = _finite(total, t)
-    return SEKernel((gamma,), (1.0,), "punctured", T)
+    return SEKernel((gamma,), (1.0,), variant, T)
 
 
 def _centered_pair(lw, fs, fmean, sp, tp):
@@ -256,21 +243,9 @@ def se_community(fs, kappa_inner, q, T):
             lw0, lw1 = _law(g0, T), _law(g1, T)
             mix = (w0 * _pair_expectation(lw0, fs[s - 1], s - 1, fs[t - 1], t - 1)
                    + w1 * _pair_expectation(lw1, fs[s - 1], s - 1, fs[t - 1], t - 1))
-            extra = 0.0
-            for sp in range(s):
-                for tp in range(t):
-                    if (sp, tp) == (s - 1, t - 1):
-                        continue
-                    coef = kappa_inner[s - sp + t - tp]
-                    if coef == 0.0:
-                        continue
-                    for r in range(sp + 1, s):
-                        coef *= fprime_mean1[r]
-                    for r in range(tp + 1, t):
-                        coef *= fprime_mean1[r]
-                    if coef == 0.0:
-                        continue
-                    extra += coef * _pair_expectation(lw1, fs[sp], sp, fs[tp], tp)
+            extra = _kappa_sum(kappa_inner, fprime_mean1, s, t, lambda sp, tp:
+                               _pair_expectation(lw1, fs[sp], sp, fs[tp], tp),
+                               skip=(s - 1, t - 1))
             g0[s - 1, t - 1] = g0[t - 1, s - 1] = _finite(mix, t)
             g1[s - 1, t - 1] = g1[t - 1, s - 1] = _finite(mix + extra, t)
     return SEKernel((g0, g1), (w0, w1), "community", T)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from trafficamp.amp import (AMPConfig, DivergenceError, empirical_state,
+from trafficamp.amp import (AMPConfig, AMPTrace, DivergenceError, TrialBlock,
+                            _check_finite, _init_vector, empirical_state,
                             onsager_b, onsager_b_brute, run, run_block_goe,
                             run_oamp, run_punctured, run_treelike)
 from trafficamp.ensembles import (EnsembleSpec, block_labels, generate,
                                   puncture)
-from trafficamp.freeprob import named_table
+from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import Polynomial
 from trafficamp.graphpoly import BudgetError
 
@@ -336,3 +337,172 @@ def test_treelike_memo_serves_every_counted_request(monkeypatch):
     assert set(memo._left) == set(memo.uses)  # no request the counts missed
     assert set(memo._left.values()) == {0}  # every counted request was made
     assert not memo._values  # and each shared result freed after its last use
+
+
+# ---------------------------------------------------------------------------
+# byte oracle: the scalar-Onsager and block-GOE runners as they were before
+# trials ran in lockstep, one trial per call, copied literally
+# ---------------------------------------------------------------------------
+
+def _legacy_run_oamp(a, cfg, stream=0):
+    """Scalar-Onsager AMP for matrices with factorizing cactus limits:
+    the memory coefficient for lag t-s is kappa_{t-s} times the product of
+    empirical mean derivatives along the interior steps."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if cfg.mode != "scalar_kappa":
+        raise ValueError("config mode must be scalar_kappa")
+    fs = cfg.nonlinearities
+    kap = cfg.kappa
+    x = _init_vector(cfg, n, stream)
+    fvec = [fs[0](x)]
+    fpmean = [float(np.mean(fs[0].derivative()(x)))]
+    iters = np.empty((cfg.T, n))
+    onsager = {}
+    for t in range(1, cfg.T + 1):
+        xt = a @ fvec[t - 1]
+        for s in range(t):
+            coef = kap[t - s]
+            for r in range(s + 1, t):
+                coef *= fpmean[r]
+            onsager[(s, t)] = coef
+            xt = xt - coef * fvec[s]
+        _check_finite(xt, t)
+        iters[t - 1] = xt
+        if t < cfg.T:
+            fvec.append(fs[t](xt))
+            fpmean.append(float(np.mean(fs[t].derivative()(xt))))
+    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+
+
+def _legacy_run_punctured(a, cfg, stream=0):
+    """Scalar-Onsager AMP for punctured matrices: gaussian start, f_0 = id,
+    and centered memory terms f_s(x_s) - <f_s(x_s)> 1."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if cfg.mode != "punctured_kappa":
+        raise ValueError("config mode must be punctured_kappa")
+    fs = cfg.nonlinearities
+    kap = cfg.kappa
+    x = _init_vector(cfg, n, stream)
+    fvec = [fs[0](x)]
+    fpmean = [float(np.mean(fs[0].derivative()(x)))]
+    iters = np.empty((cfg.T, n))
+    onsager = {}
+    for t in range(1, cfg.T + 1):
+        xt = a @ fvec[t - 1]
+        for s in range(t):
+            coef = kap[t - s]
+            for r in range(s + 1, t):
+                coef *= fpmean[r]
+            onsager[(s, t)] = coef
+            centered = fvec[s] - np.mean(fvec[s])
+            xt = xt - coef * centered
+        _check_finite(xt, t)
+        iters[t - 1] = xt
+        if t < cfg.T:
+            fvec.append(fs[t](xt))
+            fpmean.append(float(np.mean(fs[t].derivative()(xt))))
+    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+
+
+def _legacy_run_block_goe(a, cfg, stream=0):
+    """Block-GOE AMP: the lag-2 memory coefficient is the entrywise-squared
+    matrix applied to the derivative vector."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if cfg.mode != "block_goe":
+        raise ValueError("config mode must be block_goe")
+    fs = cfg.nonlinearities
+    a2 = a * a
+    x = _init_vector(cfg, n, stream)
+    fvec = [fs[0](x)]
+    fprime = [fs[0].derivative()(x)]
+    iters = np.empty((cfg.T, n))
+    onsager = {}
+    for t in range(1, cfg.T + 1):
+        xt = a @ fvec[t - 1]
+        if t >= 2:
+            b = a2 @ fprime[t - 1]
+            onsager[(t - 2, t)] = b
+            xt = xt - b * fvec[t - 2]
+        _check_finite(xt, t)
+        iters[t - 1] = xt
+        if t < cfg.T:
+            fvec.append(fs[t](xt))
+            fprime.append(fs[t].derivative()(xt))
+    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+
+
+LEGACY_RUNNERS = {"scalar_kappa": _legacy_run_oamp,
+                  "punctured_kappa": _legacy_run_punctured,
+                  "block_goe": _legacy_run_block_goe}
+
+
+def _assert_same_trace(new, old):
+    assert new.x0.tobytes() == old.x0.tobytes()
+    assert new.iterates.tobytes() == old.iterates.tobytes()
+    assert list(new.onsager) == list(old.onsager)
+    for key, coef in old.onsager.items():
+        assert type(new.onsager[key]) is type(coef), key
+        assert np.asarray(new.onsager[key]).tobytes() == np.asarray(coef).tobytes(), key
+
+
+def _block_configs(mode, init, k):
+    fs = ("identity", "cube_hermite", "square_centered", "relu_poly3")
+    kappa = None if mode == "block_goe" else named_table("rom")
+    return [AMPConfig(nonlinearities=fs, T=4, mode=mode, kappa=kappa, init=init,
+                      seed=100 + 7 * j) for j in range(k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 65, 256, 1000])
+def test_lockstep_bytes_match_legacy_runners(n):
+    rng = np.random.default_rng(n)
+    a = _rand_sym(rng, n) / np.sqrt(n)
+    for mode, init in (("scalar_kappa", "ones"), ("scalar_kappa", "gaussian"),
+                       ("punctured_kappa", "gaussian"), ("block_goe", "ones"),
+                       ("block_goe", "gaussian")):
+        for k in (1, 3, 10):
+            cfgs = _block_configs(mode, init, k)
+            streams = [5 + j for j in range(k)]
+            traces = run(a, cfgs, streams)
+            for cfg, stream, new in zip(cfgs, streams, traces):
+                _assert_same_trace(new, LEGACY_RUNNERS[mode](a, cfg, stream=stream))
+        # the single-trial runners are blocks of one
+        cfg = cfgs[0]
+        _assert_same_trace(run(a, cfg, stream=5), LEGACY_RUNNERS[mode](a, cfg, stream=5))
+
+
+def test_lockstep_divergence_matches_legacy_runners():
+    # x^3 - 3x keeps |x| <= 2 bounded and sends larger starts to overflow,
+    # so trials of one block diverge at different steps or not at all
+    n, T = 6, 12
+    a = np.eye(n) + 0.01 * _rand_sym(np.random.default_rng(3), n)
+    kappa = CumulantTable((0.0, 0.001) + (0.0,) * (T - 2))
+    cfgs = [AMPConfig(nonlinearities=("identity",) + ("cube_hermite",) * (T - 1), T=T,
+                      mode="scalar_kappa", kappa=kappa, init="gaussian", seed=40 + j)
+            for j in range(12)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run(a, cfgs, list(range(12)))
+        outcomes = set()
+        for j, (cfg, res) in enumerate(zip(cfgs, results)):
+            try:
+                old = _legacy_run_oamp(a, cfg, stream=j)
+            except DivergenceError as exc:
+                assert isinstance(res, DivergenceError)
+                assert (res.t, res.i) == (exc.t, exc.i)
+                outcomes.add(exc.t)
+            else:
+                _assert_same_trace(res, old)
+                outcomes.add(None)
+    assert None in outcomes and len(outcomes) >= 3  # survivors and two divergence steps
+
+
+def test_trial_block_rejects_configs_that_differ_beyond_seed():
+    cfgs = _block_configs("scalar_kappa", "gaussian", 2)
+    with pytest.raises(ValueError, match="seed"):
+        TrialBlock([cfgs[0], _block_configs("scalar_kappa", "ones", 1)[0]])
+    with pytest.raises(ValueError, match="seed"):
+        TrialBlock([])
+    with pytest.raises(ValueError, match="streams"):
+        run(np.eye(4), cfgs, [0])

@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,3 +359,68 @@ def test_amp_treelike_rejects_gaussian_init(tmp_path, capsys):
     cfg = _treelike_config(tmp_path, init="gaussian")
     assert run_cli("amp", "--config", cfg, "--no-save-traces") == 2
     assert "init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [0, -2, 2.5, "3", True])
+@pytest.mark.parametrize("command", ["amp", "traffic"])
+def test_trials_below_one_is_usage_error(tmp_path, capsys, command, trials):
+    cfg = _write_config(tmp_path, trials=trials)
+    assert run_cli(command, "--config", cfg) == 2
+    assert "'trials'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble, amp", [
+    ({"kind": "punctured", "inner": "dst", "n": 65},
+     {"nonlinearities": ["identity", "cube_hermite", "cube_hermite"], "T": 3,
+      "mode": "punctured_kappa", "kappa": "rom", "init": "gaussian"}),
+    ({"kind": "hadamard", "n": 64},
+     {"nonlinearities": ["identity", "cube_hermite", "identity"], "T": 3,
+      "mode": "scalar_kappa", "kappa": "rom", "init": "gaussian"}),
+])
+def test_amp_lockstep_threads_byte_identical(tmp_path, ensemble, amp):
+    # 5 trials on a shared matrix: one block of 5, blocks of 3 + 2, of 2 + 2 + 1
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp=amp, trials=5)
+    outputs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / ("t" + threads)
+        assert run_cli("--threads", threads, "amp", "--config", cfg,
+                       "--out", str(out)) == 0
+        outputs.append(_outputs(out))
+    assert len([nm for nm in outputs[0] if nm.startswith("trace_")]) == 5
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_amp_tail_tile_matches_untiled_runner(tmp_path):
+    # n = 4097 leaves a one-row tail tile.  An untiled GEMV at odd n gives
+    # other bytes on two BLAS threads than on one, so both sides run on one.
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
+    code = "import sys, test_cli; test_cli._check_tail_tile(sys.argv[1])"
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+                   timeout=600)
+
+
+def _check_tail_tile(tmp):
+    from test_amp import _legacy_run_punctured
+    from trafficamp.cli import _amp_config_from
+
+    tmp = pathlib.Path(tmp)
+    ensemble = {"kind": "punctured", "inner": "dst", "n": 4097}
+    cfg = _write_config(tmp, ensemble=ensemble, trials=3,
+                        amp={"nonlinearities": ["identity", "cube_hermite"], "T": 2,
+                             "mode": "punctured_kappa", "kappa": "rom",
+                             "init": "gaussian"})
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp / ("t" + threads)
+        assert run_cli("--threads", threads, "amp", "--config", cfg,
+                       "--out", str(out)) == 0
+        outputs.append(_outputs(out))
+    assert outputs[0] == outputs[1]
+    m = ensembles.generate(ensembles.EnsembleSpec.from_json(ensemble)).values
+    for trial in range(3):
+        acfg = _amp_config_from(load_config(cfg), seed=1 + 1000003 * (trial + 1))
+        want = _legacy_run_punctured(m, acfg, stream=trial).iterates
+        got = matrixio.read_matrix(str(tmp / "t1" / ("trace_%03d.tamp" % trial)))
+        assert got.tobytes() == want.tobytes(), trial
