@@ -16,8 +16,7 @@ from .gaussian import (GaussianLaw, Polynomial, isserlis_moment,
 from .graphpoly import (eval_open_cactus_matrix, eval_w, eval_w_brute,
                         eval_w_neq, eval_z, fundamental_bound_audit)
 from .amp import (AMPConfig, AMPTrace, DivergenceError, empirical_state,
-                  onsager_b, run_block_goe, run_oamp, run_punctured,
-                  run_treelike)
+                  onsager_b, run)
 from .state_evolution import (SEDivergenceError, SEKernel, compare_empirical,
                               se_block_goe, se_community, se_orthogonal,
                               se_punctured)

@@ -1,14 +1,16 @@
 """AMP iterations with exact or scalar Onsager corrections.
 
-run_treelike implements the iteration whose memory terms are distinct-index
-closed-walk sums, computed exactly by Mobius inversion over vertex partitions
-of the walk cycle.  The scalar variants replace those vectors by their
-asymptotic values: free-cumulant coefficients (orthogonally invariant /
-punctured models) or an entrywise-squared matrix product (block GOE).
+One iteration loop serves every mode; the modes differ only in the memory
+(Onsager) term.  Exact treelike mode subtracts distinct-index closed-walk
+sums, computed exactly by Mobius inversion over vertex partitions of the walk
+cycle.  The scalar variants replace those vectors by their asymptotic values:
+free-cumulant coefficients (orthogonally invariant / punctured models) or an
+entrywise-squared matrix product (block GOE).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -52,6 +54,8 @@ class AMPConfig:
             raise ValueError("need f_0..f_{T-1}")
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % self.mode)
+        if self.init not in ("ones", "gaussian"):
+            raise ValueError("unknown init %r" % self.init)
         if self.mode in ("scalar_kappa", "punctured_kappa"):
             if self.kappa is None or self.kappa.tag != "cumulants":
                 raise ValueError("scalar modes need a cumulant table")
@@ -65,6 +69,8 @@ class AMPConfig:
         if self.mode == "exact_treelike" and self.init != "ones":
             raise ValueError("exact_treelike mode starts from x_0 = 1; "
                              "init must be \"ones\", not %r" % self.init)
+        if self.mode == "exact_treelike" and self.T > EXACT_T_CAP:
+            raise ValueError("exact mode budget: T <= %d" % EXACT_T_CAP)
 
     def to_json(self):
         out = {"nonlinearities": [list(p.coeffs) for p in self.nonlinearities],
@@ -100,18 +106,10 @@ class AMPTrace:
         return self.x0 if t == 0 else self.iterates[t - 1]
 
 
-def _check_finite(x, t):
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise DivergenceError(t, int(bad[0]))
-
-
 def _init_vector(cfg, n, stream):
-    if cfg.init == "ones":
-        return np.ones(n)
     if cfg.init == "gaussian":
         return stream_rng(cfg.seed, stream).standard_normal(n)
-    raise ValueError("unknown init %r" % cfg.init)
+    return np.ones(n)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +156,8 @@ def onsager_b(a, fprime_vectors, s, t, budget=None, _memo=None):
     t-s walk positions, evaluating each contracted weighted cycle with the
     graph-polynomial engine.  The quotients and their contraction plans are
     built once per window and size.  Contraction steps that recur across
-    partitions are computed once: within this call, or, when run_treelike
-    passes its per-trial `_memo` (and has checked `a`), across the trial.
+    partitions are computed once: within this call, or, when the exact memory
+    term passes its per-trial `_memo` (and has checked `a`), across the trial.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -210,41 +208,6 @@ def onsager_b_brute(a, fprime_vectors, s, t):
 # iterations
 # ---------------------------------------------------------------------------
 
-def run_treelike(a, cfg, stream=0, n_cap=EXACT_N_CAP, budget=None):
-    """Treelike AMP with exact distinct-index Onsager vectors.
-
-    x_0 = 1 and f_0 is the constant-one function; each matrix step subtracts
-    b_{s,t} * f_s over all earlier times s.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if cfg.mode != "exact_treelike":
-        raise ValueError("config mode must be exact_treelike")
-    if n > n_cap or cfg.T > EXACT_T_CAP:
-        raise ValueError("exact mode budget: n <= %d, T <= %d" % (n_cap, EXACT_T_CAP))
-    a = graphpoly._as_matrix(a)
-    calls = tuple((s, t) for t in range(1, cfg.T + 1) for s in range(t))
-    memo = graphpoly._Memo(_step_uses(calls, n))  # shared steps of this trial
-    fs = list(cfg.nonlinearities)
-    fs[0] = Polynomial((1.0,))  # f_0 = all-ones by convention
-    fvec = [np.ones(n)]
-    fprime = [np.zeros(n)]
-    iters = np.empty((cfg.T, n))
-    onsager = {}
-    for t in range(1, cfg.T + 1):
-        xt = a @ fvec[t - 1]
-        for s in range(t):
-            b = onsager_b(a, fprime, s, t, budget=budget, _memo=memo)
-            onsager[(s, t)] = b
-            xt = xt - b * fvec[s]
-        _check_finite(xt, t)
-        iters[t - 1] = xt
-        if t < cfg.T:
-            fvec.append(fs[t](xt))
-            fprime.append(fs[t].derivative()(xt))
-    return AMPTrace(np.ones(n), iters, onsager, cfg.mode)
-
-
 class TrialBlock(tuple):
     """AMPConfigs, differing only in seed, of trials run in lockstep on one
     matrix; like a config it has a T and mode (read by benchmark/tracer.py)."""
@@ -280,37 +243,57 @@ def _row_means(m):
 
 
 def _memory_term(a, cfg):
-    """cfg's memory term: a generator of (t, fvec, fprime, fpmean) yielding per
-    Onsager key each row's coefficient and the term to subtract from A f_{t-1},
-    from rows f_s(x_s), f'_{t-1}(x_{t-1}) and the row means of f'_s(x_s)."""
+    """cfg's nonlinearities and memory term: a generator of (t, live, fvec, fprime,
+    fpmean) yielding per Onsager key each row's coefficient and the term to
+    subtract from A f_{t-1}, given the live trials, rows f_s(x_s), f'_{t-1}(x_{t-1})
+    and the row means of f'_s(x_s)."""
+    if cfg.mode == "exact_treelike":
+        n = a.shape[0]
+        if n > EXACT_N_CAP:
+            raise ValueError("exact mode budget: n <= %d" % EXACT_N_CAP)
+        a = graphpoly._as_matrix(a)
+        uses = _step_uses(tuple((s, t) for t in range(1, cfg.T + 1) for s in range(t)), n)
+        # per trial: the memo of its shared steps, and its f'_0, f'_1, ...
+        trials = collections.defaultdict(lambda: (graphpoly._Memo(uses), []))
+
+        def memory(t, live, fvec, fprime, fpmean):
+            for trial, fp in zip(live, fprime):
+                trials[trial][1].append(fp)
+            for s in range(t):
+                b = np.stack([onsager_b(a, hist, s, t, _memo=memo)
+                              for memo, hist in map(trials.get, live)])
+                yield (s, t), b, b * fvec[s]
+        # f_0 = 1, so x_1 = A 1 and f'_0 = 0
+        return (Polynomial((1.0,)),) + cfg.nonlinearities[1:], memory
+
     if cfg.mode == "block_goe":
         a2 = a * a
 
-        def memory(t, fvec, fprime, fpmean):
+        def memory(t, live, fvec, fprime, fpmean):
             if t >= 2:
                 b = _matvec(a2, fprime, np.empty_like(fprime))
                 yield (t - 2, t), b, b * fvec[t - 2]
-        return memory
+        return cfg.nonlinearities, memory
 
     kap, centred = cfg.kappa, cfg.mode == "punctured_kappa"
 
-    def memory(t, fvec, fprime, fpmean):
+    def memory(t, live, fvec, fprime, fpmean):
         for s in range(t):
             coef = np.full(len(fvec[s]), kap[t - s])
             for r in range(s + 1, t):
                 coef *= fpmean[r]
             f = fvec[s] - _row_means(fvec[s])[:, None] if centred else fvec[s]
             yield (s, t), coef.tolist(), coef[:, None] * f
-    return memory
+    return cfg.nonlinearities, memory
 
 
 def _lockstep(a, block, streams):
-    """Scalar-Onsager or block-GOE AMP for the trials of `block` (one stream
-    each) in lockstep on `a`: one AMPTrace or DivergenceError per trial.  Row j
-    of each array, the j-th live trial, gets the operations of that trial run
-    alone; a trial leaves at its first non-finite iterate."""
+    """AMP for the trials of `block` (one stream each) in lockstep on `a`: one
+    AMPTrace or DivergenceError per trial.  Row j of each array, the j-th live
+    trial, gets the operations of that trial run alone; a trial leaves at its
+    first non-finite iterate."""
     cfg, k, n = block[0], len(block), a.shape[0]
-    fs, memory = cfg.nonlinearities, _memory_term(a, cfg)
+    fs, memory = _memory_term(a, cfg)
     x0 = np.stack([_init_vector(c, n, s) for c, s in zip(block, streams)])
     iters = np.empty((k, cfg.T, n))
     onsager, out, live = [{} for _ in range(k)], [None] * k, np.arange(k)
@@ -318,7 +301,7 @@ def _lockstep(a, block, streams):
     fpmean = [_row_means(fprime)]
     for t in range(1, cfg.T + 1):
         xt = _matvec(a, fvec[t - 1], np.empty((len(live), n)))
-        for key, coef, term in memory(t, fvec, fprime, fpmean):
+        for key, coef, term in memory(t, live, fvec, fprime, fpmean):
             for trial, c in zip(live, coef):
                 onsager[trial][key] = c
             xt = xt - term
@@ -329,6 +312,8 @@ def _lockstep(a, block, streams):
                 out[live[j]] = DivergenceError(t, int(np.flatnonzero(~finite[j])[0]))
             live, xt, fprime = live[ok], xt[ok], fprime[ok]
             fvec, fpmean = [f[ok] for f in fvec], [m[ok] for m in fpmean]
+            if not live.size:
+                break
         iters[live, t - 1] = xt
         if t < cfg.T:
             fvec.append(fs[t](xt))
@@ -339,55 +324,19 @@ def _lockstep(a, block, streams):
     return out
 
 
-def _one_trial(a, cfg, stream, mode):
-    if cfg.mode != mode:
-        raise ValueError("config mode must be %s" % mode)
-    (res,) = _lockstep(np.asarray(a, dtype=np.float64), TrialBlock([cfg]), [stream])
-    if isinstance(res, DivergenceError):
-        raise res
-    return res
-
-
-def run_oamp(a, cfg, stream=0):
-    """Scalar-Onsager AMP for matrices with factorizing cactus limits:
-    the memory coefficient for lag t-s is kappa_{t-s} times the product of
-    empirical mean derivatives along the interior steps."""
-    return _one_trial(a, cfg, stream, "scalar_kappa")
-
-
-def run_punctured(a, cfg, stream=0):
-    """Scalar-Onsager AMP for punctured matrices: gaussian start, f_0 = id,
-    and centered memory terms f_s(x_s) - <f_s(x_s)> 1."""
-    return _one_trial(a, cfg, stream, "punctured_kappa")
-
-
-def run_block_goe(a, cfg, stream=0):
-    """Block-GOE AMP: the lag-2 memory coefficient is the entrywise-squared
-    matrix applied to the derivative vector."""
-    return _one_trial(a, cfg, stream, "block_goe")
-
-
 def run(a, cfg, stream=0):
     """AMP in cfg's mode.  One AMPConfig: its AMPTrace, or DivergenceError
-    raised.  A sequence of configs that differ only in their seed, with one
+    raised.  A TrialBlock (or configs that differ only in their seed), with one
     stream each: one AMPTrace or DivergenceError per trial, the trials run in
-    lockstep on `a` outside exact_treelike mode."""
-    if isinstance(cfg, AMPConfig):
-        if cfg.mode == "exact_treelike":
-            return run_treelike(a, cfg, stream=stream)
-        return _one_trial(a, cfg, stream, cfg.mode)
-    block = TrialBlock(cfg)
-    if len(stream) != len(block):
-        raise ValueError("%d streams for %d trials" % (len(stream), len(block)))
-    if block.mode != "exact_treelike":
-        return _lockstep(np.asarray(a, dtype=np.float64), block, stream)
-    out = []
-    for c in block:
-        try:
-            out.append(run_treelike(a, c))
-        except DivergenceError as exc:
-            out.append(exc)
-    return out
+    lockstep on `a`."""
+    one = isinstance(cfg, AMPConfig)
+    block, streams = (TrialBlock([cfg]), [stream]) if one else (TrialBlock(cfg), stream)
+    if len(streams) != len(block):
+        raise ValueError("%d streams for %d trials" % (len(streams), len(block)))
+    out = _lockstep(np.asarray(a, dtype=np.float64), block, streams)
+    if one and isinstance(out[0], DivergenceError):
+        raise out[0]
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

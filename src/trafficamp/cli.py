@@ -79,12 +79,10 @@ def load_config(path):
     return cfg
 
 
-def _ensemble_from_config(cfg, n=None, seed=None):
+def _ensemble_from_config(cfg, n=None):
     spec = dict(cfg["ensemble"])
     if n is not None:
         spec["n"] = n
-    if seed is not None:
-        spec["seed"] = seed
     return ensembles.EnsembleSpec.from_json(spec)
 
 
@@ -166,13 +164,9 @@ def _analytic_targets(spec, d):
     kind = spec.kind
     if kind in ("goe", "wigner"):
         kappa, moments = named_table("goe"), named_table("semicircle")
-    elif kind in ("rom",):
-        kappa, moments = named_table("rom"), named_table("rademacher")
-    elif kind == "r_rom" or (kind == "punctured" and spec.inner in DETERMINISTIC_KINDS):
-        kappa, moments = named_table("rom"), named_table("rademacher")
-    elif kind in DETERMINISTIC_KINDS:
-        # unpunctured Fourier-type matrices: diagonal distribution exists on
-        # cactuses, but bridged diagrams may diverge; only cactus targets
+    elif kind in ("rom", "r_rom") or _is_deterministic(spec):
+        # for unpunctured Fourier-type matrices the diagonal distribution exists
+        # on cactuses, but bridged diagrams may diverge
         kappa, moments = named_table("rom"), named_table("rademacher")
     else:
         return None, None
@@ -189,44 +183,58 @@ def _analytic_targets(spec, d):
     return None, None
 
 
-def cmd_traffic(args):
+def _sweep(args, work):
+    """The config, output directory, per-n results and exponent rows of traffic
+    and cactus-audit.  work(cfg) gives the (name, diagram, basis) requests and an
+    audit(m, budget) or None; at each n of the sweep the requests are evaluated,
+    divided by n, on every trial's matrix (one for a deterministic kind), and the
+    audit on trial 0's.  Per n: (n, spec, [(name, d, basis, mean, se)], audit)."""
     cfg = load_config(args.config)
     master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     trials = int(cfg.get("trials", 1))
-    diagrams_ = [(name, named_diagram(name)) for name in cfg["diagrams"]]
+    reqs, audit = work(cfg)
     sweep = cfg.get("dimension_sweep") or [cfg["ensemble"]["n"]]
     outdir = args.out or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
-
-    rows = []
-    series = {}
     budget = float(cfg.get("eval_budget", 0)) or None
-    keys = [(name, basis) for name, _ in diagrams_ for basis in ("w", "z")]
-    requests = [(d, basis) for _, d in diagrams_ for basis in ("w", "z")]
+    catalog = [(d, basis) for _, d, basis in reqs]
+    per_n, series = [], {}
     for n in sweep:
         spec = _ensemble_from_config(cfg, n=n)
-        eff_trials = 1 if _is_deterministic(spec) else trials
 
         def one(trial):
             m = _generate_trial(spec, master_seed, trial)
-            vals = graphpoly.eval_catalog(requests, m, budget=budget)
-            return {key: v / n for key, v in zip(keys, vals)}
+            vals = [v / n for v in graphpoly.eval_catalog(catalog, m, budget=budget)]
+            return vals, (audit(m, budget) if audit and trial == 0 else None)
 
-        results = _run_trials(one, eff_trials, args.threads)
-        for name, d in diagrams_:
-            wt, zt = _analytic_targets(spec, d)
-            for basis, target in (("w", wt), ("z", zt)):
-                vals = np.array([r[(name, basis)] for r in results])
-                mean = float(vals.mean())
-                se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else ""
-                rows.append((n, name, basis, mean, se,
-                             "" if target is None else target))
-                series.setdefault((name, basis), []).append((n, mean))
+        results = _run_trials(one, 1 if _is_deterministic(spec) else trials, args.threads)
+        stats = []
+        for i, (name, d, basis) in enumerate(reqs):
+            vals = np.array([r[0][i] for r in results])
+            mean = float(vals.mean())
+            se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else ""
+            stats.append((name, d, basis, mean, se))
+            series.setdefault((name, basis), []).append((n, mean))
+        per_n.append((n, spec, stats, results[0][1]))
+    return cfg, outdir, per_n, _fit_exponents(series)
+
+
+def cmd_traffic(args):
+    cfg, outdir, per_n, exponents = _sweep(args, lambda cfg: (
+        [(nm, named_diagram(nm), basis) for nm in cfg["diagrams"] for basis in "wz"],
+        None))
+    rows = []
+    for n, spec, stats, _ in per_n:
+        for name, d, basis, mean, se in stats:
+            if basis == "w":  # each diagram's w request comes first
+                targets = dict(zip("wz", _analytic_targets(spec, d)))
+            target = targets[basis]
+            rows.append((n, name, basis, mean, se, "" if target is None else target))
 
     write_csv(os.path.join(outdir, "traffic.csv"),
               ["n", "diagram", "basis", "mean", "se", "target"], rows, cfg)
     write_csv(os.path.join(outdir, "traffic_exponents.csv"),
-              ["diagram", "basis", "exponent"], _fit_exponents(series), cfg)
+              ["diagram", "basis", "exponent"], exponents, cfg)
     print("wrote %s (%d rows)" % (os.path.join(outdir, "traffic.csv"), len(rows)))
     return 0
 
@@ -248,56 +256,38 @@ def _fit_exponents(series):
 # cactus-audit
 # ---------------------------------------------------------------------------
 
+def _audit_request(name):
+    # the z basis for 2-edge-connected diagrams that are not cactuses
+    d = named_diagram(name)
+    cls = classify(d)
+    return name, d, "z" if (cls.two_edge_connected and not cls.cactus) else "w"
+
+
+def _delocalization_audit(cfg):
+    """The delocalization rows of a matrix, for cfg's open cactuses."""
+    names = cfg.get("open_cactuses", list(AUDIT_OPEN_CACTUSES))
+    opens = [AUDIT_OPEN_CACTUSES[nm] if nm in AUDIT_OPEN_CACTUSES else named_diagram(nm)
+             for nm in names]
+
+    def rows(m, budget):
+        rep = ensembles.delocalization_audit(m, opens, budget=budget)
+        return [(nm, rep["norm"], dd["max_offdiag"], dd["centered_vec_norm"])
+                for nm, dd in zip(names, rep["diagrams"])]
+    return rows
+
+
 def cmd_cactus_audit(args):
-    cfg = load_config(args.config)
-    master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    trials = int(cfg.get("trials", 1))
-    diagrams_ = [(name, named_diagram(name)) for name in cfg["diagrams"]]
-    open_names = cfg.get("open_cactuses", list(AUDIT_OPEN_CACTUSES))
-    open_set = [(nm, AUDIT_OPEN_CACTUSES[nm] if nm in AUDIT_OPEN_CACTUSES
-                 else named_diagram(nm)) for nm in open_names]
-    sweep = cfg.get("dimension_sweep") or [cfg["ensemble"]["n"]]
-    outdir = args.out or cfg.get("output_dir", ".")
-    os.makedirs(outdir, exist_ok=True)
-    budget = float(cfg.get("eval_budget", 0)) or None
-
-    rows, audit_rows = [], []
-    series = {}
-    requests = []
-    for _, d in diagrams_:
-        cls = classify(d)
-        requests.append((d, "z" if (cls.two_edge_connected and not cls.cactus) else "w"))
-    for n in sweep:
-        spec = _ensemble_from_config(cfg, n=n)
-        eff_trials = 1 if _is_deterministic(spec) else trials
-
-        def one(trial):
-            m = _generate_trial(spec, master_seed, trial)
-            vals = graphpoly.eval_catalog(requests, m, budget=budget)
-            rep = ensembles.delocalization_audit(m, [d for _, d in open_set],
-                                                 budget=budget)
-            return [v / n for v in vals], rep
-
-        results = _run_trials(one, eff_trials, args.threads)
-        for i, (name, _) in enumerate(diagrams_):
-            basis = requests[i][1]
-            vals = np.array([r[0][i] for r in results])
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else ""
-            rows.append((n, name, basis, mean, se))
-            series.setdefault((name, basis), []).append((n, mean))
-        rep = results[0][1]
-        for (nm, _), dd in zip(open_set, rep["diagrams"]):
-            audit_rows.append((n, nm, rep["norm"], dd["max_offdiag"],
-                               dd["centered_vec_norm"]))
-
+    cfg, outdir, per_n, exponents = _sweep(args, lambda cfg: (
+        [_audit_request(name) for name in cfg["diagrams"]], _delocalization_audit(cfg)))
     write_csv(os.path.join(outdir, "cactus_audit.csv"),
-              ["n", "diagram", "basis", "mean", "se"], rows, cfg)
+              ["n", "diagram", "basis", "mean", "se"],
+              [(n, name, basis, mean, se) for n, _, stats, _ in per_n
+               for name, _, basis, mean, se in stats], cfg)
     write_csv(os.path.join(outdir, "cactus_audit_exponents.csv"),
-              ["diagram", "basis", "exponent"], _fit_exponents(series), cfg)
+              ["diagram", "basis", "exponent"], exponents, cfg)
     write_csv(os.path.join(outdir, "delocalization.csv"),
               ["n", "open_cactus", "norm", "max_offdiag", "centered_vec_norm"],
-              audit_rows, cfg)
+              [(n,) + row for n, _, _, rows in per_n for row in rows], cfg)
     print("wrote %s" % os.path.join(outdir, "cactus_audit.csv"))
     return 0
 
@@ -309,13 +299,13 @@ def cmd_cactus_audit(args):
 def _block_label_vector(cfg, n):
     spec = cfg["ensemble"]
     if spec["kind"] == "block_goe":
-        return ensembles.block_labels(n, int(spec["q"])), "block"
+        return ensembles.block_labels(n, int(spec["q"]))
     if spec["kind"] == "community":
         q = int(spec["q"])
         lab = np.zeros(n, dtype=int)
         lab[: n // q] = 1  # distinguished block carries kernel index 1
-        return lab, "community"
-    return None, None
+        return lab
+    return None
 
 
 def cmd_amp(args):
@@ -324,8 +314,11 @@ def cmd_amp(args):
     trials = int(cfg.get("trials", 1))
     outdir = args.out or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
+    # every trial's config, checked before any matrix is built
+    cfgs = [_amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1))
+            for t in range(trials)]
     spec = _ensemble_from_config(cfg)
-    labels, _ = _block_label_vector(cfg, spec.n)
+    labels = _block_label_vector(cfg, spec.n)
     fixed = None
     if _is_deterministic(spec):
         # built once for all trials; read-only, so a runner that writes into
@@ -339,12 +332,11 @@ def cmd_amp(args):
 
     def one(block):
         m = fixed if fixed is not None else _generate_trial(spec, master_seed, block[0])
-        cfgs = amp_mod.TrialBlock(
-            _amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1)) for t in block)
+        traces = amp_mod.run(m, amp_mod.TrialBlock(cfgs[t] for t in block), block)
         # only the iterates are kept; the Onsager vectors are dropped here
         return [res if isinstance(res, amp_mod.DivergenceError) else
                 (res.iterates, amp_mod.empirical_state(res, block_labels=labels))
-                for res in amp_mod.run(m, cfgs, block)]
+                for res in traces]
 
     results = [res for out in _run_trials(lambda i: one(blocks[i]), len(blocks),
                                           args.threads) for res in out]

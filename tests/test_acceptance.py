@@ -13,8 +13,7 @@ import numpy as np
 
 from trafficamp import graphpoly as gp
 from trafficamp.amp import (AMPConfig, empirical_state, onsager_b,
-                            onsager_b_brute, run_block_goe, run_oamp,
-                            run_punctured, run_treelike)
+                            onsager_b_brute, run)
 from trafficamp.diagrams import (CATALOG, canonicalize, classify,
                                  enumerate_connected_multigraphs,
                                  enumerate_two_edge_connected,
@@ -129,7 +128,7 @@ def test_criterion_05_goe_amp_vs_se():
     states = []
     for s in range(seeds):
         a = generate(EnsembleSpec("goe", n, seed=100 + s)).values
-        states.append(empirical_state(run_oamp(a, cfg)))
+        states.append(empirical_state(run(a, cfg)))
     rep = aggregate_reports(states)
     kernel = se_orthogonal(["identity"] * T, named_table("goe"), T)
     assert np.allclose(kernel.gamma, np.eye(T), atol=1e-12)
@@ -148,7 +147,7 @@ def _flagship_family(matrix_fn, kernel, seeds, label):
         a = matrix_fn(s)
         cfg = AMPConfig(nonlinearities=CUBIC, T=4, mode="punctured_kappa",
                         kappa=named_table("rom"), init="gaussian", seed=900 + s)
-        states.append(empirical_state(run_punctured(a, cfg)))
+        states.append(empirical_state(run(a, cfg)))
     rows, ok = compare_empirical(kernel, aggregate_reports(states), threshold=4.0)
     worst = max(rows, key=lambda r: r["z"])
     return ok, "%s worst z = %.2f at %s" % (label, worst["z"], worst["stat"])
@@ -234,7 +233,7 @@ def test_criterion_09_block_goe():
     for s in range(seeds):
         m = generate(EnsembleSpec("block_goe", n, seed=300 + s, q=q,
                                   sigma=tuple(sigma.reshape(-1)))).values
-        tr = run_block_goe(m, cfg)
+        tr = run(m, cfg)
         states.append(empirical_state(tr, block_labels=block_labels(n, q),
                                       max_power=4))
     rep = aggregate_reports(states)
@@ -256,8 +255,8 @@ def test_criterion_10_mode_equivalence():
     diffs = []
     for s in range(seeds):
         r = generate(EnsembleSpec("rom", n, seed=500 + s)).values
-        s1 = empirical_state(run_treelike(r, cfg_t))["second"]
-        s2 = empirical_state(run_oamp(r, cfg_o))["second"]
+        s1 = empirical_state(run(r, cfg_t))["second"]
+        s2 = empirical_state(run(r, cfg_o))["second"]
         diffs.append([s1[k] - s2[k] for k in sorted(s1)])
     diffs = np.asarray(diffs)
     # typicality gate: paired Gram differences within 4 per-seed standard

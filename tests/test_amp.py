@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from trafficamp.amp import (AMPConfig, AMPTrace, DivergenceError, TrialBlock,
-                            _check_finite, _init_vector, empirical_state,
-                            onsager_b, onsager_b_brute, run, run_block_goe,
-                            run_oamp, run_punctured, run_treelike)
+                            _init_vector, empirical_state, onsager_b,
+                            onsager_b_brute, run)
 from trafficamp.ensembles import (EnsembleSpec, block_labels, generate,
                                   puncture)
 from trafficamp.freeprob import CumulantTable, named_table
@@ -65,7 +64,7 @@ def test_config_validation():
 def test_treelike_first_step():
     a = generate(EnsembleSpec("goe", 64, seed=1)).values
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
-    tr = run_treelike(a, cfg)
+    tr = run(a, cfg)
     # the lag-1 memory term is the diagonal walk
     assert np.allclose(tr.iterates[0], a @ np.ones(64) - np.diag(a))
     assert np.allclose(tr.onsager[(0, 1)], np.diag(a))
@@ -75,7 +74,7 @@ def test_oamp_first_step_and_classical_form():
     a = generate(EnsembleSpec("goe", 128, seed=2)).values
     cfg = AMPConfig(nonlinearities=("identity",) * 3, T=3, mode="scalar_kappa",
                     kappa=named_table("goe"))
-    tr = run_oamp(a, cfg)
+    tr = run(a, cfg)
     assert np.allclose(tr.iterates[0], a @ np.ones(128))  # kappa_1 = 0
     # GOE kappa: only the lag-2 coefficient survives, equal to <f'_{t-1}>
     assert tr.onsager[(0, 1)] == 0.0
@@ -90,7 +89,7 @@ def test_punctured_centering():
     cfg = AMPConfig(nonlinearities=("identity", "cube_hermite"), T=2,
                     mode="punctured_kappa", kappa=named_table("rom"),
                     init="gaussian", seed=5)
-    tr = run_punctured(a, cfg)
+    tr = run(a, cfg)
     assert abs(np.mean(tr.x0)) < 4 / np.sqrt(256)
     assert np.isfinite(tr.iterates).all()
 
@@ -100,7 +99,7 @@ def test_block_goe_runner():
     b = generate(EnsembleSpec("block_goe", n, seed=3, q=2,
                               sigma=(1, 0.5, 0.5, 1))).values
     cfg = AMPConfig(nonlinearities=("identity",) * 3, T=3, mode="block_goe")
-    tr = run_block_goe(b, cfg)
+    tr = run(b, cfg)
     assert np.allclose(tr.iterates[0], b @ np.ones(n))
     manual = b @ tr.iterates[0] - ((b * b) @ np.ones(n)) * np.ones(n)
     assert np.allclose(tr.iterates[1], manual, atol=1e-12)
@@ -129,7 +128,7 @@ def test_divergence_reported():
                     mode="scalar_kappa", kappa=named_table("goe"))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            run_oamp(a, cfg)
+            run(a, cfg)
     assert err.value.t >= 1
 
 
@@ -139,10 +138,10 @@ def test_permutation_equivariance():
     a = generate(EnsembleSpec("goe", n, seed=6)).values
     cfg = AMPConfig(nonlinearities=("identity", "square_centered", "identity"),
                     T=3, mode="scalar_kappa", kappa=named_table("goe"))
-    tr = run_oamp(a, cfg)
+    tr = run(a, cfg)
     perm = rng.permutation(n)
     ap = a[np.ix_(perm, perm)]
-    trp = run_oamp(ap, cfg)
+    trp = run(ap, cfg)
     for t in range(3):
         assert np.allclose(trp.iterates[t], tr.iterates[t][perm], atol=1e-9)
 
@@ -164,7 +163,7 @@ def test_gaussianity_kurtosis_on_goe():
     kurt = []
     for s in range(seeds):
         a = generate(EnsembleSpec("goe", n, seed=40 + s)).values
-        tr = run_oamp(a, cfg)
+        tr = run(a, cfg)
         row = []
         for t in range(1, 4):
             x = tr.x(t)
@@ -177,9 +176,8 @@ def test_gaussianity_kurtosis_on_goe():
 
 def test_exact_mode_budget_guard():
     a = generate(EnsembleSpec("goe", 32, seed=8)).values
-    cfg = AMPConfig(nonlinearities=("identity",) * 6, T=6, mode="exact_treelike")
     with pytest.raises(ValueError):
-        run_treelike(a, cfg)
+        run(a, AMPConfig(nonlinearities=("identity",) * 6, T=6, mode="exact_treelike"))
     with pytest.raises(ValueError):
         onsager_b(a, [None] * 8, 0, 7)
 
@@ -280,7 +278,7 @@ def test_treelike_bytes_match_legacy():
                     T=5, mode="exact_treelike")
     iters, onsager = _legacy_run_treelike(a, cfg)
     for _ in range(2):  # a second trial reuses the step counts and plans
-        tr = run_treelike(a, cfg)
+        tr = run(a, cfg)
         assert tr.iterates.tobytes() == iters.tobytes()
         assert sorted(tr.onsager) == sorted(onsager)
         for key, b in onsager.items():
@@ -293,6 +291,67 @@ def test_treelike_rejects_ignored_init():
                   init="gaussian")
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
     assert AMPConfig.from_json(cfg.to_json()).init == "ones"
+
+
+@pytest.mark.parametrize("mode, kappa", [("scalar_kappa", "goe"),
+                                         ("punctured_kappa", "rom"),
+                                         ("block_goe", None), ("exact_treelike", None)])
+def test_config_rejects_unknown_init(mode, kappa):
+    with pytest.raises(ValueError, match="unknown init 'zeros'"):
+        AMPConfig(nonlinearities=("identity",), T=1, mode=mode,
+                  kappa=named_table(kappa) if kappa else None, init="zeros")
+
+
+def test_exact_mode_caps():
+    AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
+    with pytest.raises(ValueError, match="T <= 5"):
+        AMPConfig(nonlinearities=("identity",) * 6, T=6, mode="exact_treelike")
+    cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
+    assert run(np.eye(256), cfg).iterates.shape == (1, 256)
+    with pytest.raises(ValueError, match="n <= 256"):
+        run(np.eye(257), cfg)
+
+
+def _exact_configs(k, T=5):
+    fs = ("identity", "cube_hermite", "square_centered", "identity", "cube_hermite")
+    return [AMPConfig(nonlinearities=fs[:T], T=T, mode="exact_treelike", seed=j)
+            for j in range(k)]
+
+
+def test_exact_lockstep_block_matches_legacy():
+    a = generate(EnsembleSpec("punctured", 64, inner="hadamard")).values
+    iters, onsager = _legacy_run_treelike(a, _exact_configs(1)[0])
+    for k in (1, 3):
+        for new in run(a, _exact_configs(k), list(range(k))):
+            assert new.x0.tobytes() == np.ones(64).tobytes()
+            assert new.iterates.tobytes() == iters.tobytes()
+            assert list(new.onsager) == list(onsager)
+            for key, b in onsager.items():
+                assert new.onsager[key].tobytes() == b.tobytes(), key
+
+
+def _overflowing_punctured_hadamard(case):
+    a = generate(EnsembleSpec("punctured", 64, inner="hadamard")).values
+    if case == "scaled":  # cube_hermite overflows at t = 2
+        return 1e80 * a
+    a[5, [9, 11]] = a[[9, 11], 5] = 1e308  # x_1[5] overflows
+    return a
+
+
+@pytest.mark.parametrize("case, where", [("scaled", (2, 0)), ("entries", (1, 5))])
+def test_exact_lockstep_divergence_matches_legacy(case, where):
+    a = _overflowing_punctured_hadamard(case)
+    cfgs = _exact_configs(3, T=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iters = _legacy_run_treelike(a, cfgs[0])[0]
+        bad = np.argwhere(~np.isfinite(iters))[0]  # the legacy first non-finite (t, i)
+        assert (bad[0] + 1, bad[1]) == where
+        for res in run(a, cfgs, [0, 1, 2]) + [run(a, cfgs[:1], [0])[0]]:
+            assert isinstance(res, DivergenceError)
+            assert (res.t, res.i) == where
+        with pytest.raises(DivergenceError) as err:
+            run(a, cfgs[0])
+    assert (err.value.t, err.value.i) == where
 
 
 def test_treelike_concurrent_trials_match_legacy():
@@ -308,7 +367,7 @@ def test_treelike_concurrent_trials_match_legacy():
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run_treelike, m, cfg) for m in mats]
+            futures = [pool.submit(run, m, cfg) for m in mats]
             traces = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -330,7 +389,7 @@ def test_treelike_memo_serves_every_counted_request(monkeypatch):
     monkeypatch.setattr(graphpoly, "_Memo", Recording)
     a = generate(EnsembleSpec("goe", 32, seed=9)).values
     cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
-    run_treelike(a, cfg)
+    run(a, cfg)
     (memo,) = memos
     # 162 step requests per T=5 trial, 60 of them distinct
     assert (sum(memo.uses.values()), len(memo.uses)) == (162, 60)
@@ -343,6 +402,12 @@ def test_treelike_memo_serves_every_counted_request(monkeypatch):
 # byte oracle: the scalar-Onsager and block-GOE runners as they were before
 # trials ran in lockstep, one trial per call, copied literally
 # ---------------------------------------------------------------------------
+
+def _check_finite(x, t):
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DivergenceError(t, int(bad[0]))
+
 
 def _legacy_run_oamp(a, cfg, stream=0):
     """Scalar-Onsager AMP for matrices with factorizing cactus limits:

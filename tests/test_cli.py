@@ -333,6 +333,76 @@ def test_cactus_audit_threads_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cactus_audit_runs_delocalization_once_per_n(tmp_path, monkeypatch):
+    from trafficamp.cli import _ensemble_from_config, _generate_trial
+
+    audited = []
+    real_audit = ensembles.delocalization_audit
+
+    def recording_audit(m, *args, **kwargs):
+        audited.append(m.copy())
+        return real_audit(m, *args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "delocalization_audit", recording_audit)
+    cfg = _write_config(tmp_path, dimension_sweep=[32, 64], trials=4)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t" + threads)
+        audited.clear()
+        assert run_cli("--threads", threads, "cactus-audit", "--config", cfg,
+                       "--out", str(out)) == 0
+        outputs.append(_outputs(out))
+        # once per n, on the matrix of trial 0 (the parent ran it on all 8)
+        assert [m.shape[0] for m in audited] == [32, 64]
+        for m in audited:
+            spec = _ensemble_from_config(load_config(cfg), n=m.shape[0])
+            assert np.array_equal(m, _generate_trial(spec, 1, 0))
+    assert outputs[0] == outputs[1]
+
+
+def test_gen_se_compare_threads_byte_identical(tmp_path):
+    cfg = _write_config(tmp_path)
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+    moments = str(tmp_path / "out" / "moments.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t" + threads)
+        out.mkdir()
+        for kind, extra in (("r_rom", ()), ("goe", ()),
+                            ("block_goe", ("--q", "2", "--sigma", "1,0.5,0.5,1"))):
+            assert run_cli("--threads", threads, "gen", "--kind", kind, "--n", "64",
+                           "--seed", "3", *extra, "--out", str(out / (kind + ".tamp"))) == 0
+        kernel = str(out / "kernel.json")
+        assert run_cli("--threads", threads, "se", "--config", cfg, "--out", kernel) == 0
+        assert run_cli("--threads", threads, "compare", "--kernel", kernel,
+                       "--moments", moments, "--out", str(out / "verdict.csv")) in (0, 1)
+        outputs.append(_outputs(out))
+    assert len(outputs[0]) == 8  # three matrices with sidecars, kernel and verdict
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("amp, message", [
+    ({"nonlinearities": ["identity", "identity"], "T": 2, "mode": "scalar_kappa",
+      "kappa": "goe", "init": "zeros"}, "unknown init 'zeros'"),
+    ({"nonlinearities": ["identity"] * 6, "T": 6, "mode": "exact_treelike",
+      "init": "ones"}, "T <= 5"),
+])
+def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, capsys,
+                                                     amp, message):
+    calls = []
+    real_generate = ensembles.generate
+
+    def recording_generate(spec, stream=0):
+        calls.append(spec.kind)
+        return real_generate(spec, stream)
+
+    monkeypatch.setattr(ensembles, "generate", recording_generate)
+    cfg = _write_config(tmp_path, amp=amp)
+    assert run_cli("amp", "--config", cfg) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def _treelike_config(tmp_path, **amp):
     return _write_config(
         tmp_path, ensemble={"kind": "community", "n": 64, "q": 4, "inner": "rom"},
@@ -387,6 +457,48 @@ def test_amp_lockstep_threads_byte_identical(tmp_path, ensemble, amp):
                        "--out", str(out)) == 0
         outputs.append(_outputs(out))
     assert len([nm for nm in outputs[0] if nm.startswith("trace_")]) == 5
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_amp_exact_lockstep_threads_match_legacy(tmp_path, monkeypatch):
+    # 3 exact-mode trials on punctured Hadamard: one block of 3, blocks of 2 + 1,
+    # and three blocks of one, each trial with the legacy iterates and Onsager bytes
+    import trafficamp.amp as amp_mod
+    from test_amp import _legacy_run_treelike
+    from trafficamp.cli import _amp_config_from
+
+    ensemble = {"kind": "punctured", "inner": "hadamard", "n": 64}
+    cfg = _write_config(tmp_path, ensemble=ensemble, trials=3,
+                        amp={"nonlinearities": ["identity", "cube_hermite",
+                                                "square_centered", "identity",
+                                                "cube_hermite"],
+                             "T": 5, "mode": "exact_treelike", "init": "ones"})
+    m = ensembles.generate(ensembles.EnsembleSpec.from_json(ensemble)).values
+    iters, onsager = _legacy_run_treelike(m, _amp_config_from(load_config(cfg), seed=0))
+    traces, real_run = [], amp_mod.run
+
+    def recording_run(a, cfgs, streams):
+        assert isinstance(cfgs, amp_mod.TrialBlock)  # its T and mode are read by tracing
+        out = real_run(a, cfgs, streams)
+        traces.extend(out)
+        return out
+
+    monkeypatch.setattr(amp_mod, "run", recording_run)
+    outputs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / ("t" + threads)
+        traces.clear()
+        assert run_cli("--threads", threads, "amp", "--config", cfg,
+                       "--out", str(out)) == 0
+        outputs.append(_outputs(out))
+        assert len(traces) == 3
+        for tr in traces:
+            assert list(tr.onsager) == list(onsager)
+            for key, b in onsager.items():
+                assert tr.onsager[key].tobytes() == b.tobytes(), key
+        for trial in range(3):
+            got = matrixio.read_matrix(str(out / ("trace_%03d.tamp" % trial)))
+            assert got.tobytes() == iters.tobytes(), trial
     assert outputs[0] == outputs[1] == outputs[2]
 
 

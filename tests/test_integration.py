@@ -5,7 +5,7 @@ puncturing, and the community-model AMP pipeline."""
 import numpy as np
 
 from trafficamp import graphpoly as gp
-from trafficamp.amp import AMPConfig, empirical_state, run_treelike
+from trafficamp.amp import AMPConfig, empirical_state, run
 from trafficamp.diagrams import (CATALOG, Diagram, homeomorphic_matchings,
                                  homeomorphic_quotient)
 from trafficamp.ensembles import (EnsembleSpec, community_kappa_table,
@@ -84,7 +84,7 @@ def test_community_pipeline_matches_mixture_kernels():
     for s in range(seeds):
         m = generate(EnsembleSpec("community", n, seed=600 + s, q=q,
                                   inner="rom")).values
-        tr = run_treelike(m, cfg)
+        tr = run(m, cfg)
         states.append(empirical_state(tr, block_labels=inside, max_power=2))
     rep = aggregate_reports(states)
     kernel = se_community(fs, community_kappa_table(q, "rom", length=2 * T), q, T)
