@@ -10,7 +10,6 @@ entrywise-squared matrix product (block GOE).
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -243,33 +242,32 @@ def _row_means(m):
 
 
 def _memory_term(a, cfg):
-    """cfg's nonlinearities and memory term: a generator of (t, live, fvec, fprime,
-    fpmean) yielding per Onsager key each row's coefficient and the term to
-    subtract from A f_{t-1}, given the live trials, rows f_s(x_s), f'_{t-1}(x_{t-1})
-    and the row means of f'_s(x_s)."""
+    """cfg's nonlinearities and memory term: a generator of (t, fvec, fprime, fpmean)
+    yielding per Onsager key each live row's coefficient and the term to subtract
+    from A f_{t-1}, given rows f_s(x_s), f'_{t-1}(x_{t-1}) and the row means of
+    f'_s(x_s)."""
     if cfg.mode == "exact_treelike":
         n = a.shape[0]
         if n > EXACT_N_CAP:
             raise ValueError("exact mode budget: n <= %d" % EXACT_N_CAP)
         a = graphpoly._as_matrix(a)
         uses = _step_uses(tuple((s, t) for t in range(1, cfg.T + 1) for s in range(t)), n)
-        # per trial: the memo of its shared steps, and its f'_0, f'_1, ...
-        trials = collections.defaultdict(lambda: (graphpoly._Memo(uses), []))
+        # x_0 = 1 on one matrix makes every row the same trial: one memo of its
+        # shared steps and one f'_0, f'_1, ... history, from row 0
+        memo, hist = graphpoly._Memo(uses), []
 
-        def memory(t, live, fvec, fprime, fpmean):
-            for trial, fp in zip(live, fprime):
-                trials[trial][1].append(fp)
+        def memory(t, fvec, fprime, fpmean):
+            hist.append(fprime[0])
             for s in range(t):
-                b = np.stack([onsager_b(a, hist, s, t, _memo=memo)
-                              for memo, hist in map(trials.get, live)])
-                yield (s, t), b, b * fvec[s]
+                b = onsager_b(a, hist, s, t, _memo=memo)
+                yield (s, t), [b] * len(fvec[s]), b * fvec[s]
         # f_0 = 1, so x_1 = A 1 and f'_0 = 0
         return (Polynomial((1.0,)),) + cfg.nonlinearities[1:], memory
 
     if cfg.mode == "block_goe":
         a2 = a * a
 
-        def memory(t, live, fvec, fprime, fpmean):
+        def memory(t, fvec, fprime, fpmean):
             if t >= 2:
                 b = _matvec(a2, fprime, np.empty_like(fprime))
                 yield (t - 2, t), b, b * fvec[t - 2]
@@ -277,7 +275,7 @@ def _memory_term(a, cfg):
 
     kap, centred = cfg.kappa, cfg.mode == "punctured_kappa"
 
-    def memory(t, live, fvec, fprime, fpmean):
+    def memory(t, fvec, fprime, fpmean):
         for s in range(t):
             coef = np.full(len(fvec[s]), kap[t - s])
             for r in range(s + 1, t):
@@ -301,7 +299,7 @@ def _lockstep(a, block, streams):
     fpmean = [_row_means(fprime)]
     for t in range(1, cfg.T + 1):
         xt = _matvec(a, fvec[t - 1], np.empty((len(live), n)))
-        for key, coef, term in memory(t, live, fvec, fprime, fpmean):
+        for key, coef, term in memory(t, fvec, fprime, fpmean):
             for trial, c in zip(live, coef):
                 onsager[trial][key] = c
             xt = xt - term

@@ -213,88 +213,34 @@ def _block_is_cycle(d, block):
     return all(c == 2 for c in deg.values())
 
 
-def edge_disjoint_path_bound(d, s, t, needed=3):
-    """Max-flow with unit edge capacities, stopped once `needed` paths are found."""
-    if s == t:
-        return 0
-    cap = {}
-    for u, v in d.edges:
-        if u != v:
-            cap[(u, v)] = cap.get((u, v), 0) + 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-    flow = 0
-    while flow < needed:
-        # BFS for an augmenting path
-        prev = {s: None}
-        queue = [s]
-        while queue and t not in prev:
-            v = queue.pop(0)
-            for (a, b), c in cap.items():
-                if a == v and c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if t not in prev:
-            break
-        v = t
-        while prev[v] is not None:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-            v = u
-        flow += 1
-    return flow
-
-
 def classify(d):
-    """Structural flags of a diagram.
+    """Structural flags of a diagram, from one block decomposition.
 
     Treelike and gaussian_tree require a root; rootless diagrams get False.
+    A rooted connected diagram is treelike when no two vertices are joined by
+    3 edge-disjoint paths, i.e. every block of 2 or more edges is a cycle
+    (Menger, and the ear decomposition of a 2-connected block), and every
+    bridge lies in the root's component of the bridge subgraph.
     """
     conn = is_connected(d)
-    brs = bridges(d)
-    two_ec = conn and not brs
     blocks = biconnected_blocks(d)
-    cactus = two_ec and all(_block_is_cycle(d, b) for b in blocks)
-    deg = d.degrees()
-    eulerian = conn and all(x % 2 == 0 for x in deg)
+    brs = [b[0] for b in blocks if len(b) == 1]
+    cyclic = all(_block_is_cycle(d, b) for b in blocks if len(b) > 1)
+    two_ec = conn and not brs
+    cactus = two_ec and cyclic
+    eulerian = conn and all(x % 2 == 0 for x in d.degrees())
 
     treelike = False
     gaussian = False
     if conn and d.roots:
         root = d.roots[0]
-        treelike = not _has_three_paths(d) and not _has_stranded_bridge(d, brs, root)
+        bridged = Diagram(d.vertex_count, tuple(d.edges[ei] for ei in brs))
+        home = next(c for c in connected_components(bridged) if root in c)
+        treelike = cyclic and all(d.edges[ei][0] in home for ei in brs)
         if treelike:
             bdeg = sum(1 for ei in brs for u in d.edges[ei] if u == root)
             gaussian = bdeg == 1
     return DiagramClass(conn, two_ec, cactus, eulerian, treelike, gaussian)
-
-
-def _has_three_paths(d):
-    for s in range(d.vertex_count):
-        for t in range(s + 1, d.vertex_count):
-            if edge_disjoint_path_bound(d, s, t, needed=3) >= 3:
-                return True
-    return False
-
-
-def _has_stranded_bridge(d, brs, root):
-    """True if some bridge has no all-bridge path to the root."""
-    if not brs:
-        return False
-    badj = {v: [] for v in range(d.vertex_count)}
-    for ei in brs:
-        u, v = d.edges[ei]
-        badj[u].append(v)
-        badj[v].append(u)
-    reach = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in badj[v]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return any(d.edges[ei][0] not in reach for ei in brs)
 
 
 # ---------------------------------------------------------------------------
@@ -496,24 +442,21 @@ def graft(parts):
     for p in parts:
         if len(p.roots) != 1:
             raise DiagramError("graft requires singly-rooted parts")
-    total = sum(p.vertex_count for p in parts)
-    edges = []
-    offset = 0
-    maps = []
+    offsets = itertools.accumulate([0] + [p.vertex_count for p in parts])
+    roots = [p.roots[0] + off for p, off in zip(parts, offsets)]
+    return _glue(parts, [roots], roots[0])
+
+
+def _glue(parts, merged, root):
+    """Disjoint union of `parts`, numbered part after part, with each vertex group
+    in `merged` identified into one vertex; rooted at union vertex `root`."""
+    edges, total = [], 0
     for p in parts:
-        maps.append(offset)
-        for u, v in p.edges:
-            edges.append((u + offset, v + offset))
-        offset += p.vertex_count
-    # merge all roots into the first one
-    root_ids = [p.roots[0] + maps[i] for i, p in enumerate(parts)]
-    keep = root_ids[0]
-    blocks = [[keep] + root_ids[1:]]
-    for v in range(total):
-        if v not in root_ids:
-            blocks.append([v])
-    merged = quotient(Diagram(total, tuple(edges), (keep,)), blocks)
-    return merged
+        edges.extend((u + total, v + total) for u, v in p.edges)
+        total += p.vertex_count
+    absorbed = {v for group in merged for v in group}
+    blocks = [list(g) for g in merged] + [[v] for v in range(total) if v not in absorbed]
+    return quotient(Diagram(total, tuple(edges), (root,)), blocks)
 
 
 def open_cactus_parts(d):
@@ -589,11 +532,15 @@ def open_cactus_decomposition(d):
     """Find an excess open-cactus subgraph whose interior can be removed.
 
     For a rooted 2-edge-connected non-cactus diagram, returns
-    (s, t, sub, vertices): sub is an induced open cactus with endpoints
-    s != t (original vertex ids), relabeled so that sub's vertex i is
-    vertices[i] in d.  Deleting the interior vertices
-    (vertices minus {s, t}) leaves d 2-edge-connected, and the root is not
-    an interior vertex.  Ties are broken toward lowest vertex ids.
+    (s, t, sub, vertices): sub is an open cactus with endpoints s < t
+    (original vertex ids), relabeled so that sub's vertex i is vertices[i] in
+    d.  Its edges are the edges of d that touch the interior (vertices minus
+    {s, t}), or one s-t edge when the interior is empty.  Deleting those
+    edges and the interior leaves d 2-edge-connected, and the root is not an
+    interior vertex.  The search tries interiors by increasing size, then in
+    lexicographic order, and for each the pairs (s, t) in lexicographic
+    order; an empty interior takes the lowest-indexed s-t edge.  Its cost
+    grows exponentially with the vertex count.
     """
     if len(d.roots) < 1:
         raise DiagramError("decomposition needs a rooted diagram")
@@ -603,200 +550,38 @@ def open_cactus_decomposition(d):
     if cls.cactus:
         raise DiagramError("diagram is a cactus; nothing to remove")
 
-    # prune hanging cyclic blocks and self-loops, re-rooting as needed
-    live = set(range(len(d.edges)))
-    root = d.roots[0]
-    while True:
-        live = {ei for ei in live if d.edges[ei][0] != d.edges[ei][1]}
-        sub = Diagram(d.vertex_count,
-                      tuple(d.edges[ei] for ei in sorted(live)), ())
-        index_map = sorted(live)
-        blocks = biconnected_blocks(sub)
-        if len(blocks) <= 1:
-            break
-        # vertex -> number of blocks containing it
-        art_count = {}
-        for b in blocks:
-            vs = set()
-            for ei in b:
-                vs.update(sub.edges[ei])
-            for v in vs:
-                art_count[v] = art_count.get(v, 0) + 1
-        target = None
-        for b in sorted(blocks, key=lambda b: min(min(sub.edges[ei]) for ei in b)):
-            if not _block_is_cycle(sub, b):
-                continue
-            vs = set()
-            for ei in b:
-                vs.update(sub.edges[ei])
-            arts = [v for v in vs if art_count[v] > 1]
-            if len(arts) == 1:
-                target = (b, arts[0])
-                break
-        if target is None:
-            break
-        b, v = target
-        removed = {index_map[ei] for ei in b}
-        dropped = set()
-        for ei in b:
-            dropped.update(sub.edges[ei])
-        dropped.discard(v)
-        live -= removed
-        if root in dropped:
-            root = v
-
-    beta_edges = sorted(live)
-    beta_vertices = sorted({v for ei in beta_edges for v in d.edges[ei]})
-    path = _last_ear(d, beta_edges, beta_vertices, root)
-
-    # lift the ear back: interior hanging components in d minus the ear edges
-    interior = path[1:-1]
-    ear_edge_ids = _path_edge_ids(d, path)
-    rem = Diagram(d.vertex_count,
-                  tuple(e for i, e in enumerate(d.edges) if i not in ear_edge_ids), ())
-    comps = connected_components(rem)
-    sub_verts = set(path)
-    for u in interior:
-        for comp in comps:
-            if u in comp:
-                sub_verts.update(comp)
-                break
-    vertices = sorted(sub_verts)
-    idx = {v: i for i, v in enumerate(vertices)}
-    edges = [tuple(sorted((idx[u], idx[v]))) for u, v in
-             (d.edges[i] for i in ear_edge_ids)]
-    for u in interior:
-        for comp in comps:
-            if u in comp:
-                for a, b in _induced(rem, comp).edges:
-                    cm = sorted(comp)
-                    edges.append(tuple(sorted((idx[cm[a]], idx[cm[b]]))))
-                break
-    sub = Diagram(len(sub_verts), tuple(edges), (idx[path[0]], idx[path[-1]]))
-    return path[0], path[-1], sub, vertices
-
-
-def _path_edge_ids(d, path):
-    used = set()
-    ids = []
-    for a, b in zip(path, path[1:]):
-        for ei, (u, v) in enumerate(d.edges):
-            if ei not in used and {u, v} == {a, b}:
-                used.add(ei)
-                ids.append(ei)
-                break
-    return ids
-
-
-def _last_ear(d, edge_ids, vertices, root):
-    """Ear growth on the pruned graph; returns the final ear as a vertex path."""
-    sub_edges = {ei: d.edges[ei] for ei in edge_ids}
-
-    def neighbors(v, excluded):
-        for ei, (a, b) in sub_edges.items():
-            if ei in excluded:
-                continue
-            if a == v:
-                yield b, ei
-            elif b == v:
-                yield a, ei
-
-    cyc = _shortest_cycle_through(sub_edges, root)
-    used = set(cyc["edges"])
-    verts = set(cyc["vertices"])
-    last_path = None
-    while verts != set(vertices):
-        start = None
-        for ei in sorted(set(sub_edges) - used):
-            a, b = sub_edges[ei]
-            if (a in verts) != (b in verts):
-                u1, u2 = (a, b) if a in verts else (b, a)
-                start = (u1, u2, ei)
-                break
-        if start is None:
-            raise DiagramError("pruned graph is not connected")  # unreachable for 2EC
-        u1, u2, ei0 = start
-        # BFS from u2 back to the current subgraph, avoiding ei0 and verts internally
-        prev = {u2: None}
-        queue = [u2]
-        endpoint = None
-        while queue:
-            v = queue.pop(0)
-            if v in verts:
-                endpoint = v
-                break
-            for w, ei in sorted(neighbors(v, {ei0})):
-                if w not in prev:
-                    prev[w] = v
-                    queue.append(w)
-        chain = [endpoint]
-        while prev[chain[-1]] is not None:
-            chain.append(prev[chain[-1]])
-        chain.append(u1)  # path u1 - u2 - ... - endpoint reversed
-        path = list(reversed(chain))
-        last_path = path
-        verts.update(path)
-        used.update(_subset_path_edges(sub_edges, path, used))
-    remaining = set(sub_edges) - used
-    if remaining:
-        ei = min(remaining)
-        a, b = sub_edges[ei]
-        return [min(a, b), max(a, b)]
-    if last_path is None:
-        raise DiagramError("diagram is a single cycle")  # cactus, pre-excluded
-    return last_path
-
-
-def _subset_path_edges(sub_edges, path, used):
-    taken = []
-    for a, b in zip(path, path[1:]):
-        for ei, (u, v) in sub_edges.items():
-            if ei not in used and ei not in taken and {u, v} == {a, b}:
-                taken.append(ei)
-                break
-    return taken
-
-
-def _shortest_cycle_through(sub_edges, root):
-    best = None
-    for ei, (a, b) in sorted(sub_edges.items()):
-        if root not in (a, b):
-            continue
-        if a == b:
-            return {"vertices": [root], "edges": [ei]}
-        other = b if a == root else a
-        # shortest path root..other avoiding edge ei
-        prev = {root: (None, None)}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            if v == other:
-                break
-            for ej, (u, w) in sorted(sub_edges.items()):
-                if ej == ei:
+    n = d.vertex_count
+    for k in range(n - 1):
+        for interior in itertools.combinations([v for v in range(n) if v != d.roots[0]], k):
+            inner = set(interior)
+            touching = [ei for ei, e in enumerate(d.edges) if inner.intersection(e)]
+            ends = {v for ei in touching for v in d.edges[ei]} - inner
+            for s, t in itertools.combinations([v for v in range(n) if v not in inner], 2):
+                if not ends <= {s, t}:
                     continue
-                nxt = None
-                if u == v:
-                    nxt = w
-                elif w == v:
-                    nxt = u
-                if nxt is not None and nxt not in prev:
-                    prev[nxt] = (v, ej)
-                    queue.append(nxt)
-        if other not in prev:
-            continue
-        vs, es = [other], [ei]
-        v = other
-        while prev[v][0] is not None:
-            es.append(prev[v][1])
-            v = prev[v][0]
-            vs.append(v)
-        cyc = {"vertices": vs, "edges": es}
-        if best is None or len(es) < len(best["edges"]):
-            best = cyc
-    if best is None:
-        raise DiagramError("no cycle through the root")
-    return best
+                ids = touching or [ei for ei, e in enumerate(d.edges) if e == (s, t)][:1]
+                found = ids and _removable_open_cactus(d, inner, s, t, ids)
+                if found:
+                    return found
+
+
+def _removable_open_cactus(d, inner, s, t, ids):
+    """(s, t, sub, vertices) when edges `ids` form an open cactus from s to t with
+    interior `inner` whose removal leaves d 2-edge-connected, else None."""
+    vertices = sorted(inner | {s, t})
+    idx = {v: i for i, v in enumerate(vertices)}
+    edges = tuple((idx[u], idx[v]) for u, v in (d.edges[ei] for ei in ids))
+    sub = Diagram(len(vertices), edges, (idx[s], idx[t]))
+    try:
+        open_cactus_parts(sub)
+    except DiagramError:
+        return None
+    keep = {v: i for i, v in enumerate(v for v in range(d.vertex_count) if v not in inner)}
+    rest = Diagram(len(keep), tuple((keep[u], keep[v]) for ei, (u, v) in enumerate(d.edges)
+                                    if ei not in ids))
+    if classify(rest).two_edge_connected:
+        return s, t, sub, vertices
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -816,43 +601,24 @@ def homeomorphic_matchings(t1, t2, cap=CANON_CAP):
             raise DiagramError("inputs must be treelike")
     if t1.vertex_count > cap or t2.vertex_count > cap:
         raise DiagramSizeError("diagram exceeds vertex cap")
-    n1, n2 = t1.vertex_count, t2.vertex_count
     r1, r2 = t1.roots[0], t2.roots[0]
-    others1 = [v for v in range(n1) if v != r1]
-    others2 = [v for v in range(n2) if v != r2]
-
-    union_edges = list(t1.edges) + [(u + n1, v + n1) for u, v in t2.edges]
-    union = Diagram(n1 + n2, tuple(union_edges), ())
+    others1 = [v for v in range(t1.vertex_count) if v != r1]
+    others2 = [v for v in range(t2.vertex_count) if v != r2]
 
     out = []
     for k in range(0, min(len(others1), len(others2)) + 1):
         for sub1 in itertools.combinations(others1, k):
             for sub2 in itertools.permutations(others2, k):
-                pairs = [(r1, r2)] + list(zip(sub1, sub2))
-                merged = {u: v + n1 for u, v in pairs}
-                blocks = [[u, merged[u]] for u in merged]
-                absorbed = set(merged) | set(merged.values())
-                for v in range(n1 + n2):
-                    if v not in absorbed:
-                        blocks.append([v])
-                q = quotient(union.with_roots((r1,)), blocks)
-                if classify(q).cactus:
-                    out.append(HomeomorphicMatching(frozenset(pairs)))
+                m = HomeomorphicMatching(frozenset([(r1, r2)] + list(zip(sub1, sub2))))
+                if classify(homeomorphic_quotient(t1, t2, m)).cactus:
+                    out.append(m)
     return out
 
 
 def homeomorphic_quotient(t1, t2, matching):
     """Quotient of the disjoint union t1 + t2 under a homeomorphic matching."""
     n1 = t1.vertex_count
-    union_edges = list(t1.edges) + [(u + n1, v + n1) for u, v in t2.edges]
-    union = Diagram(n1 + t2.vertex_count, tuple(union_edges), (t1.roots[0],))
-    merged = {u: v + n1 for u, v in matching.pairs}
-    blocks = [[u, merged[u]] for u in merged]
-    absorbed = set(merged) | set(merged.values())
-    for v in range(union.vertex_count):
-        if v not in absorbed:
-            blocks.append([v])
-    return quotient(union, blocks)
+    return _glue([t1, t2], [[u, v + n1] for u, v in matching.pairs], t1.roots[0])
 
 
 # ---------------------------------------------------------------------------

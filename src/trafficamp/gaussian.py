@@ -156,22 +156,8 @@ def poly_expectation(ps, law):
     return total
 
 
-def _partial_matchings(k):
-    """All partial matchings of positions 0..k-1 as lists of index pairs."""
-    if k == 0:
-        yield []
-        return
-    # position 0 unmatched
-    for m in _partial_matchings_on(list(range(1, k))):
-        yield m
-    # position 0 matched to j
-    for j in range(1, k):
-        rest = [x for x in range(1, k) if x != j]
-        for m in _partial_matchings_on(rest):
-            yield [(0, j)] + m
-
-
 def _partial_matchings_on(positions):
+    """All partial matchings of `positions` as lists of position pairs."""
     if not positions:
         yield []
         return
@@ -201,7 +187,7 @@ def wick_product(alpha, law):
     if len(seq) > WICK_CAP:
         raise ValueError("wick product size %d exceeds cap %d" % (len(seq), WICK_CAP))
     out = {}
-    for m in _partial_matchings(len(seq)):
+    for m in _partial_matchings_on(list(range(len(seq)))):
         coef = (-1.0) ** len(m)
         for u, v in m:
             coef *= law.cov[seq[u], seq[v]]

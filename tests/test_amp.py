@@ -330,6 +330,24 @@ def test_exact_lockstep_block_matches_legacy():
                 assert new.onsager[key].tobytes() == b.tobytes(), key
 
 
+def test_exact_block_memory_is_one_trial():
+    # every row of an exact-mode block is the same trial, so a block of 32 keeps
+    # one step memo and one f' history, not 32
+    import tracemalloc
+
+    a = generate(EnsembleSpec("punctured", 128, inner="hadamard")).values
+    run(a, _exact_configs(1), [0])  # quotient plans are built once per process
+    peaks = []
+    for k in (1, 32):
+        tracemalloc.start()
+        try:
+            run(a, _exact_configs(k), list(range(k)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
 def _overflowing_punctured_hadamard(case):
     a = generate(EnsembleSpec("punctured", 64, inner="hadamard")).values
     if case == "scaled":  # cube_hermite overflows at t = 2

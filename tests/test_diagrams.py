@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trafficamp import graphpoly
-from trafficamp.diagrams import (CATALOG, Diagram, DiagramError, canonical_form,
+from trafficamp.diagrams import (CATALOG, Diagram, DiagramClass, DiagramError,
+                                 HomeomorphicMatching, _block_is_cycle,
+                                 biconnected_blocks, bridges, canonical_form,
                                  canonicalize, classify, cycles_of_cactus,
                                  enumerate_connected_multigraphs,
                                  enumerate_two_edge_connected, format_diagram,
                                  graft, homeomorphic_matchings,
-                                 homeomorphic_quotient, isomorphic,
+                                 homeomorphic_quotient, is_connected, isomorphic,
                                  named_diagram, open_cactus_decomposition,
                                  open_cactus_parts, parse_diagram, quotient,
                                  set_partitions, w_to_z_coefficients,
@@ -55,6 +60,121 @@ def test_treelike_needs_bridges_at_root():
     assert classify(d.with_roots((2,))).treelike
     assert classify(d.with_roots((3,))).treelike
     assert not classify(d.with_roots((0,))).treelike
+
+
+# oracle: classify as it was when treelike came from max-flow over every
+# vertex pair, copied literally with its helpers
+
+def _legacy_edge_disjoint_path_bound(d, s, t, needed=3):
+    """Max-flow with unit edge capacities, stopped once `needed` paths are found."""
+    if s == t:
+        return 0
+    cap = {}
+    for u, v in d.edges:
+        if u != v:
+            cap[(u, v)] = cap.get((u, v), 0) + 1
+            cap[(v, u)] = cap.get((v, u), 0) + 1
+    flow = 0
+    while flow < needed:
+        # BFS for an augmenting path
+        prev = {s: None}
+        queue = [s]
+        while queue and t not in prev:
+            v = queue.pop(0)
+            for (a, b), c in cap.items():
+                if a == v and c > 0 and b not in prev:
+                    prev[b] = a
+                    queue.append(b)
+        if t not in prev:
+            break
+        v = t
+        while prev[v] is not None:
+            u = prev[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] = cap.get((v, u), 0) + 1
+            v = u
+        flow += 1
+    return flow
+
+
+def _legacy_classify(d):
+    """Structural flags of a diagram.
+
+    Treelike and gaussian_tree require a root; rootless diagrams get False.
+    """
+    conn = is_connected(d)
+    brs = bridges(d)
+    two_ec = conn and not brs
+    blocks = biconnected_blocks(d)
+    cactus = two_ec and all(_block_is_cycle(d, b) for b in blocks)
+    deg = d.degrees()
+    eulerian = conn and all(x % 2 == 0 for x in deg)
+
+    treelike = False
+    gaussian = False
+    if conn and d.roots:
+        root = d.roots[0]
+        treelike = not _legacy_has_three_paths(d) and not _legacy_has_stranded_bridge(
+            d, brs, root)
+        if treelike:
+            bdeg = sum(1 for ei in brs for u in d.edges[ei] if u == root)
+            gaussian = bdeg == 1
+    return DiagramClass(conn, two_ec, cactus, eulerian, treelike, gaussian)
+
+
+def _legacy_has_three_paths(d):
+    for s in range(d.vertex_count):
+        for t in range(s + 1, d.vertex_count):
+            if _legacy_edge_disjoint_path_bound(d, s, t, needed=3) >= 3:
+                return True
+    return False
+
+
+def _legacy_has_stranded_bridge(d, brs, root):
+    """True if some bridge has no all-bridge path to the root."""
+    if not brs:
+        return False
+    badj = {v: [] for v in range(d.vertex_count)}
+    for ei in brs:
+        u, v = d.edges[ei]
+        badj[u].append(v)
+        badj[v].append(u)
+    reach = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in badj[v]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return any(d.edges[ei][0] not in reach for ei in brs)
+
+
+def test_classify_matches_legacy_enumerated():
+    count = 0
+    for g in enumerate_connected_multigraphs(6, 7):
+        v = g.vertex_count
+        for roots in [()] + [(r,) for r in range(v)] + [(0, v - 1)]:
+            d = g.with_roots(roots)
+            assert classify(d) == _legacy_classify(d), d
+            count += 1
+    assert count == 10084
+
+
+@st.composite
+def _multigraphs(draw):
+    """A diagram on at most 8 vertices with loops, parallel edges and 0-2 roots."""
+    k = draw(st.integers(1, 8))
+    vertex = st.integers(0, k - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    roots = draw(st.lists(vertex, max_size=2))
+    return Diagram(k, tuple(edges), tuple(roots))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_multigraphs())
+def test_classify_matches_legacy_random(d):
+    assert classify(d) == _legacy_classify(d)
 
 
 def test_quotient_examples():
@@ -177,6 +297,34 @@ def test_open_cactus_decomposition_enumerated():
         _check_decomposition(d.with_roots((0,)))
 
 
+def _check_decomposition_strict(d):
+    # the remainder drops sub's edges, not only the interior, so a witness
+    # with an empty interior must leave d 2-edge-connected without its s-t edge
+    s, t, sub, vertices = open_cactus_decomposition(d)
+    open_cactus_parts(sub)
+    assert (vertices[sub.roots[0]], vertices[sub.roots[1]]) == (s, t) and s != t
+    interior = {v for i, v in enumerate(vertices) if i not in sub.roots}
+    assert d.roots[0] not in interior
+    rest = list(d.edges)
+    for u, v in sub.edges:
+        rest.remove((min(vertices[u], vertices[v]), max(vertices[u], vertices[v])))
+    keep = {v: i for i, v in enumerate(v for v in range(d.vertex_count)
+                                        if v not in interior)}
+    remainder = Diagram(len(keep), tuple((keep[u], keep[v]) for u, v in rest))
+    assert classify(remainder).two_edge_connected
+
+
+def test_open_cactus_decomposition_every_root():
+    count = 0
+    for d in enumerate_two_edge_connected(7):
+        if classify(d).cactus:
+            continue
+        for r in range(d.vertex_count):
+            _check_decomposition_strict(d.with_roots((r,)))
+        count += 1
+    assert count == 184
+
+
 def test_homeomorphic_matchings():
     e1 = CATALOG["edge"].with_roots((0,))
     ms = homeomorphic_matchings(e1, e1)
@@ -205,6 +353,65 @@ def test_graft():
     assert isomorphic(graft([Diagram(1, (), (0,)), e1]), e1)
     star2 = graft([e1, e1])
     assert isomorphic(star2, CATALOG["path2"].with_roots((1,)))
+
+
+# oracles: graft and homeomorphic_quotient as they were before they shared one
+# gluing helper, copied literally
+
+def _legacy_graft(parts):
+    """Disjoint union of rooted diagrams with all roots identified into one root."""
+    parts = list(parts)
+    if not parts:
+        raise DiagramError("graft needs at least one part")
+    for p in parts:
+        if len(p.roots) != 1:
+            raise DiagramError("graft requires singly-rooted parts")
+    total = sum(p.vertex_count for p in parts)
+    edges = []
+    offset = 0
+    maps = []
+    for p in parts:
+        maps.append(offset)
+        for u, v in p.edges:
+            edges.append((u + offset, v + offset))
+        offset += p.vertex_count
+    # merge all roots into the first one
+    root_ids = [p.roots[0] + maps[i] for i, p in enumerate(parts)]
+    keep = root_ids[0]
+    blocks = [[keep] + root_ids[1:]]
+    for v in range(total):
+        if v not in root_ids:
+            blocks.append([v])
+    merged = quotient(Diagram(total, tuple(edges), (keep,)), blocks)
+    return merged
+
+
+def _legacy_homeomorphic_quotient(t1, t2, matching):
+    """Quotient of the disjoint union t1 + t2 under a homeomorphic matching."""
+    n1 = t1.vertex_count
+    union_edges = list(t1.edges) + [(u + n1, v + n1) for u, v in t2.edges]
+    union = Diagram(n1 + t2.vertex_count, tuple(union_edges), (t1.roots[0],))
+    merged = {u: v + n1 for u, v in matching.pairs}
+    blocks = [[u, merged[u]] for u in merged]
+    absorbed = set(merged) | set(merged.values())
+    for v in range(union.vertex_count):
+        if v not in absorbed:
+            blocks.append([v])
+    return quotient(union, blocks)
+
+
+def test_gluing_matches_legacy_on_catalog():
+    rooted = [d.with_roots((r,)) for d in CATALOG.values() for r in range(d.vertex_count)]
+    for d1, d2 in itertools.product(rooted, repeat=2):
+        assert graft([d1, d2]) == _legacy_graft([d1, d2])
+    assert graft(rooted[-3:]) == _legacy_graft(rooted[-3:])
+    # the root pair, alone or with one more pair
+    at_zero = [d.with_roots((0,)) for d in CATALOG.values()]
+    for d1, d2 in itertools.product(at_zero, repeat=2):
+        for u, v in itertools.product(range(d1.vertex_count), range(d2.vertex_count)):
+            m = HomeomorphicMatching(frozenset({(0, 0), (u, v)} if u and v else {(0, 0)}))
+            assert (homeomorphic_quotient(d1, d2, m)
+                    == _legacy_homeomorphic_quotient(d1, d2, m))
 
 
 def test_parse_and_catalog():
