@@ -139,7 +139,7 @@ def _window_leaf_keys(s, positions, edge_keys):
 
 @functools.lru_cache(maxsize=None)
 def _step_uses(calls, n):
-    """How often each contraction step is requested by onsager_b over the
+    """How often each kernel step is requested by onsager_b over the
     (s, t) windows in `calls` on one n x n matrix."""
     return tuple(graphpoly._step_uses(
         ((q, verts, _window_leaf_keys(s, positions, edge_keys))
@@ -154,7 +154,7 @@ def onsager_b(a, fprime_vectors, s, t, budget=None, _memo=None):
     for s < r < t.  Computed by Mobius inversion over set partitions of the
     t-s walk positions, evaluating each contracted weighted cycle with the
     graph-polynomial engine.  The quotients and their contraction plans are
-    built once per window and size.  Contraction steps that recur across
+    built once per window and size.  Pairwise kernel results that recur across
     partitions are computed once: within this call, or, when the exact memory
     term passes its per-trial `_memo` (and has checked `a`), across the trial.
     """

@@ -288,13 +288,16 @@ def diagonal_from_spectral(d, moments):
         raise ValueError("diagonal_from_spectral needs a moment table")
     if not classify(d).cactus:
         raise DiagramError("diagram must be a cactus")
+    cycles = cycles_of_cactus(d)
     direct = 1.0
-    for length in cycles_of_cactus(d):
+    for length in cycles:
         direct *= moments[length]
 
-    kappa = moments_to_cumulants(moments)
+    # kappa_k depends on m_1..m_k only: convert up to the longest cycle
+    kappa = moments_to_cumulants(
+        CumulantTable(moments.values[:max(cycles, default=1)], "moments"))
     via_z = 1.0
-    for length in cycles_of_cactus(d):
+    for length in cycles:
         cyc = diagrams.cycle_diagram(length)
         total = 0.0
         for p in enumerate_nc(length):

@@ -6,14 +6,16 @@ of matrix entries along edges.  The main evaluator contracts vertices in a
 greedy min-width order; a literal nested-loop oracle is kept alongside.
 
 The public functions check their matrix labels once per call and hand them
-to a private core.  The core's plan (elimination order, einsum specs and
-paths, cost estimates) is built once per (diagram, weighted vertices, n)
-and reused.  Evaluations that share one matrix can share a memo that
-computes each repeated contraction step once and frees it after its last
-use: `eval_catalog` evaluates a whole list of diagrams (and, in the
-z-basis, their quotient families) on one matrix with one label check and
-one memo, and the Onsager partition sums of a treelike AMP trial share one
-memo across the trial.
+to a private core.  The core's plan (elimination order, cost estimates, and
+each elimination's einsum path expanded into numpy's pairwise kernel calls)
+is built once per (diagram, weighted vertices, n) and reused; evaluation
+runs those kernels directly, each only when its result is requested.
+Evaluations that share one matrix can share a memo that runs each repeated
+kernel call once and frees its result after its last request:
+`eval_catalog` evaluates a whole list of diagrams (and, in the z-basis,
+their quotient families) on one matrix with one label check and one memo,
+and the Onsager partition sums of a treelike AMP trial share one memo
+across the trial.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy._core.einsumfunc import bmm_einsum, c_einsum
 
 from . import diagrams
 from .diagrams import Diagram, DiagramError, quotient, set_partitions
@@ -100,16 +103,19 @@ def _plan(d, weighted, n):
     """The contraction plan of d with vertex weights at `weighted`, at size n.
 
     A plan is (steps, costs, leftover) and is never changed once built.
-    Factors are numbered: the edges in edge order, then the weights in
-    `weighted` order, then each step's result.  A step is None for an
-    isolated vertex (a factor n), else (input factor ids, einsum spec,
-    einsum path, whether it leaves a factor); costs holds the running flop
-    estimate after each contraction; leftover lists the (indices, factor
-    id) pairs left for the roots.
+    Each vertex elimination takes numpy's greedy einsum path, expanded into
+    numpy's contraction list; each entry becomes one step, the call to a
+    numpy kernel that np.einsum would make for it.  Factors are numbered:
+    the edges in edge order, then the weights in `weighted` order, then one
+    per step, so step k leaves factor k + (edges + weights).  A step is None
+    for an isolated vertex (a factor n), else (input factor ids, kernel
+    einsum string, whether it leaves a factor rather than a scalar); costs
+    holds the running flop estimate after each elimination; leftover lists
+    the (indices, factor id) pairs left for the roots.
     """
     factors = [((u,) if u == v else (u, v), ei) for ei, (u, v) in enumerate(d.edges)]
     factors += [((v,), d.edge_count + k) for k, v in enumerate(weighted)]
-    next_id = len(factors)
+    n_leaves = len(factors)
     root_set = set(d.roots)
     remaining = [v for v in range(d.vertex_count) if v not in root_set]
     steps, costs = [], []
@@ -137,31 +143,29 @@ def _plan(d, weighted, n):
         letters = {i: chr(97 + k) for k, i in enumerate(idx_all)}
         spec = (",".join("".join(letters[i] for i in t) for t, _ in group)
                 + "->" + "".join(letters[i] for i in out_idx))
-        # the path numpy's optimize=True would pick; it depends on shapes only
+        # the kernel calls of numpy's optimize=True path; they depend on
+        # shapes only.  np.einsum pops its operands at each call's (reverse-
+        # sorted) indices and appends the result; so do the factor ids here
         shapes = [np.broadcast_to(0.0, (n,) * len(t)) for t, _ in group]
-        path = np.einsum_path(spec, *shapes, optimize="greedy")[0]
-        steps.append((tuple(i for _, i in group), spec, path, bool(out_idx)))
+        ids = [i for _, i in group]
+        for inds, kernel, _ in np.einsum_path(spec, *shapes, optimize="greedy",
+                                              einsum_call=True)[1]:
+            steps.append((tuple(ids.pop(x) for x in inds), kernel,
+                          not kernel.endswith("->")))
+            ids.append(n_leaves + len(steps) - 1)
         if out_idx:
-            factors.append((out_idx, next_id))
-            next_id += 1
+            factors.append((out_idx, ids[0]))
     return tuple(steps), tuple(costs), tuple(factors)
 
 
 def _step_keys(steps, leaf_keys):
-    """Memo key of each step (None for isolated vertices): its spec and the
-    keys of its inputs, starting from one key per edge and weight factor."""
+    """Memo key of each factor id: the leaf keys (one per edge and weight
+    factor), then per step its kernel string and the keys of its inputs
+    (None for isolated vertices)."""
     keys = list(leaf_keys)
-    out = []
     for step in steps:
-        if step is None:
-            out.append(None)
-            continue
-        inputs, spec, _, leaves_factor = step
-        key = (spec, tuple(keys[i] for i in inputs))
-        out.append(key)
-        if leaves_factor:
-            keys.append(key)
-    return out
+        keys.append(None if step is None else (step[1], tuple(keys[i] for i in step[0])))
+    return keys
 
 
 def _edge_keys(d):
@@ -169,46 +173,79 @@ def _edge_keys(d):
     return tuple("diag A" if u == v else "A" for u, v in d.edges)
 
 
+def _count(f, steps, keys, n_leaves, uses):
+    """Count a request of factor f, and the requests its step makes the
+    first time its key is requested (later requests are memo hits)."""
+    if f >= n_leaves:
+        key = keys[f]
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1:
+            for i in steps[f - n_leaves][0]:
+                _count(i, steps, keys, n_leaves, uses)
+
+
 def _step_uses(evaluations, n):
-    """How often each step key is requested by the (diagram, weighted
-    vertices, leaf keys) evaluations at size n, as a dict for _Memo."""
+    """How often each step key is requested when the (diagram, weighted
+    vertices, leaf keys) evaluations at size n share one memo, as a dict
+    for _Memo."""
     uses = {}
     for d, weighted, leaf_keys in evaluations:
-        for key in _step_keys(_plan(d, weighted, n)[0], leaf_keys):
-            if key is not None:
-                uses[key] = uses.get(key, 0) + 1
+        steps, _, leftover = _plan(d, weighted, n)
+        keys, n_leaves = _step_keys(steps, leaf_keys), len(leaf_keys)
+        # _eval_w's requests: the scalar steps, then the factors of the roots
+        for f in ([n_leaves + k for k, step in enumerate(steps) if step and not step[2]]
+                  + [i for _, i in leftover]):
+            _count(f, steps, keys, n_leaves, uses)
     return uses
 
 
 class _Memo:
-    """Contraction results shared by evaluations on the same leaf factors.
+    """Kernel results shared by evaluations on the same leaf factors.
 
     `uses` gives, as a dict or its (step key, count) items, how many times
-    the evaluations will request each step; a result is kept while requests
-    remain and dropped after the last.
+    the evaluations will request each step (as _step_uses counts them); a
+    result is kept while requests remain and dropped after the last.
     """
 
     def __init__(self, uses):
         self._left = dict(uses)
         self._values = {}
 
-    def run(self, key, spec, ops, path):
-        arr = self._values.pop(key, None)
-        if arr is None:
-            arr = np.einsum(spec, *ops, optimize=path)
+    def get(self, key):
+        """Count one request of key: its kept result, or None if it must run."""
         left = self._left.get(key, 1) - 1
         self._left[key] = left
-        if left > 0:
+        return self._values.get(key) if left > 0 else self._values.pop(key, None)
+
+    def put(self, key, arr):
+        if self._left[key] > 0:
             self._values[key] = arr
-        return arr
+
+
+def _value(f, steps, vals, keys, memo):
+    """Factor f of an evaluation with leaf values `vals`: a leaf, or its
+    step's result, found in the memo or run on its inputs' values."""
+    if f < len(vals):
+        return vals[f]
+    arr = None if memo is None else memo.get(keys[f])
+    if arr is None:
+        inputs, kernel, _ = steps[f - len(vals)]
+        ops = [_value(i, steps, vals, keys, memo) for i in inputs]
+        # the kernels np.einsum's own contraction loop calls
+        arr = bmm_einsum(kernel, *ops) if len(ops) == 2 else c_einsum(kernel, *ops)
+        if memo is not None:
+            memo.put(keys[f], arr)
+    return arr
 
 
 def _eval_w(d, labels, n, vertex_weights=None, budget=None, memo=None,
             leaf_keys=None):
     """eval_w on labels already checked by _as_labels (None when edgeless).
 
-    With a memo, each step is looked up by its key, derived from
-    `leaf_keys` (one per edge, then one per weighted vertex).
+    Steps run on demand: for each scalar step in plan order, then for each
+    factor left for the roots.  With a memo, each step is looked up by its
+    key, derived from `leaf_keys` (one per edge, then one per weighted
+    vertex), and runs only on a miss.
     """
     if budget is None:
         budget = _default_budget(n)
@@ -231,19 +268,10 @@ def _eval_w(d, labels, n, vertex_weights=None, budget=None, memo=None,
     for k, step in enumerate(steps):
         if step is None:
             scale *= n  # isolated vertex: free labeling
-            continue
-        inputs, spec, path, leaves_factor = step
-        ops = [vals[i] for i in inputs]
-        if memo is None:
-            arr = np.einsum(spec, *ops, optimize=path)
-        else:
-            arr = memo.run(keys[k], spec, ops, path)
-        if leaves_factor:
-            vals.append(arr)
-        else:
-            scale *= float(arr)
-
-    return _combine_roots(d, [(t, vals[i]) for t, i in leftover], scale, n)
+        elif not step[2]:
+            scale *= float(_value(len(vals) + k, steps, vals, keys, memo))
+    roots = [(t, _value(f, steps, vals, keys, memo)) for t, f in leftover]
+    return _combine_roots(d, roots, scale, n)
 
 
 def _combine_roots(d, factors, scale, n):
@@ -378,8 +406,8 @@ def eval_catalog(requests, a, budget=None, cap=diagrams.CANON_CAP):
 
     basis is "w" or "z"; a z-value sums its quotients' w-values with the
     integer coefficients of z_to_w_coefficients.  The matrix is checked
-    once, and every contraction step that recurs across the requests and
-    their quotients runs once and is freed after its last use.  The values
+    once, and every kernel call that recurs across the requests and their
+    quotients runs once and is freed after its last use.  The values
     equal those of eval_w and eval_z bit for bit.
     """
     a = _as_matrix(a)

@@ -409,8 +409,8 @@ def test_treelike_memo_serves_every_counted_request(monkeypatch):
     cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
     run(a, cfg)
     (memo,) = memos
-    # 162 step requests per T=5 trial, 60 of them distinct
-    assert (sum(memo.uses.values()), len(memo.uses)) == (162, 60)
+    # 229 kernel requests per T=5 trial, 109 of them distinct
+    assert (sum(memo.uses.values()), len(memo.uses)) == (229, 109)
     assert set(memo._left) == set(memo.uses)  # no request the counts missed
     assert set(memo._left.values()) == {0}  # every counted request was made
     assert not memo._values  # and each shared result freed after its last use

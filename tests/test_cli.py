@@ -171,17 +171,19 @@ def test_se_divergence_exit_code(tmp_path, capsys):
 
 
 def _count_engine_work(monkeypatch):
-    """Record label checks, einsum runs and the memos the engine builds."""
-    seen = {"checks": 0, "einsums": 0, "requests": 0, "memos": []}
-    check, einsum = graphpoly._as_matrix, np.einsum
+    """Record label checks, kernel runs and the memos the engine builds."""
+    seen = {"checks": 0, "kernels": 0, "requests": 0, "memos": []}
+    check = graphpoly._as_matrix
 
     def counting_check(*args):
         seen["checks"] += 1
         return check(*args)
 
-    def counting_einsum(*args, **kwargs):
-        seen["einsums"] += 1
-        return einsum(*args, **kwargs)
+    def counting(kernel):
+        def run(*args, **kwargs):
+            seen["kernels"] += 1
+            return kernel(*args, **kwargs)
+        return run
 
     class Memo(graphpoly._Memo):
         def __init__(self, uses):
@@ -190,7 +192,8 @@ def _count_engine_work(monkeypatch):
             seen["memos"].append(self)
 
     monkeypatch.setattr(graphpoly, "_as_matrix", counting_check)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    for name in ("bmm_einsum", "c_einsum"):
+        monkeypatch.setattr(graphpoly, name, counting(getattr(graphpoly, name)))
     monkeypatch.setattr(graphpoly, "_Memo", Memo)
     return seen
 
@@ -207,11 +210,11 @@ def test_catalog_checks_once_and_runs_each_step_once(tmp_path, monkeypatch, comm
     assert seen["checks"] == trials  # one symmetry check per trial
     assert len(seen["memos"]) == trials
     # every distinct step key runs once, and its result is freed after its last use
-    assert seen["einsums"] == sum(len(m._left) for m in seen["memos"])
+    assert seen["kernels"] == sum(len(m._left) for m in seen["memos"])
     for memo in seen["memos"]:
         assert memo._values == {}
         assert set(memo._left.values()) == {0}
-    assert seen["einsums"] < seen["requests"]  # the diagrams share steps
+    assert seen["kernels"] < seen["requests"]  # the diagrams share steps
 
 
 def test_preset_configs_load():

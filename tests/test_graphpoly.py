@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from trafficamp import graphpoly as gp
 from trafficamp import matrixio
+from trafficamp.amp import AMPConfig, run
 from trafficamp.diagrams import (CATALOG, Diagram, DiagramError,
                                  enumerate_connected_multigraphs, graft)
 
@@ -450,3 +454,46 @@ def test_eval_catalog_usage():
     from trafficamp.diagrams import DiagramSizeError
     with pytest.raises(DiagramSizeError):
         gp.eval_catalog([(CATALOG["cycle8"], "z")], a, cap=7)
+
+
+# ---------------------------------------------------------------------------
+# the engine runs numpy's kernels from its plans, and holds no matrix in a cycle
+# ---------------------------------------------------------------------------
+
+_ENGINE_REQUESTS = [(CATALOG[nm], basis) for nm in
+                    ("cycle2", "cycle4", "bowtie", "cycle3", "path3", "star3", "theta")
+                    for basis in "wz"]
+
+
+def _exact_trial(a):
+    run(a, AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike"))
+
+
+def test_built_plans_are_not_planned_again(monkeypatch):
+    rng = np.random.default_rng(18)
+    a = _rand_sym(rng, 24)
+    gp.eval_catalog(_ENGINE_REQUESTS, a)
+    _exact_trial(a)
+    calls = []
+    for name in ("einsum", "einsum_path"):
+        def record(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, record)
+    b = _rand_sym(rng, 24)
+    gp.eval_catalog(_ENGINE_REQUESTS, b)
+    _exact_trial(b)
+    assert calls == []
+
+
+def test_no_reference_cycle_keeps_the_matrix_alive():
+    a = _rand_sym(np.random.default_rng(19), 24)
+    alive = weakref.ref(a)
+    gc.disable()
+    try:
+        gp.eval_catalog(_ENGINE_REQUESTS, a)
+        _exact_trial(a)
+        del a
+        assert alive() is None
+    finally:
+        gc.enable()
