@@ -20,7 +20,6 @@ from . import amp as amp_mod
 from . import ensembles, freeprob, graphpoly, matrixio, state_evolution as se_mod
 from .diagrams import Diagram, classify, named_diagram
 from .freeprob import CumulantTable, cactus_traffic_value, named_table
-from .gaussian import named_polynomial
 
 AUDIT_OPEN_CACTUSES = {
     "open_path2": Diagram(3, ((0, 1), (1, 2)), (0, 2)),
@@ -58,9 +57,16 @@ CONFIG_KEYS = {
 }
 
 
+# config keys that take an integer, as (section, key); each dimension_sweep
+# entry is one
+INTEGER_KEYS = ((None, "trials"), (None, "master_seed"), (None, "dimension_sweep"),
+                ("amp", "T"), ("ensemble", "n"), ("ensemble", "q"), ("ensemble", "seed"))
+
+
 def load_config(path):
-    """Read a JSON config; a key outside CONFIG_KEYS, or a `trials` that is
-    not an integer >= 1, is a ValueError that names the key."""
+    """Read a JSON config; a key outside CONFIG_KEYS, an INTEGER_KEYS value that
+    is not an integer (a bool, float or string), or a `trials` below 1, is a
+    ValueError that names the key."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -72,10 +78,15 @@ def load_config(path):
                 where = "the top level" if section is None else "section %r" % section
                 raise ValueError("unknown config key %r in %s of %s"
                                  % (key, where, path))
-    trials = cfg.get("trials", 1)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError("config key 'trials' must be an integer >= 1, not %r, in %s"
-                         % (trials, path))
+    for section, key in INTEGER_KEYS:
+        obj = cfg if section is None else cfg.get(section)
+        value = obj.get(key) if isinstance(obj, dict) else None
+        values = value if isinstance(value, list) else [] if value is None else [value]
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, int) or key == "trials" and v < 1:
+                where = "" if section is None else " in section %r" % section
+                raise ValueError("config key %r%s must be an integer%s, not %r, in %s" % (
+                    key, where, " >= 1" if key == "trials" else "", v, path))
     return cfg
 
 
@@ -86,19 +97,17 @@ def _ensemble_from_config(cfg, n=None):
     return ensembles.EnsembleSpec.from_json(spec)
 
 
-def _resolve_kappa(spec):
-    if isinstance(spec, str):
-        return named_table(spec)
-    return CumulantTable.from_json(spec)
-
-
 def _amp_config_from(cfg, seed):
     a = dict(cfg["amp"])
-    kappa = _resolve_kappa(a["kappa"]) if "kappa" in a else None
+    kappa = a.get("kappa")
+    if isinstance(kappa, str):
+        kappa = named_table(kappa)
+    elif kappa is not None:
+        kappa = CumulantTable.from_json(kappa)
     return amp_mod.AMPConfig(
-        nonlinearities=tuple(named_polynomial(p) for p in a["nonlinearities"]),
-        T=int(a["T"]), mode=a.get("mode", "scalar_kappa"), kappa=kappa,
-        init=a.get("init", "ones"), seed=seed)
+        nonlinearities=tuple(a["nonlinearities"]), T=int(a["T"]),
+        mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"),
+        seed=seed)
 
 
 DETERMINISTIC_KINDS = ("hadamard", "dst", "dct")
@@ -296,14 +305,12 @@ def cmd_cactus_audit(args):
 # amp
 # ---------------------------------------------------------------------------
 
-def _block_label_vector(cfg, n):
-    spec = cfg["ensemble"]
-    if spec["kind"] == "block_goe":
-        return ensembles.block_labels(n, int(spec["q"]))
-    if spec["kind"] == "community":
-        q = int(spec["q"])
-        lab = np.zeros(n, dtype=int)
-        lab[: n // q] = 1  # distinguished block carries kernel index 1
+def _block_label_vector(spec):
+    if spec.kind == "block_goe":
+        return ensembles.block_labels(spec.n, spec.q)
+    if spec.kind == "community":
+        lab = np.zeros(spec.n, dtype=int)
+        lab[: spec.n // spec.q] = 1  # distinguished block carries kernel index 1
         return lab
     return None
 
@@ -318,7 +325,7 @@ def cmd_amp(args):
     cfgs = [_amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1))
             for t in range(trials)]
     spec = _ensemble_from_config(cfg)
-    labels = _block_label_vector(cfg, spec.n)
+    labels = _block_label_vector(spec)
     fixed = None
     if _is_deterministic(spec):
         # built once for all trials; read-only, so a runner that writes into
@@ -380,19 +387,12 @@ def read_moments_csv(path):
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("group,"):
-                continue
-            group, kind, a, b, mean, se = line.split(",")
-            a, b = int(a), int(b)
-            mean = float(mean)
-            se = float(se) if se else 0.0
-            if group == "all":
-                target = report
-            else:
-                r = int(group.replace("block", ""))
-                target = report.setdefault("blocks", {}).setdefault(
-                    r, {"second": {}, "power": {}})
-            target[kind][(a, b)] = (mean, se)
+            if line and not line.startswith(("#", "group,")):
+                group, kind, a, b, mean, se = line.split(",")
+                sub = report if group == "all" else report.setdefault(
+                    "blocks", {}).setdefault(int(group.replace("block", "")),
+                                             {"second": {}, "power": {}})
+                sub[kind][(int(a), int(b))] = (float(mean), float(se) if se else 0.0)
     return report
 
 
@@ -401,32 +401,26 @@ def read_moments_csv(path):
 # ---------------------------------------------------------------------------
 
 def build_kernel(cfg):
-    a = cfg["amp"]
-    fs = [named_polynomial(p) for p in a["nonlinearities"]]
-    T = int(a["T"])
-    mode = a.get("mode", "scalar_kappa")
-    if mode == "scalar_kappa":
-        return se_mod.se_orthogonal(fs, _resolve_kappa(a["kappa"]), T)
-    if mode == "punctured_kappa":
-        return se_mod.se_punctured(fs, _resolve_kappa(a["kappa"]), T)
-    if mode == "block_goe":
-        spec = cfg["ensemble"]
-        q = int(spec["q"])
-        sigma = np.array(spec["sigma"], dtype=np.float64).reshape(q, q)
-        return se_mod.se_block_goe(fs, sigma, q, T)
-    if mode == "exact_treelike":
-        spec = cfg["ensemble"]
-        if spec["kind"] == "community":
-            q = int(spec["q"])
-            kin = ensembles.community_kappa_table(q, spec.get("inner", "rom"),
-                                                  length=max(8, 2 * T))
-            return se_mod.se_community(fs, kin, q, T)
-        if spec["kind"] in ("goe", "wigner"):
-            return se_mod.se_orthogonal(fs, named_table("goe", 2 * T), T)
-        if spec["kind"] == "rom":
-            return se_mod.se_orthogonal(fs, named_table("rom", 2 * T), T)
-        raise ValueError("no SE preset for treelike mode on %r" % spec["kind"])
-    raise ValueError("no SE variant for mode %r" % mode)
+    """The SE kernel of cfg's AMP run, from the AMPConfig and EnsembleSpec that
+    `amp` reads, so `se` rejects every config that `amp` rejects."""
+    acfg, spec = _amp_config_from(cfg, seed=0), _ensemble_from_config(cfg)
+    fs, T = acfg.nonlinearities, acfg.T
+    if acfg.mode == "scalar_kappa":
+        return se_mod.se_orthogonal(fs, acfg.kappa, T)
+    if acfg.mode == "punctured_kappa":
+        return se_mod.se_punctured(fs, acfg.kappa, T)
+    if acfg.mode == "block_goe":
+        if spec.kind != "block_goe":
+            raise ValueError("no SE preset for block_goe mode on %r" % spec.kind)
+        return se_mod.se_block_goe(fs, spec.sigma_matrix(), spec.q, T)
+    if spec.kind == "community":  # exact_treelike from here on
+        kin = ensembles.community_kappa_table(spec.q, spec.inner or "rom",
+                                              length=max(8, 2 * T))
+        return se_mod.se_community(fs, kin, spec.q, T)
+    if spec.kind in ("goe", "wigner", "rom"):
+        table = named_table("rom" if spec.kind == "rom" else "goe", 2 * T)
+        return se_mod.se_orthogonal(fs, table, T)
+    raise ValueError("no SE preset for treelike mode on %r" % spec.kind)
 
 
 def cmd_se(args):

@@ -41,7 +41,10 @@ class EnsembleSpec:
             if not self.q or self.n % self.q:
                 raise ValueError("block kinds need q dividing n")
         if self.kind == "block_goe":
-            s = np.asarray(self.sigma, dtype=np.float64).reshape(self.q, self.q)
+            if self.sigma is None or np.size(self.sigma) != self.q * self.q:
+                raise ValueError("block_goe needs sigma with q*q = %d entries"
+                                 % (self.q * self.q))
+            s = self.sigma_matrix()
             if not np.allclose(s, s.T) or np.any(s < 0):
                 raise ValueError("sigma must be symmetric with nonnegative entries")
         if self.kind == "punctured" and (self.inner is None or self.inner == "punctured"):

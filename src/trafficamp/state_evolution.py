@@ -2,7 +2,8 @@
 
 Each variant builds a symmetric T x T kernel whose (s, t) entry is the
 limiting value of <x_s x_t>, with all Gaussian expectations evaluated exactly
-through the matching calculus in :mod:`trafficamp.gaussian`.
+through the matching calculus in :mod:`trafficamp.gaussian`.  The variants run
+one column-by-column recursion and differ only in the entries of a column.
 """
 
 from __future__ import annotations
@@ -128,6 +129,20 @@ def _kappa_sum(kappa, fprime_mean, s, t, pair, skip=None):
     return total
 
 
+def _kernels(T, weights, variant, column):
+    """The SEKernel of one T x T kernel per mixture weight, filled column by
+    column.  column(t, laws) yields, for s = 1..t, the (s, t) entries of all
+    kernels; laws[i] is the law of kernel i with columns 1..t-1 filled, the
+    only entries that column t reads."""
+    gammas = [np.zeros((T, T)) for _ in weights]
+    for t in range(1, T + 1):
+        laws = [_law(g, T) for g in gammas]
+        for s, entries in enumerate(column(t, laws), 1):
+            for g, x in zip(gammas, entries):
+                g[s - 1, t - 1] = g[t - 1, s - 1] = _finite(x, t)
+    return SEKernel(tuple(gammas), weights, variant, T)
+
+
 def se_orthogonal(fs, kappa, T):
     """Kernel for the scalar-kappa iteration on factorizing-cactus matrices.
 
@@ -152,35 +167,24 @@ def _se_scalar(fs, kappa, T, variant):
         raise ValueError("need f_0..f_{T-1}")
     if len(kappa) < 2 * T:
         raise ValueError("kappa table must cover order 2T")
-    gamma = np.zeros((T, T))
+    centered = variant == "punctured"
     fprime_mean, fmean = {}, {}
 
-    def pair(sp, tp):  # under the law lw of the current step
-        if variant == "punctured":
-            return _centered_pair(lw, fs, fmean, sp, tp)
-        return _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
-
-    for t in range(1, T + 1):
-        lw = _law(gamma, T)
+    def column(t, laws):
+        lw = laws[0]
         if t - 1 >= 1:
             fprime_mean[t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()}, lw)
-            if variant == "punctured":
+            if centered:
                 fmean[t - 1] = poly_expectation({t - 1: fs[t - 1]}, lw)
-        for s in range(1, t + 1):
-            lw = _law(gamma, T)
-            total = _kappa_sum(kappa, fprime_mean, s, t, pair)
-            gamma[s - 1, t - 1] = gamma[t - 1, s - 1] = _finite(total, t)
-    return SEKernel((gamma,), (1.0,), variant, T)
 
+        def pair(sp, tp):  # E[Fbar_sp Fbar_tp] when centered, with Fbar_0 = 1
+            if centered and 0 in (sp, tp):
+                return float(sp == tp)  # E[Fbar_t] = 0 by centering
+            raw = _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
+            return raw - fmean[sp] * fmean[tp] if centered else raw
+        return ((_kappa_sum(kappa, fprime_mean, s, t, pair),) for s in range(1, t + 1))
 
-def _centered_pair(lw, fs, fmean, sp, tp):
-    """E[Fbar_{sp} Fbar_{tp}] with Fbar_0 = 1."""
-    if sp == 0 and tp == 0:
-        return 1.0
-    if sp == 0 or tp == 0:
-        return 0.0  # E[Fbar_t] = 0 by centering
-    raw = _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
-    return raw - fmean[sp] * fmean[tp]
+    return _kernels(T, (1.0,), variant, column)
 
 
 def se_block_goe(fs, sigma, q, T):
@@ -200,23 +204,14 @@ def se_block_goe(fs, sigma, q, T):
         raise ValueError("sigma entries must be nonnegative")
     if len(fs) < T:
         raise ValueError("need f_0..f_{T-1}")
-    gammas = [np.zeros((T, T)) for _ in range(q)]
-    for t in range(1, T + 1):
-        laws = [_law(g, T) for g in gammas]
+
+    def column(t, laws):
         for s in range(1, t + 1):
-            vals = []
-            for r in range(q):
-                total = 0.0
-                for c in range(q):
-                    if sigma[r, c] == 0.0:
-                        continue
-                    e = _pair_expectation(laws[c], fs[s - 1], s - 1, fs[t - 1], t - 1)
-                    total += sigma[r, c] / q * e
-                vals.append(_finite(total, t))
-            for r in range(q):
-                gammas[r][s - 1, t - 1] = vals[r]
-                gammas[r][t - 1, s - 1] = vals[r]
-    return SEKernel(tuple(gammas), (1.0 / q,) * q, "block_goe", T)
+            e = [_pair_expectation(lw, fs[s - 1], s - 1, fs[t - 1], t - 1) for lw in laws]
+            yield [sum(sigma[r, c] / q * e[c] for c in range(q) if sigma[r, c] != 0.0)
+                   for r in range(q)]
+
+    return _kernels(T, (1.0 / q,) * q, "block_goe", column)
 
 
 def se_community(fs, kappa_inner, q, T):
@@ -230,25 +225,23 @@ def se_community(fs, kappa_inner, q, T):
         raise ValueError("community model requires inner kappa_2 = 1/q")
     if len(kappa_inner) < 2 * T:
         raise ValueError("kappa table must cover order 2T")
-    g0 = np.zeros((T, T))
-    g1 = np.zeros((T, T))
     w0, w1 = 1.0 - 1.0 / q, 1.0 / q
-
     fprime_mean1 = {}
-    for t in range(1, T + 1):
-        lw0, lw1 = _law(g0, T), _law(g1, T)
+
+    def column(t, laws):
+        lw0, lw1 = laws
         if t - 1 >= 1:
             fprime_mean1[t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()}, lw1)
+
+        def pair1(sp, tp):
+            return _pair_expectation(lw1, fs[sp], sp, fs[tp], tp)
         for s in range(1, t + 1):
-            lw0, lw1 = _law(g0, T), _law(g1, T)
             mix = (w0 * _pair_expectation(lw0, fs[s - 1], s - 1, fs[t - 1], t - 1)
-                   + w1 * _pair_expectation(lw1, fs[s - 1], s - 1, fs[t - 1], t - 1))
-            extra = _kappa_sum(kappa_inner, fprime_mean1, s, t, lambda sp, tp:
-                               _pair_expectation(lw1, fs[sp], sp, fs[tp], tp),
-                               skip=(s - 1, t - 1))
-            g0[s - 1, t - 1] = g0[t - 1, s - 1] = _finite(mix, t)
-            g1[s - 1, t - 1] = g1[t - 1, s - 1] = _finite(mix + extra, t)
-    return SEKernel((g0, g1), (w0, w1), "community", T)
+                   + w1 * pair1(s - 1, t - 1))
+            yield mix, mix + _kappa_sum(kappa_inner, fprime_mean1, s, t, pair1,
+                                        skip=(s - 1, t - 1))
+
+    return _kernels(T, (w0, w1), "community", column)
 
 
 # ---------------------------------------------------------------------------
@@ -270,85 +263,67 @@ def compare_empirical(kernel, report, threshold=4.0, se_floor=1e-9):
 
     `report` aggregates per-seed empirical_state outputs: it must carry
     {"second": {(s,t): (mean, se)}, "power": {(t,k): (mean, se)}} and, for
-    mixture kernels, "blocks": {r: {...same...}}.  Returns a verdict table
-    (list of row dicts) and an overall pass flag.  A report whose SEs are all
-    0 (one trial) gives no z-scores and raises ValueError.
+    mixture kernels, "blocks": {r: {...same...}}.  Each compared group is a
+    mixture of kernels: "all" is the whole kernel, block r its kernel r alone,
+    and a statistic's prediction is the weighted sum over the mixture.  Blocks
+    are compared when the kernel is a mixture and the report has blocks, else
+    "all".  Returns a verdict table (list of row dicts) and an overall pass
+    flag.  A report whose SEs are all 0 (one trial), or with a statistic or
+    block the kernel does not have, gives no z-scores and raises ValueError.
     """
-    groups = [report] + list(report.get("blocks", {}).values())
-    ses = [se for g in groups for part in ("second", "power")
+    subs = [report] + list(report.get("blocks", {}).values())
+    ses = [se for g in subs for part in ("second", "power")
            for _, se in g.get(part, {}).values()]
     if ses and not any(ses):
         raise ValueError("every across-trial SE in the report is 0, as from a "
                          "1-trial run; compare needs at least 2 trials")
-    rows = []
-
-    def z(mean, se, target):
-        return abs(mean - target) / max(se, se_floor)
-
     if len(kernel.gammas) == 1 or "blocks" not in report:
-        gamma = _mixture_second(kernel)
-        for (s, t), (mean, se) in sorted(report.get("second", {}).items()):
-            target = gamma[s - 1, t - 1]
-            rows.append({"group": "all", "stat": "x%d*x%d" % (s, t),
-                         "s": s, "t": t, "empirical": mean, "predicted": target,
-                         "z": z(mean, se, target)})
-        for (t, k), (mean, se) in sorted(report.get("power", {}).items()):
-            target = _mixture_power(kernel, t, k)
-            rows.append({"group": "all", "stat": "x%d^%d" % (t, k),
-                         "s": t, "t": k, "empirical": mean, "predicted": target,
-                         "z": z(mean, se, target)})
+        groups = [("all", report, kernel.gammas, kernel.weights)]
     else:
-        for r, sub in sorted(report["blocks"].items()):
-            gamma = kernel.gammas[r]
-            for (s, t), (mean, se) in sorted(sub.get("second", {}).items()):
-                target = gamma[s - 1, t - 1]
-                rows.append({"group": "block%d" % r, "stat": "x%d*x%d" % (s, t),
-                             "s": s, "t": t, "empirical": mean,
-                             "predicted": target, "z": z(mean, se, target)})
-            for (t, k), (mean, se) in sorted(sub.get("power", {}).items()):
-                target = gaussian_power_moment(gamma[t - 1, t - 1], k)
-                rows.append({"group": "block%d" % r, "stat": "x%d^%d" % (t, k),
-                             "s": t, "t": k, "empirical": mean,
-                             "predicted": target, "z": z(mean, se, target)})
+        for r in report["blocks"]:
+            if not 0 <= r < len(kernel.gammas):
+                raise ValueError("the moments have block %d; the kernel has %d blocks"
+                                 % (r, len(kernel.gammas)))
+        groups = [("block%d" % r, sub, (kernel.gammas[r],), (1.0,))
+                  for r, sub in sorted(report["blocks"].items())]
+    stats = (("second", "x%d*x%d", lambda g, s, t: g[s - 1, t - 1]),
+             ("power", "x%d^%d",
+              lambda g, t, k: gaussian_power_moment(g[t - 1, t - 1], k)))
+    for name, sub, _, _ in groups:
+        for part, fmt, _ in stats:
+            for a, b in sub.get(part, {}):
+                if not 1 <= a <= kernel.T or part == "second" and not 1 <= b <= kernel.T:
+                    raise ValueError("statistic %s of group %s is outside the kernel's "
+                                     "T = %d" % (fmt % (a, b), name, kernel.T))
+    rows = []
+    for name, sub, gammas, weights in groups:
+        for part, fmt, target in stats:
+            for (a, b), (mean, se) in sorted(sub.get(part, {}).items()):
+                pred = sum(w * target(g, a, b) for g, w in zip(gammas, weights))
+                rows.append({"group": name, "stat": fmt % (a, b), "s": a, "t": b,
+                             "empirical": mean, "predicted": pred,
+                             "z": abs(mean - pred) / max(se, se_floor)})
     passed = all(row["z"] <= threshold for row in rows)
     return rows, passed
 
 
-def _mixture_second(kernel):
-    out = np.zeros_like(kernel.gammas[0])
-    for g, w in zip(kernel.gammas, kernel.weights):
-        out = out + w * g
-    return out
-
-
-def _mixture_power(kernel, t, k):
-    return sum(w * gaussian_power_moment(g[t - 1, t - 1], k)
-               for g, w in zip(kernel.gammas, kernel.weights))
-
-
 def aggregate_reports(states):
-    """Combine per-seed empirical_state dicts into (mean, across-seed SE) maps."""
-    out = {}
-    keys0 = states[0]
+    """Combine per-seed empirical_state dicts into (mean, across-seed SE) maps,
+    for the whole report and for each block alike."""
     m = len(states)
 
-    def agg(getter, keys):
-        res = {}
-        for key in keys:
-            vals = np.array([getter(st)[key] for st in states], dtype=np.float64)
-            se = vals.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
-            res[key] = (float(vals.mean()), float(se))
-        return res
+    def agg(groups):  # one group (the whole report, or a block) per seed
+        out = {}
+        for part in ("second", "power"):
+            out[part] = {}
+            for key in groups[0][part]:
+                vals = np.array([g[part][key] for g in groups], dtype=np.float64)
+                se = vals.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
+                out[part][key] = (float(vals.mean()), float(se))
+        return out
 
-    out["second"] = agg(lambda st: st["second"], keys0["second"])
-    out["power"] = agg(lambda st: st["power"], keys0["power"])
-    if "blocks" in keys0:
-        out["blocks"] = {}
-        for r in keys0["blocks"]:
-            out["blocks"][r] = {
-                "second": agg(lambda st: st["blocks"][r]["second"],
-                              keys0["blocks"][r]["second"]),
-                "power": agg(lambda st: st["blocks"][r]["power"],
-                             keys0["blocks"][r]["power"]),
-            }
+    out = agg(states)
+    if "blocks" in states[0]:
+        out["blocks"] = {r: agg([st["blocks"][r] for st in states])
+                         for r in states[0]["blocks"]}
     return out

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from trafficamp import ensembles, graphpoly, matrixio
-from trafficamp.cli import (CONFIG_KEYS, _orthogonality_error, load_config,
-                            main, read_moments_csv)
-from trafficamp.freeprob import named_table
+from trafficamp.cli import (CONFIG_KEYS, _orthogonality_error, _report_rows,
+                            build_kernel, load_config, main, read_moments_csv,
+                            write_csv)
+from trafficamp.freeprob import CumulantTable, named_table
+from trafficamp.gaussian import named_polynomial
+from trafficamp.state_evolution import aggregate_reports
 
 
 def run_cli(*argv):
@@ -539,3 +542,212 @@ def _check_tail_tile(tmp):
         want = _legacy_run_punctured(m, acfg, stream=trial).iterates
         got = matrixio.read_matrix(str(tmp / "t1" / ("trace_%03d.tamp" % trial)))
         assert got.tobytes() == want.tobytes(), trial
+
+
+# ---------------------------------------------------------------------------
+# byte oracles: build_kernel and read_moments_csv as they were before `se` read
+# the config through AMPConfig and EnsembleSpec
+# ---------------------------------------------------------------------------
+
+def _legacy_resolve_kappa(spec):
+    if isinstance(spec, str):
+        return named_table(spec)
+    return CumulantTable.from_json(spec)
+
+
+def _legacy_read_moments_csv(path):
+    report = {"second": {}, "power": {}}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("group,"):
+                continue
+            group, kind, a, b, mean, se = line.split(",")
+            a, b = int(a), int(b)
+            mean = float(mean)
+            se = float(se) if se else 0.0
+            if group == "all":
+                target = report
+            else:
+                r = int(group.replace("block", ""))
+                target = report.setdefault("blocks", {}).setdefault(
+                    r, {"second": {}, "power": {}})
+            target[kind][(a, b)] = (mean, se)
+    return report
+
+
+def _legacy_build_kernel(cfg):
+    from test_state_evolution import (_legacy_se_block_goe, _legacy_se_community,
+                                      _legacy_se_orthogonal, _legacy_se_punctured)
+    a = cfg["amp"]
+    fs = [named_polynomial(p) for p in a["nonlinearities"]]
+    T = int(a["T"])
+    mode = a.get("mode", "scalar_kappa")
+    if mode == "scalar_kappa":
+        return _legacy_se_orthogonal(fs, _legacy_resolve_kappa(a["kappa"]), T)
+    if mode == "punctured_kappa":
+        return _legacy_se_punctured(fs, _legacy_resolve_kappa(a["kappa"]), T)
+    if mode == "block_goe":
+        spec = cfg["ensemble"]
+        q = int(spec["q"])
+        sigma = np.array(spec["sigma"], dtype=np.float64).reshape(q, q)
+        return _legacy_se_block_goe(fs, sigma, q, T)
+    if mode == "exact_treelike":
+        spec = cfg["ensemble"]
+        if spec["kind"] == "community":
+            q = int(spec["q"])
+            kin = ensembles.community_kappa_table(q, spec.get("inner", "rom"),
+                                                  length=max(8, 2 * T))
+            return _legacy_se_community(fs, kin, q, T)
+        if spec["kind"] in ("goe", "wigner"):
+            return _legacy_se_orthogonal(fs, named_table("goe", 2 * T), T)
+        if spec["kind"] == "rom":
+            return _legacy_se_orthogonal(fs, named_table("rom", 2 * T), T)
+        raise ValueError("no SE preset for treelike mode on %r" % spec["kind"])
+    raise ValueError("no SE variant for mode %r" % mode)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PRESETS = ["goe_identity", "rom_cubic", "hadamard_punctured", "dst_punctured",
+           "blockgoe_q2", "community_q4"]
+PRESET_PATHS = ([ROOT / "configs" / ("%s.json" % nm) for nm in PRESETS]
+                + [ROOT / "benchmark" / "amp_treelike.json"])
+
+
+def _kernel_configs():
+    cfgs = [json.loads(p.read_text()) for p in PRESET_PATHS]
+    fs = ["identity", "cube_hermite", [0.1, 0.5, -0.2], "relu_poly3", "identity"]
+    exact = {"nonlinearities": fs, "mode": "exact_treelike", "init": "ones"}
+    for kind, T in (("goe", 4), ("wigner", 3), ("rom", 5)):
+        cfgs.append({"ensemble": {"kind": kind, "n": 64}, "amp": dict(exact, T=T)})
+    for q, inner in ((2, "goe"), (4, "rom"), (2, None)):
+        ens = {"kind": "community", "n": 64, "q": q}
+        cfgs.append({"ensemble": dict(ens, inner=inner) if inner else ens,
+                     "amp": dict(exact, T=5)})
+    for q, sigma in ((1, [0.5]), (3, [1.0, 0.0, 0.5, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0])):
+        cfgs.append({"ensemble": {"kind": "block_goe", "n": 60, "q": q, "sigma": sigma},
+                     "amp": {"nonlinearities": fs, "T": 4, "mode": "block_goe"}})
+    kappa = CumulantTable((0.1, 1.2, -0.3, 0.05, 0.0, 0.01, 0.0, 0.002), "cumulants")
+    for mode, init in (("scalar_kappa", "ones"), ("punctured_kappa", "gaussian")):
+        cfgs.append({"ensemble": {"kind": "hadamard", "n": 64},
+                     "amp": {"nonlinearities": fs, "T": 4, "mode": mode,
+                             "kappa": kappa.to_json(), "init": init}})
+    return cfgs
+
+
+def test_build_kernel_matches_legacy_bytes():
+    from test_state_evolution import _kernel_bytes
+    for cfg in _kernel_configs():
+        want = _kernel_bytes(_legacy_build_kernel, cfg)
+        assert isinstance(want[0], str), (cfg, want)  # a kernel, not an error
+        assert _kernel_bytes(build_kernel, cfg) == want, cfg
+
+
+def test_read_moments_csv_matches_legacy(tmp_path):
+    from test_state_evolution import _synthetic_states
+    paths = [ROOT / "benchmark" / "refs" / "amp_goe" / "seed0" / "moments.csv"]
+    for labels in ([0, 1] * 100, [2] * 50 + [0] * 150):
+        path = tmp_path / ("m%d.csv" % len(paths))
+        rep = aggregate_reports(_synthetic_states(3, labels, 0, n=200))
+        write_csv(path, ["group", "kind", "a", "b", "mean", "se"], _report_rows(rep), {})
+        paths.append(path)
+    for path in paths:
+        assert repr(read_moments_csv(str(path))) == repr(_legacy_read_moments_csv(path))
+
+
+@pytest.mark.parametrize("amp, message", [
+    ({"init": "zeros"}, "unknown init 'zeros'"),
+    ({"mode": "exact_treelike", "nonlinearities": ["identity"] * 6, "T": 6},
+     "T <= 5"),
+    ({"mode": "exact_treelike", "init": "gaussian"}, "init must be"),
+    ({"kappa": None}, "scalar modes need a cumulant table"),
+    ({"mode": "punctured_kappa", "kappa": None, "init": "gaussian"},
+     "scalar modes need a cumulant table"),
+    ({"mode": "punctured_kappa"}, "requires gaussian init"),
+    ({"mode": "punctured_kappa", "init": "gaussian",
+      "nonlinearities": ["cube_hermite", "identity"]}, "requires f_0(x) = x"),
+    ({"mode": "bogus"}, "unknown mode 'bogus'"),
+    ({"T": 3}, "need f_0..f_{T-1}"),
+    ({"T": 0}, "T must be >= 1"),
+    ({"kappa": {"tag": "moments", "values": [0.0, 1.0, 0.0, 2.0]}},
+     "scalar modes need a cumulant table"),
+])
+def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
+    base = {"nonlinearities": ["identity", "identity"], "T": 2,
+            "mode": "scalar_kappa", "kappa": "goe", "init": "ones"}
+    section = {k: v for k, v in dict(base, **amp).items() if v is not None}
+    cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 32}, amp=section)
+    errors = []
+    for argv in (["amp", "--no-save-traces"], ["se", "--out", str(tmp_path / "k.json")]):
+        assert run_cli(*argv, "--config", cfg) == 2, argv
+        errors.append(capsys.readouterr().err)
+    assert message in errors[0]
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("sigma", [None, [1.0], [1.0, 0.5, 0.5, 1.0, 0.0]])
+def test_block_goe_without_q_squared_sigma_names_the_key(tmp_path, capsys, sigma):
+    ensemble = {"kind": "block_goe", "n": 64, "q": 2}
+    if sigma is not None:
+        ensemble["sigma"] = sigma
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp={
+        "nonlinearities": ["identity"] * 2, "T": 2, "mode": "block_goe"})
+    for argv in (["amp", "--no-save-traces"], ["se", "--out", str(tmp_path / "k.json")]):
+        assert run_cli(*argv, "--config", cfg) == 2, argv
+        assert "block_goe needs sigma with q*q = 4 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("amp", "T", 2.7), ("amp", "T", "2"), ("ensemble", "n", 64.9),
+    ("ensemble", "n", True), ("ensemble", "q", 2.0), ("ensemble", "seed", "1"),
+    (None, "master_seed", 1.5), (None, "master_seed", False),
+    (None, "dimension_sweep", [32, "64"]), (None, "dimension_sweep", [32.0]),
+])
+def test_integer_config_fields_reject_other_types(tmp_path, capsys, section, key, value):
+    cfg = json.loads(open(_write_config(tmp_path)).read())
+    (cfg if section is None else cfg[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="config key %r.* must be an integer" % key):
+        load_config(str(path))
+    for command in ("traffic", "amp", "se"):
+        assert run_cli(command, "--config", str(path)) == 2
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_compare_on_a_kernel_that_does_not_fit_is_usage_error(tmp_path, capsys):
+    # a T = 3 mixture kernel against T = 4 moments without blocks
+    kernel = tmp_path / "k.json"
+    assert run_cli("se", "--config", str(ROOT / "configs" / "blockgoe_q2.json"),
+                   "--out", str(kernel)) == 0
+    moments = ROOT / "benchmark" / "refs" / "amp_goe" / "seed0" / "moments.csv"
+    assert run_cli("compare", "--kernel", str(kernel), "--moments", str(moments),
+                   "--out", str(tmp_path / "v.csv")) == 2
+    assert "x1*x4 of group all is outside the kernel's T = 3" in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
+
+
+# (workload, output sub-directory, config) of the benchmark's AMP pipelines
+BENCHMARK_PIPELINES = [
+    ("amp_goe", "", "configs/goe_identity.json"),
+    ("amp_fourier", "hadamard", "configs/hadamard_punctured.json"),
+    ("amp_fourier", "dst", "configs/dst_punctured.json"),
+    ("amp_treelike", "", "benchmark/amp_treelike.json"),
+]
+
+
+@pytest.mark.parametrize("workload, sub, config", BENCHMARK_PIPELINES)
+def test_se_and_compare_reproduce_benchmark_references(tmp_path, workload, sub, config):
+    refs = ROOT / "benchmark" / "refs" / workload
+    kernel = tmp_path / "kernel.json"
+    assert run_cli("se", "--config", str(ROOT / config), "--out", str(kernel)) == 0
+    assert kernel.read_bytes() == (refs / "seed0" / sub / "kernel.json").read_bytes()
+    prefix = sub + "/" if sub else ""
+    for seed in range(11):
+        ref = refs / ("seed%d" % seed) / sub
+        verdict = tmp_path / ("verdict%d.csv" % seed)
+        code = run_cli("compare", "--kernel", str(ref / "kernel.json"),
+                       "--moments", str(ref / "moments.csv"), "--out", str(verdict))
+        codes = json.loads((refs / ("seed%d" % seed) / "exit_codes.json").read_text())
+        assert code == codes[prefix + "compare"], seed
+        assert verdict.read_bytes() == (ref / "verdict.csv").read_bytes(), seed
