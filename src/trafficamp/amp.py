@@ -117,8 +117,8 @@ def _init_vector(cfg, n, stream):
 
 @functools.lru_cache(maxsize=None)
 def _window_terms(w):
-    """One (quotient, weighted vertices, walk positions weighted at each,
-    edge leaf keys, Mobius coefficient) per partition of the w walk positions."""
+    """One (Mobius coefficient, quotient, weighted vertices, walk positions
+    weighted at each) per partition of the w walk positions."""
     cyc = cycle_diagram(w, rooted=True)
     terms = []
     for part in set_partitions(range(w)):
@@ -127,36 +127,32 @@ def _window_terms(w):
         # position 0 is the root; every later position carries a weight
         verts = tuple(bi for bi, block in enumerate(blocks) if block != [0])
         positions = tuple(tuple(p for p in blocks[bi] if p) for bi in verts)
-        terms.append((q, verts, positions, graphpoly._edge_keys(q),
-                      graphpoly.partition_mobius(part)))
+        terms.append((graphpoly.partition_mobius(part), q, verts, positions))
     return tuple(terms)
 
 
-def _window_leaf_keys(s, positions, edge_keys):
-    # a weight is keyed by the absolute steps whose f' it multiplies, in order
-    return edge_keys + tuple(tuple(s + p for p in ps) for ps in positions)
-
-
 @functools.lru_cache(maxsize=None)
-def _step_uses(calls, n):
-    """How often each kernel step is requested by onsager_b over the
-    (s, t) windows in `calls` on one n x n matrix."""
-    return tuple(graphpoly._step_uses(
-        ((q, verts, _window_leaf_keys(s, positions, edge_keys))
-         for s, t in calls if t - s >= 2
-         for q, verts, positions, edge_keys, _ in _window_terms(t - s)), n).items())
+def _windows_program(windows, n):
+    """The compiled program of onsager_b over the (s, t) windows, in order, on
+    one n x n matrix, and the output index of each window.  A weight is the
+    product of f'_r over the absolute steps r its vertex covers, in order."""
+    outputs = tuple((True, tuple(
+        (mu, q, verts, graphpoly._edge_keys(q)
+         + tuple(("weight",) + tuple(s + p for p in ps) for ps in positions))
+        for mu, q, verts, positions in _window_terms(t - s))) for s, t in windows)
+    return graphpoly._compile(outputs, n), {win: k for k, win in enumerate(windows)}
 
 
-def onsager_b(a, fprime_vectors, s, t, budget=None, _memo=None):
+def onsager_b(a, fprime_vectors, s, t, budget=None, _trial=None):
     """Distinct-index closed-walk sum b_{s,t}, exactly.
 
     fprime_vectors[r] supplies the weight vector at interior step r, needed
     for s < r < t.  Computed by Mobius inversion over set partitions of the
     t-s walk positions, evaluating each contracted weighted cycle with the
-    graph-polynomial engine.  The quotients and their contraction plans are
-    built once per window and size.  Pairwise kernel results that recur across
-    partitions are computed once: within this call, or, when the exact memory
-    term passes its per-trial `_memo` (and has checked `a`), across the trial.
+    graph-polynomial engine, as one output of a compiled program.  The exact
+    memory term passes its per-trial `_trial` (program, window index, slots;
+    it has checked `a`), so a kernel result shared by the windows of a trial
+    runs once per trial.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -165,25 +161,14 @@ def onsager_b(a, fprime_vectors, s, t, budget=None, _memo=None):
         raise ValueError("window %d outside 1..%d" % (w, EXACT_WINDOW_CAP))
     if w == 1:
         return np.diag(a).copy()
-    if _memo is None:
+    if _trial is None:
         a = graphpoly._as_matrix(a)
-        _memo = graphpoly._Memo(_step_uses(((s, t),), n))
-    labels = [a] * w
-    weights = {p: np.asarray(fprime_vectors[s + p], dtype=np.float64)
-               for p in range(1, w)}
-    total = np.zeros(n)
-    for q, verts, positions, edge_keys, mu in _window_terms(w):
-        vw = {}
-        for v, ps in zip(verts, positions):
-            acc = weights[ps[0]]
-            for p in ps[1:]:
-                acc = acc * weights[p]
-            vw[v] = acc
-        val = graphpoly._eval_w(q, labels, n, vertex_weights=vw, budget=budget,
-                                memo=_memo,
-                                leaf_keys=_window_leaf_keys(s, positions, edge_keys))
-        total += mu * val
-    return total
+        fprime_vectors = {r: np.asarray(fprime_vectors[r], dtype=np.float64)
+                          for r in range(s + 1, t)}
+        prog, index = _windows_program(((s, t),), n)
+        _trial = prog, index, [None] * prog.size
+    prog, index, slots = _trial
+    return graphpoly._execute(prog, index[(s, t)], slots, (a,), fprime_vectors, budget)
 
 
 def onsager_b_brute(a, fprime_vectors, s, t):
@@ -251,15 +236,16 @@ def _memory_term(a, cfg):
         if n > EXACT_N_CAP:
             raise ValueError("exact mode budget: n <= %d" % EXACT_N_CAP)
         a = graphpoly._as_matrix(a)
-        uses = _step_uses(tuple((s, t) for t in range(1, cfg.T + 1) for s in range(t)), n)
-        # x_0 = 1 on one matrix makes every row the same trial: one memo of its
-        # shared steps and one f'_0, f'_1, ... history, from row 0
-        memo, hist = graphpoly._Memo(uses), []
+        prog, index = _windows_program(tuple((s, t) for t in range(1, cfg.T + 1)
+                                             for s in range(t - 1)), n)
+        # x_0 = 1 on one matrix makes every row the same trial: one run of the
+        # program and one f'_0, f'_1, ... history, from row 0
+        trial, hist = (prog, index, [None] * prog.size), []
 
         def memory(t, fvec, fprime, fpmean):
             hist.append(fprime[0])
             for s in range(t):
-                b = onsager_b(a, hist, s, t, _memo=memo)
+                b = onsager_b(a, hist, s, t, _trial=trial)
                 yield (s, t), [b] * len(fvec[s]), b * fvec[s]
         # f_0 = 1, so x_1 = A 1 and f'_0 = 0
         return (Polynomial((1.0,)),) + cfg.nonlinearities[1:], memory
@@ -345,16 +331,22 @@ def empirical_state(trace, block_labels=None, max_power=6):
     """Empirical moments of the iterates: pair moments <x_s x_t> and powers
     <x_t^k>, optionally conditioned on block labels."""
     def moments(xs):
+        # the (T, m) rows of the products with x_s, and of the k-th powers, each
+        # row's mean reduced along its contiguous axis: the bytes of np.mean over
+        # that row alone
         T = len(xs)
-        return {"second": {(s, t): float(np.mean(xs[s - 1] * xs[t - 1]))
-                           for s in range(1, T + 1) for t in range(s, T + 1)},
-                "power": {(t, k): float(np.mean(xs[t - 1] ** k))
-                          for t in range(1, T + 1) for k in range(1, max_power + 1)}}
+        pairs = [(s, t) for s in range(1, T + 1) for t in range(s, T + 1)]
+        second = np.concatenate([np.mean(xs[s] * xs[s:], axis=1) for s in range(T)])
+        power = np.column_stack([np.mean(xs ** k, axis=1) for k in range(1, max_power + 1)])
+        return {"second": dict(zip(pairs, second.tolist())),
+                "power": dict(zip(((t, k) for t in range(1, T + 1)
+                                   for k in range(1, max_power + 1)),
+                                  power.ravel().tolist()))}
 
-    xs = [trace.x(t) for t in range(1, trace.T + 1)]
+    xs = np.ascontiguousarray(trace.iterates)
     out = moments(xs)
     if block_labels is not None:
         labels = np.asarray(block_labels)
-        out["blocks"] = {int(r): moments([x[labels == r] for x in xs])
+        out["blocks"] = {int(r): moments(np.ascontiguousarray(xs[:, labels == r]))
                          for r in sorted(set(labels.tolist()))}
     return out

@@ -65,8 +65,8 @@ INTEGER_KEYS = ((None, "trials"), (None, "master_seed"), (None, "dimension_sweep
 
 def load_config(path):
     """Read a JSON config; a key outside CONFIG_KEYS, an INTEGER_KEYS value that
-    is not an integer (a bool, float or string), or a `trials` below 1, is a
-    ValueError that names the key."""
+    is not an integer (a bool, float or string), a `dimension_sweep` that is not
+    a list, or a `trials` below 1, is a ValueError that names the key."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -78,6 +78,10 @@ def load_config(path):
                 where = "the top level" if section is None else "section %r" % section
                 raise ValueError("unknown config key %r in %s of %s"
                                  % (key, where, path))
+    sweep = cfg.get("dimension_sweep")
+    if sweep is not None and not isinstance(sweep, list):
+        raise ValueError("config key 'dimension_sweep' must be a list of integers, "
+                         "not %r, in %s" % (sweep, path))
     for section, key in INTEGER_KEYS:
         obj = cfg if section is None else cfg.get(section)
         value = obj.get(key) if isinstance(obj, dict) else None

@@ -8,14 +8,19 @@ greedy min-width order; a literal nested-loop oracle is kept alongside.
 The public functions check their matrix labels once per call and hand them
 to a private core.  The core's plan (elimination order, cost estimates, and
 each elimination's einsum path expanded into numpy's pairwise kernel calls)
-is built once per (diagram, weighted vertices, n) and reused; evaluation
-runs those kernels directly, each only when its result is requested.
-Evaluations that share one matrix can share a memo that runs each repeated
-kernel call once and frees its result after its last request:
-`eval_catalog` evaluates a whole list of diagrams (and, in the z-basis,
-their quotient families) on one matrix with one label check and one memo,
-and the Onsager partition sums of a treelike AMP trial share one memo
-across the trial.
+is built once per (diagram, weighted vertices, n) and reused.
+
+A family of evaluations that share their leaves (one eval_w call; the
+quotients of one eval_z; the requests of one eval_catalog; the Onsager
+windows of one exact AMP trial) is compiled once per size n into a
+straight-line program (_compile).  The program numbers every distinct value
+it needs -- a label, its diagonal, a product of vertex weights, a kernel step
+-- with an integer slot, in the order an on-demand evaluation first asks for
+it, and lists for each instruction the slots whose last use it is.  Running
+it on a matrix (_execute) is one loop over the instructions: each kernel
+step runs once and is freed after its last use, and each evaluation scales
+and combines its root factors and adds into its output in term order, so
+the values equal those of evaluating each diagram on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy._core.einsumfunc import bmm_einsum, c_einsum
 
 from . import diagrams
-from .diagrams import Diagram, DiagramError, quotient, set_partitions
+from .diagrams import DiagramError, quotient, set_partitions
 
 
 class BudgetError(RuntimeError):
@@ -158,136 +164,180 @@ def _plan(d, weighted, n):
     return tuple(steps), tuple(costs), tuple(factors)
 
 
-def _step_keys(steps, leaf_keys):
-    """Memo key of each factor id: the leaf keys (one per edge and weight
-    factor), then per step its kernel string and the keys of its inputs
-    (None for isolated vertices)."""
-    keys = list(leaf_keys)
-    for step in steps:
-        keys.append(None if step is None else (step[1], tuple(keys[i] for i in step[0])))
-    return keys
+def _edge_keys(d, shared=True):
+    """Leaf key of each edge of d: its label, or the diagonal of it for a loop;
+    label 0 for every edge of a shared matrix, else the edge's own."""
+    return tuple(("diag" if u == v else "label", 0 if shared else ei)
+                 for ei, (u, v) in enumerate(d.edges))
 
 
-def _edge_keys(d):
-    """Leaf key of each edge of d labelled by one shared matrix."""
-    return tuple("diag A" if u == v else "A" for u, v in d.edges)
+def _step_key(kernel, inputs):
+    """Value key of a kernel step.  A pure product (no index summed) is keyed by
+    its kernel with letters renamed in order of first appearance, so A*A is one
+    step however it is spelled; a contraction keeps its own spelling."""
+    lhs, out = kernel.split("->")
+    if "," in lhs and set(out) == set(lhs) - {","}:
+        names = {}
+        kernel = "".join(names.setdefault(c, chr(97 + len(names))) if c.isalpha()
+                         else c for c in kernel)
+    return kernel, inputs
 
 
-def _count(f, steps, keys, n_leaves, uses):
-    """Count a request of factor f, and the requests its step makes the
-    first time its key is requested (later requests are memo hits)."""
-    if f >= n_leaves:
-        key = keys[f]
-        uses[key] = uses.get(key, 0) + 1
-        if uses[key] == 1:
-            for i in steps[f - n_leaves][0]:
-                _count(i, steps, keys, n_leaves, uses)
+_LABEL, _DIAG, _WEIGHT, _MUL, _KERNEL, _EVAL = range(6)
 
 
-def _step_uses(evaluations, n):
-    """How often each step key is requested when the (diagram, weighted
-    vertices, leaf keys) evaluations at size n share one memo, as a dict
-    for _Memo."""
-    uses = {}
-    for d, weighted, leaf_keys in evaluations:
-        steps, _, leftover = _plan(d, weighted, n)
-        keys, n_leaves = _step_keys(steps, leaf_keys), len(leaf_keys)
-        # _eval_w's requests: the scalar steps, then the factors of the roots
-        for f in ([n_leaves + k for k, step in enumerate(steps) if step and not step[2]]
-                  + [i for _, i in leftover]):
-            _count(f, steps, keys, n_leaves, uses)
-    return uses
+class _Program(NamedTuple):
+    """A compiled evaluation family at size n, never changed once built.
 
-
-class _Memo:
-    """Kernel results shared by evaluations on the same leaf factors.
-
-    `uses` gives, as a dict or its (step key, count) items, how many times
-    the evaluations will request each step (as _step_uses counts them); a
-    result is kept while requests remain and dropped after the last.
+    code holds per output its instructions; an instruction is (op, out, x, y,
+    drop): it writes slot `out` (an evaluation adds coefficient `out` times
+    its value to the output instead) and then frees the slots in `drop`, whose
+    last use it was.  zero_start says per output whether its sum starts from
+    zeros(n); costs holds per output each evaluation's running cost estimates.
     """
 
-    def __init__(self, uses):
-        self._left = dict(uses)
-        self._values = {}
-
-    def get(self, key):
-        """Count one request of key: its kept result, or None if it must run."""
-        left = self._left.get(key, 1) - 1
-        self._left[key] = left
-        return self._values.get(key) if left > 0 else self._values.pop(key, None)
-
-    def put(self, key, arr):
-        if self._left[key] > 0:
-            self._values[key] = arr
+    n: int
+    code: tuple
+    zero_start: tuple
+    costs: tuple
+    size: int  # the number of slots
 
 
-def _value(f, steps, vals, keys, memo):
-    """Factor f of an evaluation with leaf values `vals`: a leaf, or its
-    step's result, found in the memo or run on its inputs' values."""
-    if f < len(vals):
-        return vals[f]
-    arr = None if memo is None else memo.get(keys[f])
-    if arr is None:
-        inputs, kernel, _ = steps[f - len(vals)]
-        ops = [_value(i, steps, vals, keys, memo) for i in inputs]
-        # the kernels np.einsum's own contraction loop calls
-        arr = bmm_einsum(kernel, *ops) if len(ops) == 2 else c_einsum(kernel, *ops)
-        if memo is not None:
-            memo.put(keys[f], arr)
-    return arr
+def _reads(op, x, y):
+    """The slots an instruction reads."""
+    if op == _KERNEL:
+        return y
+    if op == _EVAL:
+        return tuple(f for f in x if f is not None) + tuple(f for _, f in y[1])
+    return (x, y) if op == _MUL else (x,) if op == _DIAG else ()
 
 
-def _eval_w(d, labels, n, vertex_weights=None, budget=None, memo=None,
-            leaf_keys=None):
-    """eval_w on labels already checked by _as_labels (None when edgeless).
+@functools.lru_cache(maxsize=None)
+def _compile(outputs, n):
+    """The straight-line program of an evaluation family at size n.
 
-    Steps run on demand: for each scalar step in plan order, then for each
-    factor left for the roots.  With a memo, each step is looked up by its
-    key, derived from `leaf_keys` (one per edge, then one per weighted
-    vertex), and runs only on a miss.
+    outputs: per output, (zero_start, terms); a term is (coef, diagram,
+    weighted vertices, leaf keys), its value coef times the w-value of the
+    diagram, summed in term order.  Leaf keys, one per edge then one per
+    weighted vertex, name the values the program reads: ("label", i) is
+    labels[i], ("diag", i) its diagonal, ("weight", r1, .., rk) the product
+    weights[r1] * .. * weights[rk] left to right.  Each distinct value (leaf,
+    partial weight product or kernel step, keyed by _step_key over its inputs'
+    keys) is computed once, in the order an on-demand evaluation of the terms
+    first asks for it, into a slot that is freed after its last use.
     """
+    slot, code = {}, []
+
+    def emit(key, op, x, y=None):
+        code[-1].append([op, len(slot), x, y])
+        slot[key] = len(slot)
+        return slot[key]
+
+    def leaf(key):
+        if key in slot:
+            return slot[key]
+        if key[0] == "label":
+            return emit(key, _LABEL, key[1])
+        if key[0] == "diag":
+            return emit(key, _DIAG, leaf(("label", key[1])))
+        if len(key) == 2:
+            return emit(key, _WEIGHT, key[1])
+        return emit(key, _MUL, leaf(key[:-1]), leaf(("weight", key[-1])))
+
+    def factor(f, steps, keys):
+        if keys[f] not in slot:  # factor f is left by step f - (number of leaves)
+            inputs, kernel, _ = steps[f - (len(keys) - len(steps))]
+            emit(keys[f], _KERNEL, kernel, tuple(factor(i, steps, keys) for i in inputs))
+        return slot[keys[f]]
+
+    costs = []
+    for zero_start, terms in outputs:
+        code.append([])
+        costs.append(())
+        for coef, d, weighted, leaf_keys in terms:
+            steps, cost, leftover = _plan(d, weighted, n)
+            costs[-1] += (cost,) if cost else ()
+            keys = list(leaf_keys)
+            for step in steps:
+                keys.append(None if step is None
+                            else _step_key(step[1], tuple(keys[i] for i in step[0])))
+            for key in leaf_keys:
+                leaf(key)
+            # the scalar steps in plan order (None: an isolated vertex, a factor
+            # n), then the factors left for the roots
+            scalars = tuple(None if step is None else factor(len(leaf_keys) + k, steps, keys)
+                            for k, step in enumerate(steps) if step is None or not step[2])
+            roots = tuple((t, factor(f, steps, keys)) for t, f in leftover)
+            code[-1].append([_EVAL, coef, scalars, (d.roots, roots)])
+
+    last = {}
+    for ins in itertools.chain.from_iterable(code):
+        op, _, x, y = ins
+        for f in _reads(op, x, y):
+            last[f] = ins
+        ins.append(())
+    for f, ins in last.items():
+        ins[4] += (f,)
+    return _Program(n, tuple(tuple(tuple(ins) for ins in c) for c in code),
+                    tuple(z for z, _ in outputs), tuple(costs), len(slot))
+
+
+def _execute(prog, k, slots, labels=(), weights=(), budget=None):
+    """The value of output k of prog: its instructions run on `slots`, which
+    holds the still-live values of the outputs run before it on the same
+    leaves.  `labels` and `weights` are indexed as the leaf keys say.  Raises
+    BudgetError, before running anything, if an evaluation's estimated cost
+    exceeds `budget` (default 8 n^3)."""
+    n = prog.n
     if budget is None:
         budget = _default_budget(n)
-    weighted = tuple(vertex_weights) if vertex_weights else ()
-    steps, costs, leftover = _plan(d, weighted, n)
-    vals = [np.diag(labels[ei]).copy() if u == v else labels[ei]
-            for ei, (u, v) in enumerate(d.edges)]
-    for v in weighted:
-        w = np.asarray(vertex_weights[v], dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("vertex weight must be a length-n vector")
-        vals.append(w)
-    if costs and costs[-1] > budget:
-        cost = next(c for c in costs if c > budget)
-        raise BudgetError("contraction cost %.3g exceeds budget %.3g"
-                          % (cost, budget))
+    for costs in prog.costs[k]:
+        if costs[-1] > budget:
+            cost = next(c for c in costs if c > budget)
+            raise BudgetError("contraction cost %.3g exceeds budget %.3g" % (cost, budget))
+    total = np.zeros(n) if prog.zero_start[k] else None
+    for op, out, x, y, drop in prog.code[k]:
+        if op == _KERNEL:
+            # the kernels np.einsum's own contraction loop calls
+            slots[out] = (bmm_einsum(x, slots[y[0]], slots[y[1]]) if len(y) == 2
+                          else c_einsum(x, *[slots[i] for i in y]))
+        elif op == _EVAL:
+            scale = 1.0
+            for f in x:
+                scale *= n if f is None else float(slots[f])
+            val = _combine_roots(y[0], [(t, slots[f]) for t, f in y[1]], scale, n)
+            if out != 1:
+                val = out * val
+            total = val if total is None else total + val
+        elif op == _MUL:
+            slots[out] = slots[x] * slots[y]
+        elif op == _LABEL:
+            slots[out] = labels[x]
+        elif op == _DIAG:
+            slots[out] = np.diag(slots[x]).copy()
+        else:
+            slots[out] = weights[x]
+        for f in drop:
+            slots[f] = None
+    return total
 
-    keys = _step_keys(steps, leaf_keys) if memo is not None else None
-    scale = 1.0
-    for k, step in enumerate(steps):
-        if step is None:
-            scale *= n  # isolated vertex: free labeling
-        elif not step[2]:
-            scale *= float(_value(len(vals) + k, steps, vals, keys, memo))
-    roots = [(t, _value(f, steps, vals, keys, memo)) for t, f in leftover]
-    return _combine_roots(d, roots, scale, n)
 
-
-def _combine_roots(d, factors, scale, n):
-    roots = d.roots
+def _combine_roots(roots, factors, scale, n):
+    """The value of an evaluation from its scalar `scale` and the factors left
+    for its roots, each multiplied in in order as np.full(.., scale) * ..."""
     if not roots:
         assert not factors
         return scale
     if len(roots) == 1 or roots[0] == roots[1]:
         r = roots[0]
-        vec = np.full(n, scale)
+        vec = None
         for t, a in factors:
             assert t == (r,)
-            vec = vec * a
-        if len(roots) == 2:
-            return np.diag(vec)
-        return vec
+            # x * scale has the bytes of np.full(n, scale) * x
+            vec = a * scale if vec is None else vec * a
+        if vec is None:
+            vec = np.full(n, scale)
+        return np.diag(vec) if len(roots) == 2 else vec
     r1, r2 = roots
     mat = np.full((n, n), scale)
     for t, a in factors:
@@ -302,6 +352,20 @@ def _combine_roots(d, factors, scale, n):
         else:
             raise AssertionError("unexpected leftover factor %r" % (t,))
     return mat
+
+
+def _eval_w(d, labels, n, vertex_weights=None, budget=None):
+    """eval_w on labels already checked by _as_labels (None when edgeless)."""
+    weighted = tuple(vertex_weights) if vertex_weights else ()
+    weights = []
+    for v in weighted:
+        w = np.asarray(vertex_weights[v], dtype=np.float64)
+        if w.shape != (n,):
+            raise ValueError("vertex weight must be a length-n vector")
+        weights.append(w)
+    leaf_keys = _edge_keys(d, shared=False) + tuple(("weight", k) for k in range(len(weighted)))
+    prog = _compile(((False, ((1, d, weighted, leaf_keys),)),), n)
+    return _execute(prog, 0, [None] * prog.size, labels, weights, budget)
 
 
 def eval_w_brute(d, labels, n=None, vertex_weights=None, budget=1e8):
@@ -392,13 +456,16 @@ def eval_z(d, labels, n=None, budget=None, cap=diagrams.CANON_CAP):
         return eval_catalog([(d, "z")], labels, budget=budget, cap=cap)[0]
     # quotients keep the edges and their order, so one checked list serves all
     lab, n = _labels_and_n(d, labels, n)
-    total = None
-    for part in set_partitions(range(d.vertex_count)):
-        q = quotient(d, part)
-        val = _eval_w(q, lab, n, budget=budget)
-        mu = partition_mobius(part)
-        total = mu * val if total is None else total + mu * val
-    return total
+    prog = _compile(((False, tuple((mu, q, (), _edge_keys(q, shared=False))
+                                   for mu, q in _quotients(d))),), n)
+    return _execute(prog, 0, [None] * prog.size, lab, budget=budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _quotients(d):
+    """(Mobius coefficient, quotient) per vertex partition of d."""
+    return tuple((partition_mobius(part), quotient(d, part))
+                 for part in set_partitions(range(d.vertex_count)))
 
 
 def eval_catalog(requests, a, budget=None, cap=diagrams.CANON_CAP):
@@ -411,7 +478,15 @@ def eval_catalog(requests, a, budget=None, cap=diagrams.CANON_CAP):
     equal those of eval_w and eval_z bit for bit.
     """
     a = _as_matrix(a)
-    n = a.shape[0]
+    prog = _catalog(tuple(requests), a.shape[0], cap)
+    slots = [None] * prog.size
+    return [_execute(prog, k, slots, (a,), budget=budget) for k in range(len(prog.code))]
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog(requests, n, cap):
+    """The program of eval_catalog's requests at size n: one output per
+    request, the sum of its w-diagrams times their coefficients."""
     tables = []  # per request: w-diagram -> coefficient
     for d, basis in requests:
         if basis == "w":
@@ -420,16 +495,8 @@ def eval_catalog(requests, a, budget=None, cap=diagrams.CANON_CAP):
             tables.append(diagrams.z_to_w_coefficients(d, cap=cap))
         else:
             raise ValueError("basis must be 'w' or 'z', not %r" % (basis,))
-    memo = _Memo(_step_uses(((q, (), _edge_keys(q)) for t in tables for q in t), n))
-    out = []
-    for table in tables:
-        total = None
-        for q, c in table.items():
-            val = _eval_w(q, [a] * q.edge_count, n, budget=budget, memo=memo,
-                          leaf_keys=_edge_keys(q))
-            total = c * val if total is None else total + c * val
-        out.append(total)
-    return out
+    return _compile(tuple((False, tuple((c, q, (), _edge_keys(q)) for q, c in table.items()))
+                          for table in tables), n)
 
 
 def eval_z_brute(d, labels, n=None, budget=1e8):

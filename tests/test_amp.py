@@ -10,7 +10,8 @@ from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import Polynomial
 from trafficamp.graphpoly import BudgetError
 
-from test_graphpoly import _legacy_eval_w
+from test_graphpoly import (_assert_each_step_runs_once, _count_engine_work,
+                            _legacy_eval_w)
 
 
 def _rand_sym(rng, n):
@@ -393,27 +394,18 @@ def test_treelike_concurrent_trials_match_legacy():
         assert tr.iterates.tobytes() == _legacy_run_treelike(m, cfg)[0].tobytes()
 
 
-def test_treelike_memo_serves_every_counted_request(monkeypatch):
-    from trafficamp import graphpoly
-
-    memos = []
-
-    class Recording(graphpoly._Memo):
-        def __init__(self, uses):
-            super().__init__(uses)
-            self.uses = dict(uses)
-            memos.append(self)
-
-    monkeypatch.setattr(graphpoly, "_Memo", Recording)
+def test_treelike_program_runs_every_step_once_per_trial(monkeypatch):
     a = generate(EnsembleSpec("goe", 32, seed=9)).values
     cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
+    seen = _count_engine_work(monkeypatch)
     run(a, cfg)
-    (memo,) = memos
-    # 229 kernel requests per T=5 trial, 109 of them distinct
-    assert (sum(memo.uses.values()), len(memo.uses)) == (229, 109)
-    assert set(memo._left) == set(memo.uses)  # no request the counts missed
-    assert set(memo._left.values()) == {0}  # every counted request was made
-    assert not memo._values  # and each shared result freed after its last use
+    # one symmetry check and one program run per trial; its 10 windows of width
+    # >= 2 run in order and make 107 kernel calls, each result freed after its
+    # last use
+    _assert_each_step_runs_once(seen, 1, [107])
+    seen.update(checks=0, kernels=0, runs=[])
+    run(a, TrialBlock([cfg] * 3), [0, 1, 2])  # a block's rows are one trial
+    _assert_each_step_runs_once(seen, 1, [107])
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +581,56 @@ def test_trial_block_rejects_configs_that_differ_beyond_seed():
         TrialBlock([])
     with pytest.raises(ValueError, match="streams"):
         run(np.eye(4), cfgs, [0])
+
+
+# ---------------------------------------------------------------------------
+# byte oracle: empirical_state as it was before its means were stacked,
+# copied literally
+# ---------------------------------------------------------------------------
+
+def _legacy_empirical_state(trace, block_labels=None, max_power=6):
+    """Empirical moments of the iterates: pair moments <x_s x_t> and powers
+    <x_t^k>, optionally conditioned on block labels."""
+    def moments(xs):
+        T = len(xs)
+        return {"second": {(s, t): float(np.mean(xs[s - 1] * xs[t - 1]))
+                           for s in range(1, T + 1) for t in range(s, T + 1)},
+                "power": {(t, k): float(np.mean(xs[t - 1] ** k))
+                          for t in range(1, T + 1) for k in range(1, max_power + 1)}}
+
+    xs = [trace.x(t) for t in range(1, trace.T + 1)]
+    out = moments(xs)
+    if block_labels is not None:
+        labels = np.asarray(block_labels)
+        out["blocks"] = {int(r): moments([x[labels == r] for x in xs])
+                         for r in sorted(set(labels.tolist()))}
+    return out
+
+
+def _exact_items(report):
+    """The report's keys, in order, and the bytes of each value."""
+    if isinstance(report, dict):
+        return [(k, _exact_items(v)) for k, v in report.items()]
+    assert type(report) is float
+    return np.float64(report).tobytes()
+
+
+def test_empirical_state_bytes_match_legacy():
+    rng = np.random.default_rng(44)
+    for case in range(300):
+        n, T = int(rng.integers(1, 600)), int(rng.integers(1, 7))
+        it = rng.standard_normal((T, n)) * 10.0 ** rng.uniform(-3, 3)
+        it[rng.random((T, n)) < 0.1 * (case % 2)] = 0.0
+        if case % 5 == 0:
+            it = np.asfortranarray(it)
+        tr = AMPTrace(np.ones(n), it, {}, "x")
+        labels = rng.integers(0, 1 + case % 4, n) if case % 3 else None
+        for power in (6, 3):
+            assert (_exact_items(empirical_state(tr, labels, max_power=power))
+                    == _exact_items(_legacy_empirical_state(tr, labels, max_power=power))), case
+    a = generate(EnsembleSpec("community", 64, seed=5, q=4, inner="rom")).values
+    tr = run(a, AMPConfig(nonlinearities=("identity", "cube_hermite") * 3, T=5,
+                          mode="exact_treelike"))
+    labels = block_labels(64, 4)
+    assert (_exact_items(empirical_state(tr, labels))
+            == _exact_items(_legacy_empirical_state(tr, labels)))

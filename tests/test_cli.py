@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from trafficamp import ensembles, graphpoly, matrixio
-from trafficamp.cli import (CONFIG_KEYS, _orthogonality_error, _report_rows,
-                            build_kernel, load_config, main, read_moments_csv,
-                            write_csv)
+from trafficamp.cli import (CONFIG_KEYS, _audit_request, _orthogonality_error,
+                            _report_rows, build_kernel, load_config, main,
+                            read_moments_csv, write_csv)
+from trafficamp.diagrams import CANON_CAP, named_diagram, z_to_w_coefficients
 from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import named_polynomial
 from trafficamp.state_evolution import aggregate_reports
+
+from test_graphpoly import _assert_each_step_runs_once, _count_engine_work, _steps
 
 
 def run_cli(*argv):
@@ -173,51 +176,25 @@ def test_se_divergence_exit_code(tmp_path, capsys):
     assert "kernel not finite at t=8" in capsys.readouterr().err
 
 
-def _count_engine_work(monkeypatch):
-    """Record label checks, kernel runs and the memos the engine builds."""
-    seen = {"checks": 0, "kernels": 0, "requests": 0, "memos": []}
-    check = graphpoly._as_matrix
-
-    def counting_check(*args):
-        seen["checks"] += 1
-        return check(*args)
-
-    def counting(kernel):
-        def run(*args, **kwargs):
-            seen["kernels"] += 1
-            return kernel(*args, **kwargs)
-        return run
-
-    class Memo(graphpoly._Memo):
-        def __init__(self, uses):
-            super().__init__(uses)
-            seen["requests"] += sum(dict(uses).values())
-            seen["memos"].append(self)
-
-    monkeypatch.setattr(graphpoly, "_as_matrix", counting_check)
-    for name in ("bmm_einsum", "c_einsum"):
-        monkeypatch.setattr(graphpoly, name, counting(getattr(graphpoly, name)))
-    monkeypatch.setattr(graphpoly, "_Memo", Memo)
-    return seen
-
-
 @pytest.mark.parametrize("command", ["traffic", "cactus-audit"])
 def test_catalog_checks_once_and_runs_each_step_once(tmp_path, monkeypatch, command):
-    cfg = _write_config(tmp_path, dimension_sweep=[16, 24], trials=3,
-                        diagrams=["cycle2", "cycle4", "bowtie", "cycle3",
-                                  "path3", "star3", "theta"],
+    names = ["cycle2", "cycle4", "bowtie", "cycle3", "path3", "star3", "theta"]
+    cfg = _write_config(tmp_path, dimension_sweep=[16, 24], trials=3, diagrams=names,
                         open_cactuses=["open_path1", "open_path2"])
     seen = _count_engine_work(monkeypatch)
     assert run_cli(command, "--config", cfg) == 0
-    trials = 2 * 3
-    assert seen["checks"] == trials  # one symmetry check per trial
-    assert len(seen["memos"]) == trials
-    # every distinct step key runs once, and its result is freed after its last use
-    assert seen["kernels"] == sum(len(m._left) for m in seen["memos"])
-    for memo in seen["memos"]:
-        assert memo._values == {}
-        assert set(memo._left.values()) == {0}
-    assert seen["kernels"] < seen["requests"]  # the diagrams share steps
+    # one symmetry check and one program run per trial, every step of it run
+    # once and freed after its last use
+    requests = [(d, basis) for _, d, basis in
+                ([(nm, named_diagram(nm), b) for nm in names for b in "wz"]
+                 if command == "traffic" else [_audit_request(nm) for nm in names])]
+    steps = _steps(graphpoly._catalog(tuple(requests), 16, CANON_CAP))
+    _assert_each_step_runs_once(seen, 2 * 3, [steps] * 6)
+    # the diagrams share steps: run one by one they make more kernel calls
+    alone = sum(len([s for s in graphpoly._plan(q, (), 16)[0] if s])
+                for d, basis in requests
+                for q in ([d] if basis == "w" else z_to_w_coefficients(d)))
+    assert steps < alone
 
 
 def test_preset_configs_load():
@@ -249,11 +226,21 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, section, key):
 
 def test_config_accepts_every_documented_key(tmp_path):
     cfg = {key: 1 for key in CONFIG_KEYS[None]}
+    cfg["dimension_sweep"] = [1]
     cfg["ensemble"] = {key: 1 for key in CONFIG_KEYS["ensemble"]}
     cfg["amp"] = {key: 1 for key in CONFIG_KEYS["amp"]}
     path = tmp_path / "all.json"
     path.write_text(json.dumps(cfg))
     assert load_config(str(path)) == cfg
+
+
+def test_config_rejects_a_dimension_sweep_that_is_not_a_list(tmp_path, capsys):
+    path = _write_config(tmp_path, dimension_sweep=32)
+    with pytest.raises(ValueError, match="'dimension_sweep' must be a list of integers, not 32"):
+        load_config(path)
+    for command in ("traffic", "cactus-audit", "amp", "se"):
+        assert run_cli(command, "--config", path) == 2
+        assert "'dimension_sweep'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,n", [("hadamard", 64), ("dst", 64), ("dst", 50)])

@@ -395,7 +395,7 @@ def test_labels_checked_once_per_distinct_array(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# eval_catalog: one check and one memo for many diagrams on one matrix
+# eval_catalog: one check and one program for many diagrams on one matrix
 # ---------------------------------------------------------------------------
 
 def _catalog_requests():
@@ -459,6 +459,131 @@ def test_eval_catalog_usage():
 # ---------------------------------------------------------------------------
 # the engine runs numpy's kernels from its plans, and holds no matrix in a cycle
 # ---------------------------------------------------------------------------
+
+def _count_engine_work(monkeypatch):
+    """Record label checks, kernel runs, the peak number of kernel results
+    alive at once (by weak reference), and each program output run as
+    (program, output, slots)."""
+    seen = {"checks": 0, "kernels": 0, "alive": 0, "peak": 0, "runs": []}
+    check, execute = gp._as_matrix, gp._execute
+
+    def counting_check(*args):
+        seen["checks"] += 1
+        return check(*args)
+
+    def dropped(ref):
+        seen["alive"] -= 1
+        refs.pop(id(ref))
+
+    refs = {}
+
+    def counting(kernel):
+        def run(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            seen["kernels"] += 1
+            if isinstance(out, np.ndarray):
+                ref = weakref.ref(out, dropped)
+                refs[id(ref)] = ref
+                seen["alive"] += 1
+                seen["peak"] = max(seen["peak"], seen["alive"])
+            return out
+        return run
+
+    def recording(prog, k, slots, *args, **kwargs):
+        seen["runs"].append((prog, k, slots))
+        return execute(prog, k, slots, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "_as_matrix", counting_check)
+    for name in ("bmm_einsum", "c_einsum"):
+        monkeypatch.setattr(gp, name, counting(getattr(gp, name)))
+    monkeypatch.setattr(gp, "_execute", recording)
+    return seen
+
+
+def _program_runs(seen):
+    """Per slots list (one run of a program): the program and the outputs run."""
+    runs = {}
+    for prog, k, slots in seen["runs"]:
+        assert runs.setdefault(id(slots), (prog, slots, []))[0] is prog
+        runs[id(slots)][2].append(k)
+    return list(runs.values())
+
+
+def _steps(prog):
+    """The number of kernel calls one run of every output of prog makes."""
+    return sum(ins[0] == gp._KERNEL for code in prog.code for ins in code)
+
+
+def _assert_frees_at_last_use(prog, slots):
+    """Each slot the program writes is read, freed by the instruction that
+    reads it last, and written only once; after the run no slot holds a value."""
+    code = [ins for c in prog.code for ins in c]
+    written = [ins[1] for ins in code if ins[0] != gp._EVAL]
+    assert len(written) == len(set(written)) == prog.size
+    last = {}
+    for i, ins in enumerate(code):
+        for f in gp._reads(ins[0], ins[2], ins[3]):
+            last[f] = i
+    assert set(last) == set(written)
+    for i, ins in enumerate(code):
+        assert sorted(ins[4]) == sorted(f for f, j in last.items() if j == i)
+    assert slots == [None] * prog.size
+
+
+def _assert_each_step_runs_once(seen, checks, steps):
+    """`checks` symmetry checks and as many program runs, each running every
+    output once, in order, and each step of its program once."""
+    runs = _program_runs(seen)
+    assert seen["checks"] == len(runs) == checks
+    for prog, slots, outputs in runs:
+        assert outputs == list(range(len(prog.code)))
+        _assert_frees_at_last_use(prog, slots)
+    assert [_steps(prog) for prog, _, _ in runs] == steps
+    assert seen["kernels"] == sum(steps)
+
+
+_GOE_IDENTITY = [(CATALOG[nm], basis) for nm in
+                 ("cycle2", "cycle4", "bowtie", "cycle3", "path3", "star3") for basis in "wz"]
+
+
+def test_program_runs_each_step_once_and_frees_it(monkeypatch):
+    a = _rand_sym(np.random.default_rng(17), 32)
+    seen = _count_engine_work(monkeypatch)
+    gp.eval_catalog(_GOE_IDENTITY, a)
+    # one step per distinct kernel call; A*A is one step however it is spelled
+    _assert_each_step_runs_once(seen, 1, [78])
+    # a memo engine held at most 11 kernel results at once on this catalog
+    assert seen["peak"] <= 11
+    seen.update(checks=0, kernels=0, peak=0, runs=[])
+    _exact_trial(a)
+    _assert_each_step_runs_once(seen, 1, [107])
+    assert seen["peak"] <= 30  # 30 for a memo engine on this trial
+
+
+def test_pure_products_respelled_keep_their_bytes():
+    # a pure product is keyed by its renamed kernel, so of two spellings of one
+    # product only the first runs: each must give the bytes and strides of the
+    # renamed one, on C- and Fortran-ordered operands
+    from trafficamp.amp import _window_terms
+    from trafficamp.diagrams import z_to_w_coefficients
+    rng = np.random.default_rng(20)
+    plans = [gp._plan(q, verts, 9) for w in range(2, 6)
+             for _, q, verts, _ in _window_terms(w)]
+    plans += [gp._plan(q, (), 9) for d, _ in _GOE_IDENTITY for q in z_to_w_coefficients(d)]
+    kernels = {step[1] for steps, _, _ in plans for step in steps if step}
+    renamed = 0
+    for kernel in sorted(kernels):
+        canon = gp._step_key(kernel, ())[0]
+        if canon == kernel:
+            continue
+        renamed += 1
+        for order in "CF":
+            ops = [np.asarray(rng.standard_normal((9,) * len(t)), order=order)
+                   for t in kernel.split("->")[0].split(",")]
+            new, old = gp.bmm_einsum(canon, *ops), gp.bmm_einsum(kernel, *ops)
+            assert (new.tobytes(), new.strides) == (old.tobytes(), old.strides), kernel
+    assert renamed >= 3
+
 
 _ENGINE_REQUESTS = [(CATALOG[nm], basis) for nm in
                     ("cycle2", "cycle4", "bowtie", "cycle3", "path3", "star3", "theta")
