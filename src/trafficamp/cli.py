@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -123,16 +125,15 @@ def _is_deterministic(spec):
     return spec.kind == "punctured" and spec.inner in DETERMINISTIC_KINDS
 
 
-def _generate_trial(spec, master_seed, trial):
-    if _is_deterministic(spec):
-        return ensembles.generate(spec).values
-    seeded = ensembles.EnsembleSpec.from_json({**spec.to_json(), "seed": master_seed})
-    return ensembles.generate(seeded, stream=trial).values
+def _generate_trial(spec, master_seed, trial, out=None):
+    """The trial's matrix (a deterministic kind's reads neither the seed nor the
+    trial), written into `out` when given."""
+    return ensembles.generate(dataclasses.replace(spec, seed=master_seed), trial, out).values
 
 
 def _run_trials(fn, trials, threads):
     """[fn(0), ..., fn(trials - 1)], on `threads` worker threads when > 1."""
-    if not threads or threads <= 1:
+    if threads == 1:
         return [fn(t) for t in range(trials)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(trials)))
@@ -214,9 +215,10 @@ def _sweep(args, work):
     per_n, series = [], {}
     for n in sweep:
         spec = _ensemble_from_config(cfg, n=n)
+        local = threading.local()  # one n x n buffer per worker thread
 
         def one(trial):
-            m = _generate_trial(spec, master_seed, trial)
+            m = local.m = _generate_trial(spec, master_seed, trial, getattr(local, "m", None))
             vals = [v / n for v in graphpoly.eval_catalog(catalog, m, budget=budget)]
             return vals, (audit(m, budget) if audit and trial == 0 else None)
 
@@ -338,11 +340,14 @@ def cmd_amp(args):
         fixed.flags.writeable = False
     # trials on the shared matrix run in lockstep, in contiguous blocks of at most
     # 32 split between the threads; a trial with its own matrix is a block of one
-    size = min(32, -(-trials // max(1, args.threads))) if fixed is not None else 1
+    size = min(32, -(-trials // args.threads)) if fixed is not None else 1
     blocks = [range(b, min(b + size, trials)) for b in range(0, trials, size)]
+    local = threading.local()  # one n x n buffer per worker thread
 
     def one(block):
-        m = fixed if fixed is not None else _generate_trial(spec, master_seed, block[0])
+        m = fixed
+        if m is None:
+            m = local.m = _generate_trial(spec, master_seed, block[0], getattr(local, "m", None))
         traces = amp_mod.run(m, amp_mod.TrialBlock(cfgs[t] for t in block), block)
         # only the iterates are kept; the Onsager vectors are dropped here
         return [res if isinstance(res, amp_mod.DivergenceError) else
@@ -522,6 +527,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("argument --threads: must be at least 1, not %d" % args.threads)
     try:
         return args.fn(args)
     except graphpoly.BudgetError as exc:

@@ -9,7 +9,7 @@ regardless of generation order or thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,6 +116,8 @@ def _puncture_in_place(a):
 
 # edge of the square tiles that the in-place transposes below work on
 _TILE = 64
+# bytes of draws that one fill call of _symmetric_fill stages
+_STAGE_BYTES = 1 << 16
 
 
 def _tiles(n):
@@ -135,47 +137,44 @@ def _symmetrize(a):
             a[j:f, i:e] = avg.T
 
 
-def _symmetric_fill(n, k, fill):
+def _symmetric_fill(n, k, fill, out=None):
     """Symmetric n x n matrix whose upper triangle (diagonal included when
     k == 0, strict when k == 1) holds, in row-major order, the values that
-    fill(z) writes into the 1-d array z; the diagonal is left unset when
-    k == 1.
+    successive fill(z) calls write into 1-d arrays z; the diagonal is left
+    unset when k == 1.
 
-    Works in the matrix's own buffer: z is its tail, and each row moves
-    forward into place in turn.  Row i's destination ends at (i + 1) n, no
-    later than where row i + 1's source begins: that needs
-    (i + 1)(i + 2) <= n (n + 1) when k == 1 and i (i + 1) <= n (n - 1) when
-    k == 0, and both hold for every row.
+    Per strip of _TILE rows, each group of rows that fits in _STAGE_BYTES is
+    drawn by one fill call into a staging buffer and copied into place, and
+    the strip is then mirrored below the diagonal.  A stream's draws follow
+    one another, so calls split at row boundaries draw the values of one call.
     """
-    a = np.empty((n, n))
-    flat = a.reshape(-1)
-    src = n * n - n * (n + 1 - 2 * k) // 2
-    fill(flat[src:])
-    flat[src:] += 0.0  # maps -0.0 to +0.0, as adding a zero lower triangle did
-    for i in range(n - k):
-        stop = src + n - i - k
-        flat[i * n + i + k:(i + 1) * n] = flat[src:stop]
-        src = stop
-    tiles = _tiles(n)
-    for t, (i, e) in enumerate(tiles):
-        d = a[i:e, i:e]
-        for r in range(e - i - 1):
-            d[r + 1:, r] = d[r, r + 1:]
-        for j, f in tiles[t + 1:]:
-            a[j:f, i:e] = a[i:e, j:f].T
+    a = np.empty((n, n)) if out is None else out
+    rows = max(1, min(_TILE, _STAGE_BYTES // (8 * n)))
+    stage = np.empty(rows * n)
+    for i, e in _tiles(n):
+        for r in range(i, e, rows):
+            s = min(r + rows, e)
+            z = stage[:(s - r) * (2 * (n - k) - r - s + 1) // 2]
+            fill(z)
+            z += 0.0  # maps -0.0 to +0.0, as adding a zero lower triangle did
+            for j in range(r, s):  # row j, and its mirror inside the strip
+                a[j, j + k:] = z[:n - j - k]
+                a[j + k:e, j] = z[:e - j - k]
+                z = z[n - j - k:]
+        a[e:, i:e] = a[i:e, e:].T
     return a
 
 
-def _goe_fill(rng, n, off_std, diag_std):
+def _goe_fill(rng, n, off_std, diag_std, out=None):
     def fill(z):
         rng.standard_normal(out=z)
         z *= off_std
-    a = _symmetric_fill(n, 1, fill)
+    a = _symmetric_fill(n, 1, fill, out)
     np.fill_diagonal(a, rng.standard_normal(n) * diag_std)
     return a
 
 
-def _wigner_fill(rng, n, entry_law):
+def _wigner_fill(rng, n, entry_law, out=None):
     if entry_law == "normal":
         def fill(z):
             rng.standard_normal(out=z)
@@ -187,25 +186,25 @@ def _wigner_fill(rng, n, entry_law):
             z /= np.sqrt(n)
     else:
         raise ValueError("unknown entry law %r" % entry_law)
-    return _symmetric_fill(n, 0, fill)
+    return _symmetric_fill(n, 0, fill, out)
 
 
-def _haar(rng, n):
+def _haar(rng, n, out=None):
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))[None, :]
+    return np.multiply(q, np.sign(np.diag(r))[None, :], out=out)
 
 
-def _conjugated(rng, n, eigenvalues):
+def _conjugated(rng, n, eigenvalues, out=None):
     """Q diag(lam) Q^T for a Haar Q and sampled eigenvalues, symmetrized."""
     q = _haar(rng, n)
     lam = _eigen_sample(rng, n, eigenvalues)
-    m = (q * lam[None, :]) @ q.T
+    m = np.matmul(q * lam[None, :], q.T, out=out)
     _symmetrize(m)
     return m
 
 
-def hadamard_matrix(n):
+def hadamard_matrix(n, out=None):
     """Sylvester-Walsh-Hadamard matrix scaled to be orthogonal; n a power of 2.
 
     Built by in-place doubling of a +-1 pattern; every entry is then +-c with
@@ -215,7 +214,7 @@ def hadamard_matrix(n):
     """
     if n < 1 or n & (n - 1):
         raise ValueError("hadamard needs n a power of 2")
-    h = np.empty((n, n))
+    h = np.empty((n, n)) if out is None else out
     h[0, 0] = 1.0
     c, s = 1.0, 1
     while s < n:
@@ -229,62 +228,56 @@ def hadamard_matrix(n):
     return h
 
 
-def dst_matrix(n):
-    i = np.arange(1, n + 1, dtype=np.float64)
-    a = np.outer(i, i)
+def _trig_matrix(i, m, f, out):
+    """sqrt(2 / m) f(pi i_j i_k / m) over the pairs of entries of i."""
+    a = np.outer(i, i, out=out)
     a *= np.pi
-    a /= n + 1
-    np.sin(a, out=a)
-    a *= np.sqrt(2.0 / (n + 1))
+    a /= m
+    f(a, out=a)
+    a *= np.sqrt(2.0 / m)
     return a
 
 
-def dct_matrix(n):
-    i = np.arange(1, n + 1) - 0.5
-    a = np.outer(i, i)
-    a *= np.pi
-    a /= n
-    np.cos(a, out=a)
-    a *= np.sqrt(2.0 / n)
-    return a
+def dst_matrix(n, out=None):
+    return _trig_matrix(np.arange(1, n + 1, dtype=np.float64), n + 1, np.sin, out)
 
 
-def generate(spec, stream=0):
-    """Sample (or construct) a matrix for the spec; deterministic in (spec, stream)."""
+def dct_matrix(n, out=None):
+    return _trig_matrix(np.arange(1, n + 1) - 0.5, n, np.cos, out)
+
+
+def generate(spec, stream=0, out=None):
+    """Sample (or construct) a matrix for the spec; deterministic in (spec, stream).
+    Written over `out`, a row-major float64 n x n array or view, when given."""
     rng = stream_rng(spec.seed, stream)
     n = spec.n
     kind = spec.kind
     if kind == "goe":
-        m = _goe_fill(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+        m = _goe_fill(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n), out)
     elif kind == "wigner":
-        m = _wigner_fill(rng, n, spec.entry_law)
+        m = _wigner_fill(rng, n, spec.entry_law, out)
     elif kind == "haar_orthogonal":
         # raw Haar draw; orthogonal but not symmetric (building block for
         # rom / orth_invariant, which conjugate it into symmetric matrices)
-        m = _haar(rng, n)
+        m = _haar(rng, n, out)
     elif kind == "rom":
-        m = _conjugated(rng, n, "rademacher")
-    elif kind == "r_rom":
-        inner = generate(EnsembleSpec("rom", n, spec.seed), stream)
-        m = _puncture_in_place(inner.values)
+        m = _conjugated(rng, n, "rademacher", out)
+    elif kind in ("r_rom", "punctured"):
+        inner = replace(spec, kind="rom" if kind == "r_rom" else spec.inner, inner=None)
+        m = _puncture_in_place(generate(inner, stream, out).values)
     elif kind == "hadamard":
-        m = hadamard_matrix(n)
+        m = hadamard_matrix(n, out)
     elif kind == "dst":
-        m = dst_matrix(n)
+        m = dst_matrix(n, out)
     elif kind == "dct":
-        m = dct_matrix(n)
-    elif kind == "punctured":
-        inner = generate(EnsembleSpec(spec.inner, n, spec.seed,
-                                      entry_law=spec.entry_law,
-                                      eigenvalues=spec.eigenvalues), stream)
-        m = _puncture_in_place(inner.values)
+        m = dct_matrix(n, out)
     elif kind == "block_goe":
-        m = np.empty((n, n))
+        m = np.empty((n, n)) if out is None else out
         _goe_blocks(rng, m, spec.q, spec.sigma_matrix())
     elif kind == "community":
-        m = _community(rng, n, spec.q, spec.inner or "rom")
+        m = _community(rng, n, spec.q, spec.inner or "rom", out)
     elif kind == "orth_invariant":
-        m = _conjugated(rng, n, spec.eigenvalues or "rademacher")
+        m = _conjugated(rng, n, spec.eigenvalues or "rademacher", out)
     else:  # pragma: no cover
         raise AssertionError(kind)
     return GeneratedMatrix(m, spec)
@@ -312,37 +305,35 @@ def _eigen_sample(rng, n, name):
 
 def _goe_blocks(rng, m, q, sigma, skip_first=False):
     """Fill the q x q blocks of m on and above the block diagonal, in
-    row-major order, with GOE fills of entry variance sigma[r, c] / n; the
-    blocks are themselves symmetric, so block (c, r) repeats block (r, c).
-    skip_first leaves block (0, 0) alone.  One block is alive at a time."""
+    row-major order and in place, with GOE fills of entry variance
+    sigma[r, c] / n; the blocks are themselves symmetric, so block (c, r)
+    repeats block (r, c).  skip_first leaves block (0, 0) alone."""
     n = m.shape[0]
     b = n // q
     for r in range(q):
         for c in range(r, q):
             if skip_first and r == c == 0:
                 continue
-            blk = _goe_fill(rng, b, np.sqrt(sigma[r, c] / n),
-                            np.sqrt(2.0 * sigma[r, c] / n))
-            m[r * b:(r + 1) * b, c * b:(c + 1) * b] = blk
+            blk = m[r * b:(r + 1) * b, c * b:(c + 1) * b]
+            _goe_fill(rng, b, np.sqrt(sigma[r, c] / n),
+                      np.sqrt(2.0 * sigma[r, c] / n), blk)
             if c != r:
                 m[c * b:(c + 1) * b, r * b:(r + 1) * b] = blk
-            del blk
 
 
-def _community(rng, n, q, inner):
+def _community(rng, n, q, inner, out=None):
     """One distinguished diagonal block with block-scale kappa_2 = 1/q, all
     other blocks GOE with entry variance 1/n."""
-    m = np.empty((n, n))
+    m = np.empty((n, n)) if out is None else out
     b = n // q
+    blk = m[:b, :b]
     if inner == "rom":
-        blk = _conjugated(rng, b, "rademacher")
+        _conjugated(rng, b, "rademacher", blk)
     elif inner == "goe":
-        blk = _goe_fill(rng, b, np.sqrt(1.0 / b), np.sqrt(2.0 / b))
+        _goe_fill(rng, b, np.sqrt(1.0 / b), np.sqrt(2.0 / b), blk)
     else:
         raise ValueError("unknown community inner kind %r" % inner)
     blk *= 1.0 / np.sqrt(q)
-    m[:b, :b] = blk
-    del blk
     _goe_blocks(rng, m, q, np.ones((q, q)), skip_first=True)
     return m
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -282,9 +283,9 @@ def test_amp_builds_deterministic_matrix_once_read_only(tmp_path, monkeypatch):
     calls = []
     real_generate = ensembles.generate
 
-    def counting_generate(spec, stream=0):
+    def counting_generate(spec, stream=0, out=None):
         calls.append(spec.kind)
-        return real_generate(spec, stream)
+        return real_generate(spec, stream, out)
 
     def writing_run(a, cfg, stream=0):
         a[0, 0] = 0.0
@@ -374,6 +375,67 @@ def test_gen_se_compare_threads_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["amp", "traffic"])
+def test_each_worker_thread_reuses_one_matrix_buffer(tmp_path, monkeypatch, command):
+    calls = []  # (thread, out, values) per generate call
+    real_generate = ensembles.generate
+
+    def recording_generate(spec, stream=0, out=None):
+        gm = real_generate(spec, stream, out)
+        calls.append((threading.get_ident(), out, gm.values))
+        return gm
+
+    monkeypatch.setattr(ensembles, "generate", recording_generate)
+    cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 64}, trials=5)
+    for threads in ("1", "2"):
+        calls.clear()
+        assert run_cli("--threads", threads, command, "--config", cfg,
+                       "--out", str(tmp_path / threads)) == 0
+        assert len(calls) == 5
+        workers = {}
+        for thread, out, values in calls:
+            workers.setdefault(thread, []).append((out, values))
+        assert len(workers) <= int(threads)
+        for seen in workers.values():
+            # a worker's first trial allocates; every later one writes over it
+            assert seen[0][0] is None
+            assert all(out is values is seen[0][1] for out, values in seen[1:])
+        assert len({id(values) for _, _, values in calls}) <= int(threads)
+
+
+def test_trial_matrix_keeps_every_field_of_the_spec():
+    from trafficamp.cli import _generate_trial
+
+    spec = ensembles.EnsembleSpec("punctured", 16, inner="wigner", entry_law="rademacher")
+    inner = ensembles.EnsembleSpec("wigner", 16, 5, entry_law="rademacher")
+    want = ensembles.puncture(ensembles.generate(inner, stream=2).values)
+    assert _generate_trial(spec, 5, 2).tobytes() == want.tobytes()
+
+
+_SUBCOMMAND_ARGS = {
+    "gen": ["--kind", "goe", "--n", "8"],
+    "traffic": ["--config", "cfg.json"],
+    "cactus-audit": ["--config", "cfg.json"],
+    "amp": ["--config", "cfg.json"],
+    "se": ["--config", "cfg.json"],
+    "compare": ["--kernel", "kernel.json", "--moments", "moments.csv"],
+}
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_ARGS))
+def test_threads_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
+                                            threads):
+    monkeypatch.chdir(tmp_path)
+    # the flag is accepted before and after the subcommand name
+    for argv in (["--threads", threads, command], [command, "--threads", threads]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *_SUBCOMMAND_ARGS[command])
+        assert exc.value.code == 2
+        assert "argument --threads: must be at least 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("amp, message", [
     ({"nonlinearities": ["identity", "identity"], "T": 2, "mode": "scalar_kappa",
       "kappa": "goe", "init": "zeros"}, "unknown init 'zeros'"),
@@ -385,9 +447,9 @@ def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, caps
     calls = []
     real_generate = ensembles.generate
 
-    def recording_generate(spec, stream=0):
+    def recording_generate(spec, stream=0, out=None):
         calls.append(spec.kind)
-        return real_generate(spec, stream)
+        return real_generate(spec, stream, out)
 
     monkeypatch.setattr(ensembles, "generate", recording_generate)
     cfg = _write_config(tmp_path, amp=amp)

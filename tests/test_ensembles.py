@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trafficamp import ensembles
 from trafficamp.diagrams import Diagram
 from trafficamp.ensembles import (EnsembleSpec, block_labels,
                                   community_kappa_table, delocalization_audit,
@@ -89,6 +90,15 @@ def test_puncture():
     assert np.max(np.abs(puncture(m) @ np.ones(n))) < 1e-10 * np.sqrt(n)
     with pytest.raises(ValueError):
         puncture(np.zeros((3, 4)))
+
+
+def test_punctured_forwards_block_fields_to_its_inner_kind():
+    for inner in (dict(inner="block_goe", q=2, sigma=(1.0, 0.5, 0.5, 1.0)),
+                  dict(inner="community", q=2)):
+        got = generate(EnsembleSpec("punctured", 8, 1, **inner), stream=3).values
+        fields = dict(inner, kind=inner.pop("inner"))
+        want = puncture(generate(EnsembleSpec(n=8, seed=1, **fields), stream=3).values)
+        assert got.tobytes() == want.tobytes(), fields
 
 
 def test_puncture_hadamard_two_path():
@@ -320,6 +330,25 @@ def test_generate_matches_scatter_oracles_bytewise(n):
         assert got.tobytes() == want.tobytes(), spec
 
 
+def test_strip_fill_matches_oracles_when_a_strip_takes_several_draws():
+    n = 1030
+    assert ensembles._STAGE_BYTES // (8 * n) < 64  # several fill calls per strip
+    for spec in _oracle_specs(n):
+        if spec.kind in ("goe", "wigner", "block_goe") or spec.inner == "goe":
+            assert generate(spec, stream=2).values.tobytes() \
+                == _oracle(spec, 2).tobytes(), spec
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_generate_writes_into_out(n):
+    for spec in _oracle_specs(n):
+        want = generate(spec, stream=2).values.tobytes()
+        for out in (np.full((n, n), np.nan),
+                    np.full((n + 2, n + 3), np.nan)[1:-1, 2:-1]):  # not contiguous
+            assert generate(spec, stream=2, out=out).values is out, spec
+            assert out.tobytes() == want, spec
+
+
 @pytest.mark.parametrize("n", ORACLE_NS)
 def test_puncture_matches_oracle_and_keeps_input(n):
     rng = stream_rng(11, n)
@@ -362,25 +391,45 @@ PEAK_SPECS = (
     (1.3, dict(kind="punctured", inner="dst")),
     (1.3, dict(kind="punctured", inner="dct")),
     (1.3, dict(kind="punctured", inner="goe")),
-    (1.3, dict(kind="block_goe", q=2, sigma=(1.0, 0.5, 0.5, 1.0))),
-    (1.3, dict(kind="community", q=2, inner="goe")),
+    # blocks are filled in place
+    (1.05, dict(kind="block_goe", q=2, sigma=(1.0, 0.5, 0.5, 1.0))),
+    (1.1, dict(kind="community", q=2, inner="goe")),
 )
 
 
-@pytest.mark.parametrize("bound,fields", PEAK_SPECS,
-                         ids=["-".join(str(v) for k, v in f.items() if k != "sigma")
-                              for _, f in PEAK_SPECS])
-def test_generate_peak_memory(bound, fields):
+def _ids(specs):
+    return ["-".join(str(v) for k, v in f.items() if k != "sigma") for _, f in specs]
+
+
+def _generate_peak(fields, out=None):
+    """Peak traced memory of one generate call at n = PEAK_N, in units of 8n^2."""
     generate(EnsembleSpec(n=8, seed=1, **fields))  # one-time allocations
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        m = generate(EnsembleSpec(n=PEAK_N, seed=1, **fields)).values
+        m = generate(EnsembleSpec(n=PEAK_N, seed=1, **fields), out=out).values
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert m.shape == (PEAK_N, PEAK_N)
-    assert peak <= bound * 8 * PEAK_N ** 2, peak / (8 * PEAK_N ** 2)
+    return peak / (8 * PEAK_N ** 2)
+
+
+@pytest.mark.parametrize("bound,fields", PEAK_SPECS, ids=_ids(PEAK_SPECS))
+def test_generate_peak_memory(bound, fields):
+    assert _generate_peak(fields) <= bound
+
+
+# with `out`, the symmetric fills keep only their staging buffer and the
+# diagonal's draws; the other kinds' in-place ufuncs on strided views take
+# numpy's iterator buffers (about 0.06 at this n)
+OUT_PEAK_SPECS = ((0.05, dict(kind="goe")), (0.05, dict(kind="wigner", entry_law="normal")),
+                  (0.05, dict(kind="block_goe", q=2, sigma=(1.0, 0.5, 0.5, 1.0))))
+
+
+@pytest.mark.parametrize("bound,fields", OUT_PEAK_SPECS, ids=_ids(OUT_PEAK_SPECS))
+def test_generate_into_out_peak_memory(bound, fields):
+    assert _generate_peak(fields, out=np.full((PEAK_N, PEAK_N), np.nan)) <= bound
 
 
 @pytest.mark.parametrize("n", (1, 64))
