@@ -125,10 +125,11 @@ def _is_deterministic(spec):
     return spec.kind == "punctured" and spec.inner in DETERMINISTIC_KINDS
 
 
-def _generate_trial(spec, master_seed, trial, out=None):
-    """The trial's matrix (a deterministic kind's reads neither the seed nor the
-    trial), written into `out` when given."""
-    return ensembles.generate(dataclasses.replace(spec, seed=master_seed), trial, out).values
+def _generate_trial(spec, master_seed, trial, local):
+    """The trial's matrix, generated over local.m, the calling thread's buffer."""
+    local.m = ensembles.generate(dataclasses.replace(spec, seed=master_seed), trial,
+                                 getattr(local, "m", None)).values
+    return local.m
 
 
 def _run_trials(fn, trials, threads):
@@ -218,7 +219,7 @@ def _sweep(args, work):
         local = threading.local()  # one n x n buffer per worker thread
 
         def one(trial):
-            m = local.m = _generate_trial(spec, master_seed, trial, getattr(local, "m", None))
+            m = _generate_trial(spec, master_seed, trial, local)
             vals = [v / n for v in graphpoly.eval_catalog(catalog, m, budget=budget)]
             return vals, (audit(m, budget) if audit and trial == 0 else None)
 
@@ -345,9 +346,7 @@ def cmd_amp(args):
     local = threading.local()  # one n x n buffer per worker thread
 
     def one(block):
-        m = fixed
-        if m is None:
-            m = local.m = _generate_trial(spec, master_seed, block[0], getattr(local, "m", None))
+        m = fixed if fixed is not None else _generate_trial(spec, master_seed, block[0], local)
         traces = amp_mod.run(m, amp_mod.TrialBlock(cfgs[t] for t in block), block)
         # only the iterates are kept; the Onsager vectors are dropped here
         return [res if isinstance(res, amp_mod.DivergenceError) else

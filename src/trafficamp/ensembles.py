@@ -204,7 +204,7 @@ def _conjugated(rng, n, eigenvalues, out=None):
     return m
 
 
-def hadamard_matrix(n, out=None):
+def hadamard_matrix(n):
     """Sylvester-Walsh-Hadamard matrix scaled to be orthogonal; n a power of 2.
 
     Built by in-place doubling of a +-1 pattern; every entry is then +-c with
@@ -214,7 +214,7 @@ def hadamard_matrix(n, out=None):
     """
     if n < 1 or n & (n - 1):
         raise ValueError("hadamard needs n a power of 2")
-    h = np.empty((n, n)) if out is None else out
+    h = np.empty((n, n))
     h[0, 0] = 1.0
     c, s = 1.0, 1
     while s < n:
@@ -228,22 +228,24 @@ def hadamard_matrix(n, out=None):
     return h
 
 
-def _trig_matrix(i, m, f, out):
-    """sqrt(2 / m) f(pi i_j i_k / m) over the pairs of entries of i."""
-    a = np.outer(i, i, out=out)
+def dst_matrix(n):
+    i = np.arange(1, n + 1, dtype=np.float64)
+    a = np.outer(i, i)
     a *= np.pi
-    a /= m
-    f(a, out=a)
-    a *= np.sqrt(2.0 / m)
+    a /= n + 1
+    np.sin(a, out=a)
+    a *= np.sqrt(2.0 / (n + 1))
     return a
 
 
-def dst_matrix(n, out=None):
-    return _trig_matrix(np.arange(1, n + 1, dtype=np.float64), n + 1, np.sin, out)
-
-
-def dct_matrix(n, out=None):
-    return _trig_matrix(np.arange(1, n + 1) - 0.5, n, np.cos, out)
+def dct_matrix(n):
+    i = np.arange(1, n + 1) - 0.5
+    a = np.outer(i, i)
+    a *= np.pi
+    a /= n
+    np.cos(a, out=a)
+    a *= np.sqrt(2.0 / n)
+    return a
 
 
 def generate(spec, stream=0, out=None):
@@ -265,12 +267,11 @@ def generate(spec, stream=0, out=None):
     elif kind in ("r_rom", "punctured"):
         inner = replace(spec, kind="rom" if kind == "r_rom" else spec.inner, inner=None)
         m = _puncture_in_place(generate(inner, stream, out).values)
-    elif kind == "hadamard":
-        m = hadamard_matrix(n, out)
-    elif kind == "dst":
-        m = dst_matrix(n, out)
-    elif kind == "dct":
-        m = dct_matrix(n, out)
+    elif kind in ("hadamard", "dst", "dct"):  # built afresh, then copied into `out`
+        m = {"hadamard": hadamard_matrix, "dst": dst_matrix, "dct": dct_matrix}[kind](n)
+        if out is not None:
+            out[...] = m
+            m = out
     elif kind == "block_goe":
         m = np.empty((n, n)) if out is None else out
         _goe_blocks(rng, m, spec.q, spec.sigma_matrix())

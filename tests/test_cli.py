@@ -350,7 +350,7 @@ def test_cactus_audit_runs_delocalization_once_per_n(tmp_path, monkeypatch):
         assert [m.shape[0] for m in audited] == [32, 64]
         for m in audited:
             spec = _ensemble_from_config(load_config(cfg), n=m.shape[0])
-            assert np.array_equal(m, _generate_trial(spec, 1, 0))
+            assert np.array_equal(m, _generate_trial(spec, 1, 0, threading.local()))
     assert outputs[0] == outputs[1]
 
 
@@ -409,7 +409,7 @@ def test_trial_matrix_keeps_every_field_of_the_spec():
     spec = ensembles.EnsembleSpec("punctured", 16, inner="wigner", entry_law="rademacher")
     inner = ensembles.EnsembleSpec("wigner", 16, 5, entry_law="rademacher")
     want = ensembles.puncture(ensembles.generate(inner, stream=2).values)
-    assert _generate_trial(spec, 5, 2).tobytes() == want.tobytes()
+    assert _generate_trial(spec, 5, 2, threading.local()).tobytes() == want.tobytes()
 
 
 _SUBCOMMAND_ARGS = {

@@ -324,19 +324,12 @@ def _oracle_specs(n):
 
 @pytest.mark.parametrize("n", ORACLE_NS)
 def test_generate_matches_scatter_oracles_bytewise(n):
+    # at n = 130 the first 64-row strip of a symmetric fill takes two fill calls
+    assert ensembles._STAGE_BYTES // (8 * 130) < 64
     for spec in _oracle_specs(n):
         got = generate(spec, stream=2).values
         want = _oracle(spec, 2)
         assert got.tobytes() == want.tobytes(), spec
-
-
-def test_strip_fill_matches_oracles_when_a_strip_takes_several_draws():
-    n = 1030
-    assert ensembles._STAGE_BYTES // (8 * n) < 64  # several fill calls per strip
-    for spec in _oracle_specs(n):
-        if spec.kind in ("goe", "wigner", "block_goe") or spec.inner == "goe":
-            assert generate(spec, stream=2).values.tobytes() \
-                == _oracle(spec, 2).tobytes(), spec
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
