@@ -116,13 +116,10 @@ def _amp_config_from(cfg, seed):
         seed=seed)
 
 
-DETERMINISTIC_KINDS = ("hadamard", "dst", "dct")
-
-
 def _is_deterministic(spec):
-    if spec.kind in DETERMINISTIC_KINDS:
+    if spec.kind in ensembles.DETERMINISTIC:
         return True
-    return spec.kind == "punctured" and spec.inner in DETERMINISTIC_KINDS
+    return spec.kind == "punctured" and spec.inner in ensembles.DETERMINISTIC
 
 
 def _generate_trial(spec, master_seed, trial, local):
@@ -156,7 +153,7 @@ def cmd_gen(args):
     with open(out + ".json", "w") as fh:
         json.dump(gm.spec.to_json(), fh, indent=2)
     msg = "wrote %s (%d x %d)" % (out, spec.n, spec.n)
-    if spec.kind in ("hadamard", "dst", "dct", "rom"):
+    if spec.kind in ensembles.DETERMINISTIC or spec.kind == "rom":
         msg += "; max |H^2 - I| = %.2e" % _orthogonality_error(gm.values)
     print(msg)
     return 0

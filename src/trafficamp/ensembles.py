@@ -55,7 +55,7 @@ class EnsembleSpec:
 
     def to_json(self):
         out = {"kind": self.kind, "n": self.n, "seed": self.seed}
-        if self.kind == "wigner":
+        if "wigner" in (self.kind, self.inner):
             out["entry_law"] = self.entry_law
         if self.inner is not None:
             out["inner"] = self.inner
@@ -106,35 +106,43 @@ def _puncture_in_place(a):
     """puncture(a), computed in a's own buffer; returns a."""
     n = a.shape[0]
     col = a.sum(axis=1) / n
-    tot = col.sum() / n
-    a -= col[:, None]
-    a -= col[None, :]
-    a += tot
-    _symmetrize(a)
+    _symmetrize(a, col, col.sum() / n)
     return a
 
 
-# edge of the square tiles that the in-place transposes below work on
+# rows per strip of the symmetric fills and of _trig_matrix
 _TILE = 64
+# edge of _symmetrize's tiles; two such tiles are its only scratch memory
+_SYM_TILE = 128
 # bytes of draws that one fill call of _symmetric_fill stages
 _STAGE_BYTES = 1 << 16
 
 
-def _tiles(n):
-    return [(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
+def _tiles(n, width=_TILE):
+    return [(i, min(i + width, n)) for i in range(0, n, width)]
 
 
-def _symmetrize(a):
-    """Replace square `a` by (a + a.T) / 2.0 in place, tile by tile."""
-    tiles = _tiles(a.shape[0])
+def _symmetrize(a, col=None, tot=0.0):
+    """Replace square `a` by (b + b.T) / 2.0 in place, in one pass over pairs
+    of mirror tiles, where b = a, or b = ((a - col[:, None]) - col[None, :]) + tot
+    when col is given."""
+    tiles = _tiles(a.shape[0], _SYM_TILE)
+    u, v = np.empty((2, tiles[0][1], tiles[0][1]))
     for k, (i, e) in enumerate(tiles):
-        d = a[i:e, i:e]
-        d[...] = (d + d.T) / 2.0
-        for j, f in tiles[k + 1:]:
-            avg = a[i:e, j:f] + a[j:f, i:e].T
-            avg /= 2.0
-            a[i:e, j:f] = avg
-            a[j:f, i:e] = avg.T
+        for j, f in tiles[k:]:
+            x, s, t = a[i:e, j:f], u[:e - i, :f - j], v[:f - j, :e - i]
+            t[...] = a[j:f, i:e]  # t.T is read fast here; a[j:f, i:e].T is not
+            if col is not None:
+                x = np.subtract(x, col[i:e, None], out=s)
+                x -= col[None, j:f]
+                x += tot
+                t -= col[j:f, None]
+                t -= col[None, i:e]
+                t += tot
+            np.add(x, t.T, out=s)
+            s /= 2.0
+            a[i:e, j:f] = s
+            a[j:f, i:e] = s.T
 
 
 def _symmetric_fill(n, k, fill, out=None):
@@ -207,45 +215,55 @@ def _conjugated(rng, n, eigenvalues, out=None):
 def hadamard_matrix(n):
     """Sylvester-Walsh-Hadamard matrix scaled to be orthogonal; n a power of 2.
 
-    Built by in-place doubling of a +-1 pattern; every entry is then +-c with
-    c = 1.0 divided by sqrt(2.0) once per doubling.  The top-right block is
-    copied row by row: as one block its source and destination share
-    address bounds, so numpy would stage it through a temporary copy.
+    Every entry is +-c with c = 1.0 divided by sqrt(2.0) once per doubling, so
+    it is built by in-place doubling from h[0, 0] = c.  The top-right block is
+    copied row by row: as one block its source and destination share address
+    bounds, so numpy would stage it through a temporary copy.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("hadamard needs n a power of 2")
+    c = 1.0
+    for _ in range(int(n).bit_length() - 1):
+        c /= np.sqrt(2.0)
     h = np.empty((n, n))
-    h[0, 0] = 1.0
-    c, s = 1.0, 1
+    h[0, 0] = c
+    s = 1
     while s < n:
         for r in range(s):
             h[r, s:2 * s] = h[r, :s]
         h[s:2 * s, :s] = h[:s, :s]
         np.negative(h[:s, :s], out=h[s:2 * s, s:2 * s])
-        c /= np.sqrt(2.0)
         s *= 2
-    h *= c
     return h
 
 
-def dst_matrix(n):
-    i = np.arange(1, n + 1, dtype=np.float64)
-    a = np.outer(i, i)
-    a *= np.pi
-    a /= n + 1
-    np.sin(a, out=a)
-    a *= np.sqrt(2.0 / (n + 1))
+def _trig_matrix(x, div, trig, scale):
+    """Symmetric matrix of entries ((((x_i * x_j) * pi) / div) -> trig) * scale,
+    evaluated on and above the diagonal only: per strip of _TILE rows, on the
+    columns from the strip's first row on, then mirrored below the diagonal."""
+    a = np.empty((len(x), len(x)))
+    for i, e in _tiles(len(x)):
+        s = np.multiply(x[i:e, None], x[None, i:], out=a[i:e, i:])
+        s *= np.pi
+        s /= div
+        trig(s, out=s)
+        s *= scale
+        a[e:, i:e] = a[i:e, e:].T
     return a
+
+
+def dst_matrix(n):
+    """sqrt(2/(n+1)) sin(pi i j/(n+1)), i, j = 1..n; sin on the upper triangle only."""
+    return _trig_matrix(np.arange(1, n + 1, dtype=np.float64), n + 1, np.sin,
+                        np.sqrt(2.0 / (n + 1)))
 
 
 def dct_matrix(n):
-    i = np.arange(1, n + 1) - 0.5
-    a = np.outer(i, i)
-    a *= np.pi
-    a /= n
-    np.cos(a, out=a)
-    a *= np.sqrt(2.0 / n)
-    return a
+    """sqrt(2/n) cos(pi (i-1/2)(j-1/2)/n), i, j = 1..n; cos on the upper triangle only."""
+    return _trig_matrix(np.arange(1, n + 1) - 0.5, n, np.cos, np.sqrt(2.0 / n))
+
+
+DETERMINISTIC = {"hadamard": hadamard_matrix, "dst": dst_matrix, "dct": dct_matrix}
 
 
 def generate(spec, stream=0, out=None):
@@ -267,8 +285,8 @@ def generate(spec, stream=0, out=None):
     elif kind in ("r_rom", "punctured"):
         inner = replace(spec, kind="rom" if kind == "r_rom" else spec.inner, inner=None)
         m = _puncture_in_place(generate(inner, stream, out).values)
-    elif kind in ("hadamard", "dst", "dct"):  # built afresh, then copied into `out`
-        m = {"hadamard": hadamard_matrix, "dst": dst_matrix, "dct": dct_matrix}[kind](n)
+    elif kind in DETERMINISTIC:  # built afresh, then copied into `out`
+        m = DETERMINISTIC[kind](n)
         if out is not None:
             out[...] = m
             m = out

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,8 @@ def _oracle(spec, stream):
 
 
 ORACLE_NS = (1, 2, 63, 64, 65, 130)  # around the edges of the 64-wide tiles
+# around the edges of _symmetrize's tiles (127, 128, 129, 257)
+SYM_TILE_NS = tuple(ensembles._SYM_TILE + d for d in (-1, 0, 1, ensembles._SYM_TILE + 1))
 
 
 def _smallest_factor(n):
@@ -322,11 +325,23 @@ def _oracle_specs(n):
     return specs
 
 
-@pytest.mark.parametrize("n", ORACLE_NS)
+@pytest.mark.parametrize("n", (6, 64))
+def test_spec_json_round_trip(n):
+    for spec in _oracle_specs(n) + [
+            EnsembleSpec("punctured", n, seed=4, inner="wigner", entry_law="rademacher")]:
+        back = EnsembleSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert back == spec
+        assert generate(back).values.tobytes() == generate(spec).values.tobytes(), spec
+
+
+@pytest.mark.parametrize("n", ORACLE_NS + SYM_TILE_NS)
 def test_generate_matches_scatter_oracles_bytewise(n):
     # at n = 130 the first 64-row strip of a symmetric fill takes two fill calls
     assert ensembles._STAGE_BYTES // (8 * 130) < 64
-    for spec in _oracle_specs(n):
+    specs = _oracle_specs(n)
+    if n in SYM_TILE_NS:  # the kinds that go through the puncture's tile loop
+        specs = [spec for spec in specs if spec.kind in ("r_rom", "punctured")]
+    for spec in specs:
         got = generate(spec, stream=2).values
         want = _oracle(spec, 2)
         assert got.tobytes() == want.tobytes(), spec
@@ -342,18 +357,18 @@ def test_generate_writes_into_out(n):
             assert out.tobytes() == want, spec
 
 
-@pytest.mark.parametrize("n", ORACLE_NS)
+@pytest.mark.parametrize("n", ORACLE_NS + SYM_TILE_NS)
 def test_puncture_matches_oracle_and_keeps_input(n):
     rng = stream_rng(11, n)
     for m in (rng.standard_normal((n, n)),            # not symmetric
-              hadamard_matrix(64) if n == 64 else dst_matrix(n)):
+              hadamard_matrix(n) if n in (64, 128) else dst_matrix(n)):
         before = m.copy()
         got = puncture(m)
         assert got.tobytes() == _oracle_puncture(m).tobytes()
         assert m.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("n", (3,) + ORACLE_NS)
+@pytest.mark.parametrize("n", (3,) + ORACLE_NS + SYM_TILE_NS)
 def test_deterministic_builders_match_oracles_bytewise(n):
     for kind in ("dst", "dct"):
         want = _ORACLE_DETERMINISTIC[kind](n).tobytes()
