@@ -2,19 +2,18 @@
 exact Onsager corrections, and closed-form state-evolution predictions."""
 
 from .diagrams import (CATALOG, Diagram, DiagramClass, canonical_form,
-                       canonicalize, classify, cycles_of_cactus, graft,
-                       homeomorphic_matchings, named_diagram,
-                       open_cactus_decomposition, parse_diagram, quotient,
-                       w_to_z_coefficients, z_to_w_coefficients)
+                       canonicalize, classify, cycles_of_cactus, named_diagram,
+                       parse_diagram, quotient, w_to_z_coefficients,
+                       z_to_w_coefficients)
 from .ensembles import EnsembleSpec, generate, puncture
 from .freeprob import (CumulantTable, cactus_traffic_value,
                        cumulants_to_moments, diagonal_from_spectral,
                        enumerate_nc, kreweras, moments_to_cumulants,
                        named_table, weingarten_limit)
 from .gaussian import (GaussianLaw, Polynomial, isserlis_moment,
-                       named_polynomial, poly_expectation, wick_product)
-from .graphpoly import (eval_open_cactus_matrix, eval_w, eval_w_brute,
-                        eval_w_neq, eval_z, fundamental_bound_audit)
+                       named_polynomial, poly_expectation)
+from .graphpoly import (eval_open_cactus_matrix, eval_w, eval_w_brute, eval_z,
+                        fundamental_bound_audit)
 from .amp import (AMPConfig, AMPTrace, DivergenceError, empirical_state,
                   onsager_b, run)
 from .state_evolution import (SEDivergenceError, SEKernel, compare_empirical,

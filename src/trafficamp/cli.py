@@ -49,50 +49,60 @@ def _cell(x):
     return str(x)
 
 
-# accepted config keys, per section (None: the top level)
+# the JSON type of each accepted config key, per section (None: the top level):
+# int, float (any number), str or dict; [t] is a list of t, and (t, u) is t or u
 CONFIG_KEYS = {
-    None: ("ensemble", "diagrams", "amp", "trials", "dimension_sweep",
-           "output_dir", "master_seed", "eval_budget", "open_cactuses"),
-    "ensemble": ("kind", "n", "seed", "entry_law", "inner", "q", "sigma",
-                 "eigenvalues"),
-    "amp": ("nonlinearities", "T", "mode", "kappa", "init"),
+    None: {"ensemble": dict, "diagrams": [str], "amp": dict, "trials": int,
+           "dimension_sweep": [int], "output_dir": str, "master_seed": int,
+           "eval_budget": float, "open_cactuses": [str]},
+    "ensemble": {"kind": str, "n": int, "seed": int, "entry_law": str, "inner": str,
+                 "q": int, "sigma": [float], "eigenvalues": str},
+    "amp": {"nonlinearities": [(str, [float])], "T": int, "mode": str,
+            "kappa": (str, dict), "init": str},
 }
 
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), dict: ("an object", "objects")}
 
-# config keys that take an integer, as (section, key); each dimension_sweep
-# entry is one
-INTEGER_KEYS = ((None, "trials"), (None, "master_seed"), (None, "dimension_sweep"),
-                ("amp", "T"), ("ensemble", "n"), ("ensemble", "q"), ("ensemble", "seed"))
+
+def _type_name(t, plural=False):
+    if isinstance(t, tuple):
+        return " or ".join(_type_name(u, plural) for u in t)
+    if isinstance(t, list):
+        return ("lists of " if plural else "a list of ") + _type_name(t[0], True)
+    return _TYPE_NAMES[t][plural]
+
+
+def _has_type(value, t):
+    if isinstance(t, tuple):
+        return any(_has_type(value, u) for u in t)
+    if isinstance(t, list):
+        return isinstance(value, list) and all(_has_type(v, t[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if t is float else t)
 
 
 def load_config(path):
-    """Read a JSON config; a key outside CONFIG_KEYS, an INTEGER_KEYS value that
-    is not an integer (a bool, float or string), a `dimension_sweep` that is not
-    a list, or a `trials` below 1, is a ValueError that names the key."""
+    """Read a JSON config; a key outside CONFIG_KEYS, a value (or list entry) not
+    of the key's JSON type (a bool is not a number), or a `trials` below 1, is a
+    ValueError that names the key."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config %s is not a JSON object" % path)
-    for section, allowed in CONFIG_KEYS.items():
+    for section, types in CONFIG_KEYS.items():
         obj = cfg if section is None else cfg.get(section)
-        for key in obj if isinstance(obj, dict) else ():
-            if key not in allowed:
-                where = "the top level" if section is None else "section %r" % section
-                raise ValueError("unknown config key %r in %s of %s"
-                                 % (key, where, path))
-    sweep = cfg.get("dimension_sweep")
-    if sweep is not None and not isinstance(sweep, list):
-        raise ValueError("config key 'dimension_sweep' must be a list of integers, "
-                         "not %r, in %s" % (sweep, path))
-    for section, key in INTEGER_KEYS:
-        obj = cfg if section is None else cfg.get(section)
-        value = obj.get(key) if isinstance(obj, dict) else None
-        values = value if isinstance(value, list) else [] if value is None else [value]
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, int) or key == "trials" and v < 1:
-                where = "" if section is None else " in section %r" % section
-                raise ValueError("config key %r%s must be an integer%s, not %r, in %s" % (
-                    key, where, " >= 1" if key == "trials" else "", v, path))
+        place = "the top level" if section is None else "section %r" % section
+        for key, value in obj.items() if isinstance(obj, dict) else ():
+            if key not in types:
+                raise ValueError("unknown config key %r in %s of %s" % (key, place, path))
+            t, values, entry = types[key], [value], ""
+            if isinstance(t, list) and isinstance(value, list):  # name the bad entry
+                t, values, entry = t[0], value, " entry"
+            for v in values:
+                if not _has_type(v, t) or key == "trials" and v < 1:
+                    raise ValueError("config key %r%s%s must be %s%s, not %r, in %s" % (
+                        key, entry, "" if section is None else " in " + place,
+                        _type_name(t), " >= 1" if key == "trials" else "", v, path))
     return cfg
 
 

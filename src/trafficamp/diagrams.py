@@ -1,4 +1,4 @@
-"""Multigraph diagrams: classification, quotients, change of basis, decompositions.
+"""Multigraph diagrams: classification, quotients, change of basis, open cactuses.
 
 Diagrams are finite multigraphs (loops and parallel edges allowed) carrying
 0, 1, or 2 root vertices.  They index the graph polynomials evaluated in
@@ -100,14 +100,6 @@ class DiagramClass:
     eulerian: bool
     treelike: bool
     gaussian_tree: bool
-
-
-@dataclass(frozen=True)
-class HomeomorphicMatching:
-    """A partial vertex matching of two rooted treelike diagrams whose quotient
-    is a rooted cactus.  Always contains the root pair."""
-
-    pairs: frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +368,6 @@ def canonical_form(d, cap=CANON_CAP):
     return (c.vertex_count, c.roots, c.edges)
 
 
-def isomorphic(d1, d2, cap=CANON_CAP):
-    return canonical_form(d1, cap) == canonical_form(d2, cap)
-
-
 # ---------------------------------------------------------------------------
 # w <-> z change of basis
 # ---------------------------------------------------------------------------
@@ -432,31 +420,6 @@ def cycles_of_cactus(d):
     for block in biconnected_blocks(d):
         out.append(len(block))
     return sorted(out)
-
-
-def graft(parts):
-    """Disjoint union of rooted diagrams with all roots identified into one root."""
-    parts = list(parts)
-    if not parts:
-        raise DiagramError("graft needs at least one part")
-    for p in parts:
-        if len(p.roots) != 1:
-            raise DiagramError("graft requires singly-rooted parts")
-    offsets = itertools.accumulate([0] + [p.vertex_count for p in parts])
-    roots = [p.roots[0] + off for p, off in zip(parts, offsets)]
-    return _glue(parts, [roots], roots[0])
-
-
-def _glue(parts, merged, root):
-    """Disjoint union of `parts`, numbered part after part, with each vertex group
-    in `merged` identified into one vertex; rooted at union vertex `root`."""
-    edges, total = [], 0
-    for p in parts:
-        edges.extend((u + total, v + total) for u, v in p.edges)
-        total += p.vertex_count
-    absorbed = {v for group in merged for v in group}
-    blocks = [list(g) for g in merged] + [[v] for v in range(total) if v not in absorbed]
-    return quotient(Diagram(total, tuple(edges), (root,)), blocks)
 
 
 def open_cactus_parts(d):
@@ -522,103 +485,6 @@ def _induced(d, verts, root=None):
     edges = tuple((idx[u], idx[v]) for u, v in d.edges if u in vset and v in vset)
     roots = (idx[root],) if root is not None else ()
     return Diagram(len(verts), edges, roots)
-
-
-# ---------------------------------------------------------------------------
-# open cactus decomposition of 2-edge-connected non-cactuses
-# ---------------------------------------------------------------------------
-
-def open_cactus_decomposition(d):
-    """Find an excess open-cactus subgraph whose interior can be removed.
-
-    For a rooted 2-edge-connected non-cactus diagram, returns
-    (s, t, sub, vertices): sub is an open cactus with endpoints s < t
-    (original vertex ids), relabeled so that sub's vertex i is vertices[i] in
-    d.  Its edges are the edges of d that touch the interior (vertices minus
-    {s, t}), or one s-t edge when the interior is empty.  Deleting those
-    edges and the interior leaves d 2-edge-connected, and the root is not an
-    interior vertex.  The search tries interiors by increasing size, then in
-    lexicographic order, and for each the pairs (s, t) in lexicographic
-    order; an empty interior takes the lowest-indexed s-t edge.  Its cost
-    grows exponentially with the vertex count.
-    """
-    if len(d.roots) < 1:
-        raise DiagramError("decomposition needs a rooted diagram")
-    cls = classify(d)
-    if not cls.two_edge_connected:
-        raise DiagramError("diagram must be 2-edge-connected")
-    if cls.cactus:
-        raise DiagramError("diagram is a cactus; nothing to remove")
-
-    n = d.vertex_count
-    for k in range(n - 1):
-        for interior in itertools.combinations([v for v in range(n) if v != d.roots[0]], k):
-            inner = set(interior)
-            touching = [ei for ei, e in enumerate(d.edges) if inner.intersection(e)]
-            ends = {v for ei in touching for v in d.edges[ei]} - inner
-            for s, t in itertools.combinations([v for v in range(n) if v not in inner], 2):
-                if not ends <= {s, t}:
-                    continue
-                ids = touching or [ei for ei, e in enumerate(d.edges) if e == (s, t)][:1]
-                found = ids and _removable_open_cactus(d, inner, s, t, ids)
-                if found:
-                    return found
-
-
-def _removable_open_cactus(d, inner, s, t, ids):
-    """(s, t, sub, vertices) when edges `ids` form an open cactus from s to t with
-    interior `inner` whose removal leaves d 2-edge-connected, else None."""
-    vertices = sorted(inner | {s, t})
-    idx = {v: i for i, v in enumerate(vertices)}
-    edges = tuple((idx[u], idx[v]) for u, v in (d.edges[ei] for ei in ids))
-    sub = Diagram(len(vertices), edges, (idx[s], idx[t]))
-    try:
-        open_cactus_parts(sub)
-    except DiagramError:
-        return None
-    keep = {v: i for i, v in enumerate(v for v in range(d.vertex_count) if v not in inner)}
-    rest = Diagram(len(keep), tuple((keep[u], keep[v]) for ei, (u, v) in enumerate(d.edges)
-                                    if ei not in ids))
-    if classify(rest).two_edge_connected:
-        return s, t, sub, vertices
-    return None
-
-
-# ---------------------------------------------------------------------------
-# homeomorphic matchings
-# ---------------------------------------------------------------------------
-
-def homeomorphic_matchings(t1, t2, cap=CANON_CAP):
-    """All partial matchings of two treelike diagrams whose quotient is a cactus.
-
-    The root pair is always matched.  For cactus inputs this is exactly the
-    root-only matching.
-    """
-    for t in (t1, t2):
-        if len(t.roots) != 1:
-            raise DiagramError("homeomorphic matchings need singly-rooted diagrams")
-        if not classify(t).treelike:
-            raise DiagramError("inputs must be treelike")
-    if t1.vertex_count > cap or t2.vertex_count > cap:
-        raise DiagramSizeError("diagram exceeds vertex cap")
-    r1, r2 = t1.roots[0], t2.roots[0]
-    others1 = [v for v in range(t1.vertex_count) if v != r1]
-    others2 = [v for v in range(t2.vertex_count) if v != r2]
-
-    out = []
-    for k in range(0, min(len(others1), len(others2)) + 1):
-        for sub1 in itertools.combinations(others1, k):
-            for sub2 in itertools.permutations(others2, k):
-                m = HomeomorphicMatching(frozenset([(r1, r2)] + list(zip(sub1, sub2))))
-                if classify(homeomorphic_quotient(t1, t2, m)).cactus:
-                    out.append(m)
-    return out
-
-
-def homeomorphic_quotient(t1, t2, matching):
-    """Quotient of the disjoint union t1 + t2 under a homeomorphic matching."""
-    n1 = t1.vertex_count
-    return _glue([t1, t2], [[u, v + n1] for u, v in matching.pairs], t1.roots[0])
 
 
 # ---------------------------------------------------------------------------

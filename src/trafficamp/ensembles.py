@@ -9,7 +9,7 @@ regardless of generation order or thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,6 +17,11 @@ from . import graphpoly
 
 KINDS = ("goe", "wigner", "haar_orthogonal", "rom", "r_rom", "hadamard",
          "dst", "dct", "punctured", "block_goe", "community", "orth_invariant")
+
+# the fields beyond kind, n and seed that each kind reads; punctured also
+# passes its fields on to its inner kind
+READS = {"wigner": ("entry_law",), "punctured": ("inner",), "block_goe": ("q", "sigma"),
+         "community": ("q", "inner"), "orth_invariant": ("eigenvalues",)}
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,13 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown ensemble kind %r" % self.kind)
+        reads = READS.get(self.kind, ()) + (READS.get(self.inner, ())
+                                            if self.kind == "punctured" else ())
+        for f in fields(self)[3:]:
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise ValueError("ensemble field %r is set to %r, but kind %r does "
+                                 "not read it" % (f.name, value, self.kind))
         if self.n < 1:
             raise ValueError("dimension must be positive")
         if self.kind == "hadamard" and self.n & (self.n - 1):

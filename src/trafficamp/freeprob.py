@@ -1,9 +1,9 @@
 """Non-crossing partition combinatorics and analytic traffic-distribution values.
 
 Provides the moment <-> free-cumulant transforms, the limiting values of
-cactus diagrams for ensembles given by a cumulant table, the block-matrix
-recursion for per-block limits, and an independent Weingarten-calculus oracle
-that recomputes the same limits from half-edge matching asymptotics.
+cactus diagrams for ensembles given by a cumulant table, and an independent
+Weingarten-calculus oracle that recomputes the same limits from half-edge
+matching asymptotics.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import diagrams
-from .diagrams import Diagram, DiagramError, classify, cycles_of_cactus
+from .diagrams import DiagramError, classify, cycles_of_cactus
 
 NC_CAP = 12
 HALF_EDGE_CAP = 16
@@ -481,92 +481,3 @@ def weingarten_limit(d, moments, cap=HALF_EDGE_CAP):
                 mom *= moments[length // 2]
             total += mu * mom
     return total
-
-
-# ---------------------------------------------------------------------------
-# block-matrix limits
-# ---------------------------------------------------------------------------
-
-def block_cactus_limit(d, r, kappas, q):
-    """Per-block limiting z-value of a rooted cactus over a block matrix model.
-
-    kappas maps unordered block pairs (r, c) to cumulant tables of the
-    corresponding block at its own scale.  The recursion alternates block
-    indices around even cycles and stays within the root block on odd ones.
-    """
-    if len(d.roots) != 1:
-        raise DiagramError("block_cactus_limit needs a singly-rooted diagram")
-    if not classify(d).cactus:
-        raise DiagramError("diagram must be a cactus")
-
-    def table(a, b):
-        key = (a, b) if (a, b) in kappas else (b, a)
-        if key not in kappas:
-            raise KeyError("no cumulant table for block pair (%d, %d)" % (a, b))
-        t = kappas[key]
-        if t.tag != "cumulants":
-            raise ValueError("block tables must be tagged cumulants")
-        return t
-
-    def value(dd, root, color):
-        loops_here = [ei for ei, (u, v) in enumerate(dd.edges) if u == v == root]
-        out = 1.0
-        for _ in loops_here:
-            out *= table(color, color)[1]
-        for block in diagrams.biconnected_blocks(dd):
-            verts = set()
-            for ei in block:
-                verts.update(dd.edges[ei])
-            if root not in verts:
-                continue
-            cycle = _cycle_order(dd, block, root)
-            ell = len(cycle)
-            strip = Diagram(dd.vertex_count,
-                            tuple(e for ei, e in enumerate(dd.edges) if ei not in block),
-                            ())
-            comps = diagrams.connected_components(strip)
-            hang = []
-            for u in cycle[1:]:
-                comp = next(c for c in comps if u in c)
-                hang.append((diagrams._induced(strip, comp, root=u), u))
-            if ell % 2 == 1:
-                term = table(color, color)[ell]
-                for (sub, _), k in zip(hang, range(2, ell + 1)):
-                    term *= value(sub, sub.roots[0], color)
-            else:
-                term = 0.0
-                for c in range(q):
-                    prod = table(color, c)[ell]
-                    for (sub, _), k in zip(hang, range(2, ell + 1)):
-                        prod *= value(sub, sub.roots[0], color if k % 2 == 1 else c)
-                    term += prod
-            out *= term
-        return out
-
-    return value(d, d.roots[0], r)
-
-
-def _cycle_order(dd, block, root):
-    """Vertices of a cycle block in traversal order starting at the root."""
-    adj = {}
-    for ei in block:
-        u, v = dd.edges[ei]
-        adj.setdefault(u, []).append((v, ei))
-        adj.setdefault(v, []).append((u, ei))
-    order = [root]
-    used = set()
-    cur = root
-    while True:
-        nxt = None
-        for w, ei in sorted(adj[cur]):
-            if ei not in used:
-                nxt = (w, ei)
-                break
-        if nxt is None:
-            break
-        used.add(nxt[1])
-        cur = nxt[0]
-        if cur == root:
-            break
-        order.append(cur)
-    return order

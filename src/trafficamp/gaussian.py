@@ -1,4 +1,4 @@
-"""Exact moments of polynomials in correlated Gaussians, and Wick products.
+"""Exact moments of polynomials in correlated Gaussians, and polynomial presets.
 
 Expectations are computed by enumerating pair matchings (Isserlis), with
 deterministic coordinates (e.g. a constant initial state) handled as plain
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEGREE_CAP = 16
-WICK_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -154,47 +153,3 @@ def poly_expectation(ps, law):
         if coef != 0.0:
             total += coef * isserlis_moment(expo, law)
     return total
-
-
-def _partial_matchings_on(positions):
-    """All partial matchings of `positions` as lists of position pairs."""
-    if not positions:
-        yield []
-        return
-    first, rest = positions[0], positions[1:]
-    for m in _partial_matchings_on(rest):
-        yield m
-    for j in range(len(rest)):
-        keep = rest[:j] + rest[j + 1:]
-        for m in _partial_matchings_on(keep):
-            yield [(first, rest[j])] + m
-
-
-def wick_product(alpha, law):
-    """Wick (multivariate Hermite) product He_alpha as a monomial expansion.
-
-    alpha is a multiset over coordinates (dict coord -> count or a sequence of
-    coordinates).  Returns {sorted coordinate tuple: coefficient} with the
-    convention He_alpha = sum over matchings M of (-1)^{|M|} prod cov *
-    prod unmatched X.
-    """
-    if isinstance(alpha, dict):
-        seq = []
-        for i, c in sorted(alpha.items()):
-            seq.extend([i] * int(c))
-    else:
-        seq = sorted(alpha)
-    if len(seq) > WICK_CAP:
-        raise ValueError("wick product size %d exceeds cap %d" % (len(seq), WICK_CAP))
-    out = {}
-    for m in _partial_matchings_on(list(range(len(seq)))):
-        coef = (-1.0) ** len(m)
-        for u, v in m:
-            coef *= law.cov[seq[u], seq[v]]
-        if coef == 0.0:
-            continue
-        matched = {u for pair in m for u in pair}
-        mono = tuple(sorted(seq[u] for u in range(len(seq)) if u not in matched))
-        out[mono] = out.get(mono, 0.0) + coef
-    return {k: v for k, v in out.items() if v != 0.0}
-

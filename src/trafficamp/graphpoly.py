@@ -527,20 +527,6 @@ def eval_z_brute(d, labels, n=None, budget=1e8):
     return out
 
 
-def eval_w_neq(d, labels, s, t, n=None, budget=None):
-    """w-sum restricted to labelings with distinct labels at vertices s and t.
-
-    Inclusion-exclusion: w^{s!=t} = w - w(with s,t merged).
-    """
-    if s == t:
-        raise DiagramError("s and t must be distinct vertices")
-    lab, n = _labels_and_n(d, labels, n)
-    full = _eval_w(d, lab, n, budget=budget)
-    blocks = [[s, t]] + [[v] for v in range(d.vertex_count) if v not in (s, t)]
-    merged = quotient(d, blocks)
-    return full - _eval_w(merged, lab, n, budget=budget)
-
-
 def eval_open_cactus_matrix(d, a, budget=None):
     """Matrix value of an open cactus: alternating diag(hanging) and A product.
 

@@ -1,4 +1,4 @@
-"""Shared matrix persistence: TAMP0001 binary format and small-matrix CSV."""
+"""Matrix persistence in the TAMP0001 binary format."""
 
 import struct
 
@@ -27,14 +27,3 @@ def read_matrix(path):
     if data.size != rows * cols:
         raise ValueError("truncated TAMP0001 file")
     return data.reshape(rows, cols).astype(np.float64)
-
-
-def write_csv(path, m):
-    np.savetxt(path, np.asarray(m, dtype=np.float64), delimiter=",")
-
-
-def read_csv(path):
-    m = np.loadtxt(path, delimiter=",", dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    return m

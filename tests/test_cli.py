@@ -226,13 +226,38 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, section, key):
 
 
 def test_config_accepts_every_documented_key(tmp_path):
-    cfg = {key: 1 for key in CONFIG_KEYS[None]}
-    cfg["dimension_sweep"] = [1]
-    cfg["ensemble"] = {key: 1 for key in CONFIG_KEYS["ensemble"]}
-    cfg["amp"] = {key: 1 for key in CONFIG_KEYS["amp"]}
+    cfg = {"ensemble": {"kind": "goe", "n": 8, "seed": 1, "entry_law": "normal",
+                        "inner": "rom", "q": 2, "sigma": [1, 0.5, 0.5, 1.0],
+                        "eigenvalues": "uniform"},
+           "diagrams": ["cycle2"], "trials": 1, "dimension_sweep": [8],
+           "amp": {"nonlinearities": ["identity", [0, 1.5]], "T": 2, "mode": "block_goe",
+                   "kappa": {"tag": "cumulants", "values": [0, 1]}, "init": "ones"},
+           "output_dir": "out", "master_seed": 1, "eval_budget": 1e9,
+           "open_cactuses": ["open_path1"]}
+    assert all(set(cfg if section is None else cfg[section]) == set(keys)
+               for section, keys in CONFIG_KEYS.items())
     path = tmp_path / "all.json"
     path.write_text(json.dumps(cfg))
     assert load_config(str(path)) == cfg
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "diagrams", "cycle3"), (None, "diagrams", ["cycle2", 5]),
+    (None, "open_cactuses", "open_path1"), (None, "output_dir", 1),
+    (None, "eval_budget", "1e9"), (None, "eval_budget", "abc"), (None, "eval_budget", True),
+    (None, "amp", ["identity"]), (None, "trials", 0),
+    ("amp", "kappa", 5), ("amp", "nonlinearities", 5), ("amp", "nonlinearities", [[1, "x"]]),
+    ("amp", "mode", 1), ("ensemble", "kind", None), ("ensemble", "sigma", [1, "0.5"]),
+])
+def test_config_values_of_the_wrong_json_type_name_the_key(tmp_path, capsys, section,
+                                                           key, value):
+    cfg = json.loads(open(_write_config(tmp_path)).read())
+    (cfg if section is None else cfg[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("traffic", "cactus-audit", "amp", "se"):
+        assert run_cli(command, "--config", str(path)) == 2, command
+        assert "config key %r" % key in capsys.readouterr().err, command
 
 
 def test_config_rejects_a_dimension_sweep_that_is_not_a_list(tmp_path, capsys):
@@ -732,6 +757,22 @@ def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message)
         errors.append(capsys.readouterr().err)
     assert message in errors[0]
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("ensemble, field", [
+    ({"kind": "goe", "n": 64, "entry_law": "rademacher"}, "entry_law"),
+    ({"kind": "goe", "n": 64, "q": 2}, "q"),
+    ({"kind": "community", "n": 64, "q": 2, "sigma": [1, 1, 1, 1]}, "sigma"),
+    ({"kind": "punctured", "n": 64, "inner": "goe", "eigenvalues": "uniform"},
+     "eigenvalues"),
+])
+def test_ensemble_fields_the_kind_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                                 ensemble, field):
+    cfg = _write_config(tmp_path, ensemble=ensemble)
+    for argv in (["amp", "--no-save-traces"], ["se", "--out", str(tmp_path / "k.json")],
+                 ["traffic"]):
+        assert run_cli(*argv, "--config", cfg) == 2, argv
+        assert "ensemble field %r" % field in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("sigma", [None, [1.0], [1.0, 0.5, 0.5, 1.0, 0.0]])

@@ -1,21 +1,15 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trafficamp import graphpoly
 from trafficamp.diagrams import (CATALOG, Diagram, DiagramClass, DiagramError,
-                                 HomeomorphicMatching, _block_is_cycle,
-                                 biconnected_blocks, bridges, canonical_form,
-                                 canonicalize, classify, cycles_of_cactus,
-                                 enumerate_connected_multigraphs,
+                                 _block_is_cycle, biconnected_blocks, bridges,
+                                 canonical_form, canonicalize, classify,
+                                 cycles_of_cactus, enumerate_connected_multigraphs,
                                  enumerate_two_edge_connected, format_diagram,
-                                 graft, homeomorphic_matchings,
-                                 homeomorphic_quotient, is_connected, isomorphic,
-                                 named_diagram, open_cactus_decomposition,
-                                 open_cactus_parts, parse_diagram, quotient,
-                                 set_partitions, w_to_z_coefficients,
+                                 is_connected, named_diagram, parse_diagram,
+                                 quotient, set_partitions, w_to_z_coefficients,
                                  z_to_w_coefficients)
 
 
@@ -179,7 +173,7 @@ def test_classify_matches_legacy_random(d):
 
 def test_quotient_examples():
     p2 = CATALOG["path2"]
-    assert isomorphic(quotient(p2, [[0, 2], [1]]), CATALOG["cycle2"])
+    assert canonical_form(quotient(p2, [[0, 2], [1]])) == canonical_form(CATALOG["cycle2"])
     assert quotient(p2, [[0], [1], [2]]) == p2
     q = quotient(p2, [[0, 1, 2]])
     assert q.vertex_count == 1 and q.edges == ((0, 0), (0, 0))
@@ -259,159 +253,6 @@ def test_cycles_of_cactus():
     assert cycles_of_cactus(Diagram(1, ((0, 0), (0, 0)))) == [1, 1]
     with pytest.raises(DiagramError):
         cycles_of_cactus(CATALOG["theta"])
-
-
-def _check_decomposition(d):
-    s, t, sub, vertices = open_cactus_decomposition(d)
-    assert s != t
-    open_cactus_parts(sub)  # condition 1: sub is an open cactus
-    assert vertices[sub.roots[0]] == s and vertices[sub.roots[1]] == t
-    interior = [v for i, v in enumerate(vertices) if i not in sub.roots]
-    # sub is induced: its edges are exactly d's edges among its vertices,
-    # minus those entirely inside the remainder's endpoint attachments
-    keep = [v for v in range(d.vertex_count) if v not in interior]
-    idx = {v: i for i, v in enumerate(keep)}
-    rem_edges = tuple((idx[u], idx[v]) for u, v in d.edges
-                      if u in idx and v in idx)
-    remainder = Diagram(len(keep), rem_edges, ())
-    assert classify(remainder).two_edge_connected  # condition 2
-    assert d.roots[0] not in interior              # condition 3
-
-
-def test_open_cactus_decomposition():
-    _check_decomposition(CATALOG["theta"].with_roots((0,)))
-    for r in range(4):
-        _check_decomposition(CATALOG["k4"].with_roots((r,)))
-    chord = Diagram(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)), (0,))
-    _check_decomposition(chord)
-    with pytest.raises(DiagramError):
-        open_cactus_decomposition(CATALOG["cycle4"].with_roots((0,)))
-    with pytest.raises(DiagramError):
-        open_cactus_decomposition(CATALOG["star3"].with_roots((0,)))
-
-
-def test_open_cactus_decomposition_enumerated():
-    for d in enumerate_two_edge_connected(6):
-        if classify(d).cactus:
-            continue
-        _check_decomposition(d.with_roots((0,)))
-
-
-def _check_decomposition_strict(d):
-    # the remainder drops sub's edges, not only the interior, so a witness
-    # with an empty interior must leave d 2-edge-connected without its s-t edge
-    s, t, sub, vertices = open_cactus_decomposition(d)
-    open_cactus_parts(sub)
-    assert (vertices[sub.roots[0]], vertices[sub.roots[1]]) == (s, t) and s != t
-    interior = {v for i, v in enumerate(vertices) if i not in sub.roots}
-    assert d.roots[0] not in interior
-    rest = list(d.edges)
-    for u, v in sub.edges:
-        rest.remove((min(vertices[u], vertices[v]), max(vertices[u], vertices[v])))
-    keep = {v: i for i, v in enumerate(v for v in range(d.vertex_count)
-                                        if v not in interior)}
-    remainder = Diagram(len(keep), tuple((keep[u], keep[v]) for u, v in rest))
-    assert classify(remainder).two_edge_connected
-
-
-def test_open_cactus_decomposition_every_root():
-    count = 0
-    for d in enumerate_two_edge_connected(7):
-        if classify(d).cactus:
-            continue
-        for r in range(d.vertex_count):
-            _check_decomposition_strict(d.with_roots((r,)))
-        count += 1
-    assert count == 184
-
-
-def test_homeomorphic_matchings():
-    e1 = CATALOG["edge"].with_roots((0,))
-    ms = homeomorphic_matchings(e1, e1)
-    assert len(ms) == 1
-    assert sorted(ms[0].pairs) == [(0, 0), (1, 1)]
-    q = homeomorphic_quotient(e1, e1, ms[0])
-    assert isomorphic(q.unrooted(), CATALOG["cycle2"])
-
-    tri = CATALOG["cycle3"].with_roots((0,))
-    ms = homeomorphic_matchings(tri, tri)
-    assert len(ms) == 1 and sorted(ms[0].pairs) == [(0, 0)]
-
-    vertex = Diagram(1, (), (0,))
-    assert homeomorphic_matchings(e1, vertex) == []
-
-    with pytest.raises(DiagramError):
-        homeomorphic_matchings(CATALOG["theta"].with_roots((0,)), e1)
-
-
-def test_graft():
-    tri = CATALOG["cycle3"].with_roots((0,))
-    bow = graft([tri, tri])
-    assert isomorphic(bow.unrooted(), CATALOG["bowtie"])
-    assert bow.edge_count == 6 and bow.vertex_count == 5
-    e1 = CATALOG["edge"].with_roots((0,))
-    assert isomorphic(graft([Diagram(1, (), (0,)), e1]), e1)
-    star2 = graft([e1, e1])
-    assert isomorphic(star2, CATALOG["path2"].with_roots((1,)))
-
-
-# oracles: graft and homeomorphic_quotient as they were before they shared one
-# gluing helper, copied literally
-
-def _legacy_graft(parts):
-    """Disjoint union of rooted diagrams with all roots identified into one root."""
-    parts = list(parts)
-    if not parts:
-        raise DiagramError("graft needs at least one part")
-    for p in parts:
-        if len(p.roots) != 1:
-            raise DiagramError("graft requires singly-rooted parts")
-    total = sum(p.vertex_count for p in parts)
-    edges = []
-    offset = 0
-    maps = []
-    for p in parts:
-        maps.append(offset)
-        for u, v in p.edges:
-            edges.append((u + offset, v + offset))
-        offset += p.vertex_count
-    # merge all roots into the first one
-    root_ids = [p.roots[0] + maps[i] for i, p in enumerate(parts)]
-    keep = root_ids[0]
-    blocks = [[keep] + root_ids[1:]]
-    for v in range(total):
-        if v not in root_ids:
-            blocks.append([v])
-    merged = quotient(Diagram(total, tuple(edges), (keep,)), blocks)
-    return merged
-
-
-def _legacy_homeomorphic_quotient(t1, t2, matching):
-    """Quotient of the disjoint union t1 + t2 under a homeomorphic matching."""
-    n1 = t1.vertex_count
-    union_edges = list(t1.edges) + [(u + n1, v + n1) for u, v in t2.edges]
-    union = Diagram(n1 + t2.vertex_count, tuple(union_edges), (t1.roots[0],))
-    merged = {u: v + n1 for u, v in matching.pairs}
-    blocks = [[u, merged[u]] for u in merged]
-    absorbed = set(merged) | set(merged.values())
-    for v in range(union.vertex_count):
-        if v not in absorbed:
-            blocks.append([v])
-    return quotient(union, blocks)
-
-
-def test_gluing_matches_legacy_on_catalog():
-    rooted = [d.with_roots((r,)) for d in CATALOG.values() for r in range(d.vertex_count)]
-    for d1, d2 in itertools.product(rooted, repeat=2):
-        assert graft([d1, d2]) == _legacy_graft([d1, d2])
-    assert graft(rooted[-3:]) == _legacy_graft(rooted[-3:])
-    # the root pair, alone or with one more pair
-    at_zero = [d.with_roots((0,)) for d in CATALOG.values()]
-    for d1, d2 in itertools.product(at_zero, repeat=2):
-        for u, v in itertools.product(range(d1.vertex_count), range(d2.vertex_count)):
-            m = HomeomorphicMatching(frozenset({(0, 0), (u, v)} if u and v else {(0, 0)}))
-            assert (homeomorphic_quotient(d1, d2, m)
-                    == _legacy_homeomorphic_quotient(d1, d2, m))
 
 
 def test_parse_and_catalog():

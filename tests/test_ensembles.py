@@ -27,6 +27,20 @@ def test_spec_validation():
     assert back == spec
 
 
+@pytest.mark.parametrize("fields, unread", [
+    (dict(kind="goe", entry_law="rademacher"), "entry_law"),
+    (dict(kind="hadamard", inner="dst"), "inner"),
+    (dict(kind="rom", q=2), "q"),
+    (dict(kind="community", q=2, sigma=(1.0,) * 4), "sigma"),
+    (dict(kind="wigner", eigenvalues="uniform"), "eigenvalues"),
+    (dict(kind="punctured", inner="goe", entry_law="rademacher"), "entry_law"),
+    (dict(kind="punctured", inner="community", q=2, sigma=(1.0,) * 4), "sigma"),
+])
+def test_spec_rejects_fields_its_kind_does_not_read(fields, unread):
+    with pytest.raises(ValueError, match="ensemble field %r is set to" % unread):
+        EnsembleSpec(n=8, **fields)
+
+
 def test_hadamard():
     h2 = generate(EnsembleSpec("hadamard", 2)).values
     assert np.allclose(h2, np.array([[1, 1], [1, -1]]) / np.sqrt(2))

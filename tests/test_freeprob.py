@@ -3,7 +3,7 @@ import pytest
 
 from trafficamp.diagrams import (CATALOG, Diagram, cycle_diagram,
                                  enumerate_two_edge_connected)
-from trafficamp.freeprob import (CumulantTable, NCPartition, block_cactus_limit,
+from trafficamp.freeprob import (CumulantTable, NCPartition,
                                  cactus_traffic_value, catalan,
                                  cumulants_to_moments, diagonal_from_spectral,
                                  enumerate_nc, kreweras, moments_to_cumulants,
@@ -165,62 +165,6 @@ def _naive_weingarten(d, moments):
 def test_weingarten_pruned_matches_naive():
     for d in enumerate_two_edge_connected(4):
         assert abs(weingarten_limit(d, MOMS) - _naive_weingarten(d, MOMS)) < 1e-9
-
-
-def test_block_cactus_limit():
-    kap = {(0, 0): named_table("rom")}
-    root4 = CATALOG["cycle4"].with_roots((0,))
-    assert block_cactus_limit(root4, 0, kap, 1) == -1.0
-    tabs = {(0, 0): CumulantTable((0.0, 0.3, 0.0)),
-            (0, 1): CumulantTable((0.0, 0.2, 0.0)),
-            (1, 1): CumulantTable((0.0, 0.4, 0.0))}
-    v = block_cactus_limit(CATALOG["cycle2"].with_roots((0,)), 0, tabs, 2)
-    assert abs(v - 0.5) < 1e-12
-    assert block_cactus_limit(CATALOG["cycle3"].with_roots((0,)), 0, tabs, 2) == 0.0
-    with pytest.raises(KeyError):
-        block_cactus_limit(CATALOG["cycle2"].with_roots((0,)), 0,
-                           {(0, 0): named_table("goe")}, 2)
-
-
-def test_block_cactus_limit_alternation():
-    # even root cycle with hangings: odd positions keep the root block color
-    d = Diagram(6, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 1), (2, 5), (5, 2)),
-                (0,))
-    tabs = {(0, 0): CumulantTable((0, 1.0, 0, 2.0)),
-            (0, 1): CumulantTable((0, 0.5, 0, 3.0)),
-            (1, 1): CumulantTable((0, 0.25, 0, 4.0))}
-
-    def t(a, b):
-        return tabs[(a, b) if (a, b) in tabs else (b, a)]
-
-    def z2(r):
-        return sum(t(r, c)[2] for c in range(2))
-
-    manual = sum(t(0, c)[4] * z2(0) * z2(c) for c in range(2))
-    assert abs(block_cactus_limit(d, 0, tabs, 2) - manual) < 1e-12
-
-
-def test_block_cactus_limit_monte_carlo():
-    # rooted 2-cycle: sum_c kappa_2^{rc} against a block-GOE z-evaluation
-    from trafficamp.ensembles import EnsembleSpec, generate, block_labels
-    from trafficamp import graphpoly as gp
-    n, q = 512, 2
-    sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
-    tabs = {(r, c): CumulantTable((0.0, sigma[r, c] / q), "cumulants")
-            for r in range(q) for c in range(r, q)}
-    d = CATALOG["cycle2"].with_roots((0,))
-    vals = np.zeros(q)
-    trials = 6
-    for s in range(trials):
-        m = generate(EnsembleSpec("block_goe", n, seed=s, q=q,
-                                  sigma=tuple(sigma.reshape(-1)))).values
-        zvec = gp.eval_z(d, m, budget=float("inf"))
-        lab = block_labels(n, q)
-        for r in range(q):
-            vals[r] += zvec[lab == r].mean() / trials
-    for r in range(q):
-        target = block_cactus_limit(d, r, tabs, q)
-        assert abs(vals[r] - target) < 0.08, (r, vals[r], target)
 
 
 def _quartic_crosses(blocks):

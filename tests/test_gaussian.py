@@ -3,8 +3,7 @@ import pytest
 
 from trafficamp.gaussian import (GaussianLaw, POLY_PRESETS, Polynomial,
                                  isserlis_moment, named_polynomial,
-                                 poly_expectation, wick_product,
-                                 _partial_matchings_on)
+                                 poly_expectation)
 
 
 def _rand_law(rng, k):
@@ -73,54 +72,6 @@ def test_poly_expectation_linearity():
     assert abs(lhs - rhs) < 1e-10
 
 
-def test_wick_products():
-    unit = GaussianLaw([[1.0]])
-    assert wick_product({0: 1}, unit) == {(0,): 1.0}
-    h2 = wick_product({0: 2}, unit)
-    assert h2[(0, 0)] == 1.0 and abs(h2[()] + 1.0) < 1e-12
-    h4 = wick_product({0: 4}, unit)
-    assert h4[(0, 0, 0, 0)] == 1.0
-    assert abs(h4[(0, 0)] + 6.0) < 1e-12
-    assert abs(h4[()] - 3.0) < 1e-12
-
-
-def test_wick_orthogonality():
-    rng = np.random.default_rng(3)
-    law = _rand_law(rng, 4)
-    for a, b in (((0,), (0, 0)), ((0, 1), (1,)), ((0, 0, 1), (0, 1))):
-        ea = wick_product(list(a), law)
-        eb = wick_product(list(b), law)
-        total = 0.0
-        for ma, ca in ea.items():
-            for mb, cb in eb.items():
-                expo = [0] * 4
-                for i in ma + mb:
-                    expo[i] += 1
-                total += ca * cb * isserlis_moment(expo, law)
-        assert abs(total) < 1e-10
-
-
-def test_wick_recursion_identity():
-    # prod X_{i_j} = sum over matchings of cov products times Wick products,
-    # as an identity between monomial expansions
-    rng = np.random.default_rng(4)
-    law = _rand_law(rng, 4)
-    for idxs in ((0,), (0, 0), (0, 1), (0, 1, 2), (0, 0, 1, 2), (0, 1, 1, 2, 3, 3)):
-        lhs = {tuple(sorted(idxs)): 1.0}
-        rhs = {}
-        k = len(idxs)
-        for m in _partial_matchings_on(list(range(k))):
-            coef = 1.0
-            for u, v in m:
-                coef *= law.cov[idxs[u], idxs[v]]
-            matched = {u for pair in m for u in pair}
-            rest = [idxs[u] for u in range(k) if u not in matched]
-            for mono, c2 in wick_product(rest, law).items():
-                rhs[mono] = rhs.get(mono, 0.0) + coef * c2
-        for key in set(lhs) | set(rhs):
-            assert abs(lhs.get(key, 0.0) - rhs.get(key, 0.0)) < 1e-9
-
-
 def test_isserlis_vs_monte_carlo_smoke():
     rng = np.random.default_rng(5)
     law = _rand_law(rng, 3)
@@ -136,5 +87,3 @@ def test_degree_caps():
     unit = GaussianLaw([[1.0]])
     with pytest.raises(ValueError):
         isserlis_moment([18], unit)
-    with pytest.raises(ValueError):
-        wick_product({0: 11}, unit)

@@ -8,7 +8,7 @@ from trafficamp import graphpoly as gp
 from trafficamp import matrixio
 from trafficamp.amp import AMPConfig, run
 from trafficamp.diagrams import (CATALOG, Diagram, DiagramError,
-                                 enumerate_connected_multigraphs, graft)
+                                 enumerate_connected_multigraphs)
 
 
 def _rand_sym(rng, n):
@@ -99,28 +99,12 @@ def test_w_reconstructs_from_z_quotients():
         assert abs(w - s) < 1e-9
 
 
-def test_eval_w_neq():
-    rng = np.random.default_rng(6)
-    n = 5
-    a = _rand_sym(rng, n)
-    v = gp.eval_w_neq(CATALOG["path2"], a, 0, 2)
-    brute = sum(a[i, j] * a[j, k]
-                for i in range(n) for j in range(n) for k in range(n) if i != k)
-    assert abs(v - brute) < 1e-9
-    with pytest.raises(DiagramError):
-        gp.eval_w_neq(CATALOG["path2"], a, 1, 1)
-    # s,t adjacent via a loopless edge + zero diagonal: merged term vanishes
-    np.fill_diagonal(a, 0.0)
-    d = CATALOG["cycle2"]
-    assert abs(gp.eval_w_neq(d, a, 0, 1) - gp.eval_w(d, a)) < 1e-10
-
-
 def test_grafting_hadamard_identity():
     rng = np.random.default_rng(7)
     a = _rand_sym(rng, 6)
     a1 = CATALOG["cycle3"].with_roots((0,))
     a2 = CATALOG["path2"].with_roots((1,))
-    g = graft([a1, a2])
+    g = Diagram(5, ((0, 1), (1, 2), (2, 0), (3, 0), (0, 4)), (0,))  # a1 and a2 grafted
     lhs = gp.eval_w(g, a, budget=float("inf"))
     rhs = gp.eval_w(a1, a) * gp.eval_w(a2, a, budget=float("inf"))
     assert np.allclose(lhs, rhs, atol=1e-9)
@@ -176,9 +160,6 @@ def test_matrix_io_roundtrip(tmp_path):
     assert int.from_bytes(raw[8:16], "little") == 5
     assert int.from_bytes(raw[16:24], "little") == 7
     assert np.array_equal(matrixio.read_matrix(p), m)
-    c = tmp_path / "m.csv"
-    matrixio.write_csv(c, m)
-    assert np.allclose(matrixio.read_csv(c), m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,45 +1,15 @@
-"""Cross-module checks: covariance via homeomorphic matchings at toy scale,
-open-cactus values on Fourier-type matrices, bridged-diagram decay under
-puncturing, and the community-model AMP pipeline."""
+"""Cross-module checks: open-cactus values on Fourier-type matrices,
+bridged-diagram decay under puncturing, and the community-model AMP pipeline."""
 
 import numpy as np
 
 from trafficamp import graphpoly as gp
 from trafficamp.amp import AMPConfig, empirical_state, run
-from trafficamp.diagrams import (CATALOG, Diagram, homeomorphic_matchings,
-                                 homeomorphic_quotient)
+from trafficamp.diagrams import CATALOG, Diagram
 from trafficamp.ensembles import (EnsembleSpec, community_kappa_table,
                                   generate, puncture)
 from trafficamp.state_evolution import (aggregate_reports, compare_empirical,
                                         se_community)
-
-
-def test_covariance_from_homeomorphic_matchings():
-    # <z_g1 z_g2> equals the sum of z-values of the matching quotients up to
-    # the vanishing non-treelike remainder (toy-scale check of the limiting
-    # covariance construction)
-    g1 = Diagram(2, ((0, 1),), (0,))                 # rooted edge
-    g2 = Diagram(3, ((0, 1), (1, 2)), (0,))          # rooted 2-step path
-    pairs = [(g1, g1), (g1, g2), (g2, g2)]
-    n, trials = 512, 12
-    for a_idx, (ga, gb) in enumerate(pairs):
-        matchings = homeomorphic_matchings(ga, gb)
-        assert matchings, (ga, gb)
-        lhs = []
-        rhs = []
-        for s in range(trials):
-            m = generate(EnsembleSpec("goe", n, seed=20 + s), stream=a_idx).values
-            za = gp.eval_z(ga, m, budget=float("inf"))
-            zb = gp.eval_z(gb, m, budget=float("inf"))
-            lhs.append(float(np.mean(za * zb)))
-            tot = 0.0
-            for match in matchings:
-                q = homeomorphic_quotient(ga, gb, match)
-                tot += float(np.mean(gp.eval_z(q, m, budget=float("inf"))))
-            rhs.append(tot)
-        diff = np.asarray(lhs) - np.asarray(rhs)
-        # remainder is a combination of non-treelike diagrams: o(1) per entry
-        assert abs(diff.mean()) < 0.15, (ga, gb, diff.mean())
 
 
 def test_hadamard_open_cactus_values():
