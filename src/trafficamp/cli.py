@@ -119,7 +119,10 @@ def _amp_config_from(cfg, seed):
     if isinstance(kappa, str):
         kappa = named_table(kappa)
     elif kappa is not None:
-        kappa = CumulantTable.from_json(kappa)
+        try:
+            kappa = CumulantTable.from_json(kappa)
+        except KeyError as exc:
+            raise ValueError("config key 'kappa' in section 'amp' has no key %s" % exc)
     return amp_mod.AMPConfig(
         nonlinearities=tuple(a["nonlinearities"]), T=int(a["T"]),
         mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"),
@@ -127,9 +130,7 @@ def _amp_config_from(cfg, seed):
 
 
 def _is_deterministic(spec):
-    if spec.kind in ensembles.DETERMINISTIC:
-        return True
-    return spec.kind == "punctured" and spec.inner in ensembles.DETERMINISTIC
+    return (spec.inner if spec.kind == "punctured" else spec.kind) in ensembles.DETERMINISTIC
 
 
 def _generate_trial(spec, master_seed, trial, local):
@@ -139,12 +140,37 @@ def _generate_trial(spec, master_seed, trial, local):
     return local.m
 
 
-def _run_trials(fn, trials, threads):
-    """[fn(0), ..., fn(trials - 1)], on `threads` worker threads when > 1."""
+def _setup(args):
+    """(config, master seed, trials, output directory) of amp, traffic and cactus-audit."""
+    cfg = load_config(args.config)
+    master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
+    outdir = args.out or cfg.get("output_dir", ".")
+    os.makedirs(outdir, exist_ok=True)
+    return cfg, master_seed, int(cfg.get("trials", 1)), outdir
+
+
+def _trials(spec, master_seed, trials, threads, work):
+    """One result per trial: work(m, block) gives those of the trials in `block`,
+    a range, on their matrix m.  A deterministic kind is built once and shared
+    read-only (a work that writes into it raises), its trials in blocks of
+    min(32, ceil(trials / threads)); any other trial is a block of one, generated
+    over its worker thread's buffer.  Blocks run on `threads` worker threads."""
+    fixed = None
+    if _is_deterministic(spec):
+        fixed = ensembles.generate(spec).values
+        fixed.flags.writeable = False
+    size = min(32, -(-trials // threads)) if fixed is not None else 1
+    blocks = [range(b, min(b + size, trials)) for b in range(0, trials, size)]
+    local = threading.local()  # one n x n buffer per worker thread
+
+    def one(block):
+        m = fixed if fixed is not None else _generate_trial(spec, master_seed, block[0], local)
+        return work(m, block)
+
     if threads == 1:
-        return [fn(t) for t in range(trials)]
+        return [res for block in blocks for res in one(block)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
+        return [res for out in pool.map(one, blocks) for res in out]
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +231,25 @@ def _analytic_targets(spec, d):
     return None, None
 
 
-def _sweep(args, work):
-    """The config, output directory, per-n results and exponent rows of traffic
-    and cactus-audit.  work(cfg) gives the (name, diagram, basis) requests and an
-    audit(m, budget) or None; at each n of the sweep the requests are evaluated,
-    divided by n, on every trial's matrix (one for a deterministic kind), and the
-    audit on trial 0's.  Per n: (n, spec, [(name, d, basis, mean, se)], audit)."""
-    cfg = load_config(args.config)
-    master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    trials = int(cfg.get("trials", 1))
-    reqs, audit = work(cfg)
-    sweep = cfg.get("dimension_sweep") or [cfg["ensemble"]["n"]]
-    outdir = args.out or cfg.get("output_dir", ".")
-    os.makedirs(outdir, exist_ok=True)
+def _sweep(args, requests):
+    """The config, output directory, per-n results and exponent rows of traffic or
+    cactus-audit.  requests(cfg) gives the (name, diagram, basis) requests, each
+    evaluated divided by n on every trial's matrix, and an audit(m, budget) or
+    None, run on trial 0's.  Per n: (n, spec, [(name, d, basis, mean, se)], audit)."""
+    cfg, master_seed, trials, outdir = _setup(args)
+    reqs, audit = requests(cfg)
     budget = float(cfg.get("eval_budget", 0)) or None
     catalog = [(d, basis) for _, d, basis in reqs]
+
+    def work(m, block):  # blocks of one; a deterministic kind runs one trial
+        vals = [v / len(m) for v in graphpoly.eval_catalog(catalog, m, budget=budget)]
+        return [(vals, audit(m, budget) if audit and block[0] == 0 else None)]
+
     per_n, series = [], {}
-    for n in sweep:
+    for n in cfg.get("dimension_sweep") or [cfg["ensemble"]["n"]]:
         spec = _ensemble_from_config(cfg, n=n)
-        local = threading.local()  # one n x n buffer per worker thread
-
-        def one(trial):
-            m = _generate_trial(spec, master_seed, trial, local)
-            vals = [v / n for v in graphpoly.eval_catalog(catalog, m, budget=budget)]
-            return vals, (audit(m, budget) if audit and trial == 0 else None)
-
-        results = _run_trials(one, 1 if _is_deterministic(spec) else trials, args.threads)
+        results = _trials(spec, master_seed, 1 if _is_deterministic(spec) else trials,
+                          args.threads, work)
         stats = []
         for i, (name, d, basis) in enumerate(reqs):
             vals = np.array([r[0][i] for r in results])
@@ -330,38 +349,20 @@ def _block_label_vector(spec):
 
 
 def cmd_amp(args):
-    cfg = load_config(args.config)
-    master_seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    trials = int(cfg.get("trials", 1))
-    outdir = args.out or cfg.get("output_dir", ".")
-    os.makedirs(outdir, exist_ok=True)
+    cfg, master_seed, trials, outdir = _setup(args)
     # every trial's config, checked before any matrix is built
     cfgs = [_amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1))
             for t in range(trials)]
     spec = _ensemble_from_config(cfg)
     labels = _block_label_vector(spec)
-    fixed = None
-    if _is_deterministic(spec):
-        # built once for all trials; read-only, so a runner that writes into
-        # it raises instead of altering the matrix of later trials
-        fixed = ensembles.generate(spec).values
-        fixed.flags.writeable = False
-    # trials on the shared matrix run in lockstep, in contiguous blocks of at most
-    # 32 split between the threads; a trial with its own matrix is a block of one
-    size = min(32, -(-trials // args.threads)) if fixed is not None else 1
-    blocks = [range(b, min(b + size, trials)) for b in range(0, trials, size)]
-    local = threading.local()  # one n x n buffer per worker thread
 
-    def one(block):
-        m = fixed if fixed is not None else _generate_trial(spec, master_seed, block[0], local)
+    def work(m, block):  # in lockstep; the iterates are kept, the Onsager vectors not
         traces = amp_mod.run(m, amp_mod.TrialBlock(cfgs[t] for t in block), block)
-        # only the iterates are kept; the Onsager vectors are dropped here
         return [res if isinstance(res, amp_mod.DivergenceError) else
                 (res.iterates, amp_mod.empirical_state(res, block_labels=labels))
                 for res in traces]
 
-    results = [res for out in _run_trials(lambda i: one(blocks[i]), len(blocks),
-                                          args.threads) for res in out]
+    results = _trials(spec, master_seed, trials, args.threads, work)
     states, divergences = [], []
     for trial, res in enumerate(results):
         if isinstance(res, amp_mod.DivergenceError):
@@ -376,14 +377,12 @@ def cmd_amp(args):
 
     report = se_mod.aggregate_reports(states)
     rows = _report_rows(report)
-    write_csv(os.path.join(outdir, "moments.csv"),
-              ["group", "kind", "a", "b", "mean", "se"], rows, cfg)
+    header = ["group", "kind", "a", "b", "mean", "se"]
+    write_csv(os.path.join(outdir, "moments.csv"), header, rows, cfg)
     with open(os.path.join(outdir, "moments.json"), "w") as fh:
         json.dump({"config_hash": config_hash(cfg), "trials": trials,
                    "divergences": [list(d) for d in divergences],
-                   "moments": [{"group": g, "kind": k, "a": a, "b": b,
-                                "mean": m, "se": s}
-                               for g, k, a, b, m, s in rows]}, fh, indent=2)
+                   "moments": [dict(zip(header, row)) for row in rows]}, fh, indent=2)
     print("wrote %s (%d trials, %d diverged)"
           % (os.path.join(outdir, "moments.csv"), trials, len(divergences)))
     return 4 if divergences else 0

@@ -46,12 +46,14 @@ class EnsembleSpec:
                 raise ValueError("ensemble field %r is set to %r, but kind %r does "
                                  "not read it" % (f.name, value, self.kind))
         if self.n < 1:
-            raise ValueError("dimension must be positive")
+            raise ValueError("ensemble field 'n' must be positive, not %r" % self.n)
         if self.kind == "hadamard" and self.n & (self.n - 1):
             raise ValueError("hadamard needs n a power of 2")
         if self.kind in ("block_goe", "community"):
             if not self.q or self.n % self.q:
                 raise ValueError("block kinds need q dividing n")
+        if self.kind == "community" and self.inner not in (None, "rom", "goe"):
+            raise ValueError("ensemble field 'inner' must be 'rom' or 'goe', not %r" % self.inner)
         if self.kind == "block_goe":
             if self.sigma is None or np.size(self.sigma) != self.q * self.q:
                 raise ValueError("block_goe needs sigma with q*q = %d entries"
@@ -360,10 +362,8 @@ def _community(rng, n, q, inner, out=None):
     blk = m[:b, :b]
     if inner == "rom":
         _conjugated(rng, b, "rademacher", blk)
-    elif inner == "goe":
+    else:  # goe, the one other inner kind that EnsembleSpec accepts
         _goe_fill(rng, b, np.sqrt(1.0 / b), np.sqrt(2.0 / b), blk)
-    else:
-        raise ValueError("unknown community inner kind %r" % inner)
     blk *= 1.0 / np.sqrt(q)
     _goe_blocks(rng, m, q, np.ones((q, q)), skip_first=True)
     return m
@@ -376,7 +376,7 @@ def block_labels(n, q):
 def community_kappa_table(q, inner="rom", length=8):
     """Block-scale cumulant table of the community model's distinguished block."""
     from .freeprob import named_table, CumulantTable
-    base = named_table(inner if inner in ("rom", "goe") else "rom", length)
+    base = named_table(inner, length)
     vals = tuple(v / q ** (k / 2.0) for k, v in zip(range(1, length + 1), base.values))
     return CumulantTable(vals, "cumulants")
 

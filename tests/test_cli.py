@@ -279,12 +279,12 @@ def test_gen_orthogonality_error_matches_old_expression(tmp_path, capsys, kind, 
     assert capsys.readouterr().out.endswith("max |H^2 - I| = %.2e\n" % want)
 
 
-def _punctured_hadamard_config(tmp_path):
+def _punctured_hadamard_config(tmp_path, **overrides):
     return _write_config(
         tmp_path, ensemble={"kind": "punctured", "inner": "hadamard", "n": 256},
         amp={"nonlinearities": ["identity", "cube_hermite", "cube_hermite"],
              "T": 3, "mode": "punctured_kappa", "kappa": "rom", "init": "gaussian"},
-        trials=4)
+        trials=4, **overrides)
 
 
 def test_amp_threads_byte_identical(tmp_path):
@@ -301,7 +301,8 @@ def test_amp_threads_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_amp_builds_deterministic_matrix_once_read_only(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["amp", "traffic", "cactus-audit"])
+def test_amp_builds_deterministic_matrix_once_read_only(tmp_path, monkeypatch, command):
     import trafficamp.amp as amp_mod
     from trafficamp import ensembles
 
@@ -312,16 +313,23 @@ def test_amp_builds_deterministic_matrix_once_read_only(tmp_path, monkeypatch):
         calls.append(spec.kind)
         return real_generate(spec, stream, out)
 
-    def writing_run(a, cfg, stream=0):
+    def writing_run(a, cfg, stream=0):  # in amp's work
         a[0, 0] = 0.0
         raise AssertionError("the shared matrix accepted a write")
 
+    def writing_catalog(catalog, a, budget=None):  # in traffic's and cactus-audit's
+        writing_run(a, None)
+
     monkeypatch.setattr(ensembles, "generate", counting_generate)
-    cfg = _punctured_hadamard_config(tmp_path)
-    assert run_cli("amp", "--config", cfg) == 0
-    assert calls == ["punctured", "hadamard"]  # the outer kind builds its inner once
-    monkeypatch.setattr(amp_mod, "run", writing_run)
-    assert run_cli("amp", "--config", cfg) == 2
+    cfg = _punctured_hadamard_config(tmp_path, dimension_sweep=[32, 64])
+    assert run_cli("--threads", "2", command, "--config", cfg) == 0
+    # the outer kind builds its inner once per n; amp ignores the sweep
+    assert calls == ["punctured", "hadamard"] * (1 if command == "amp" else 2)
+    if command == "amp":
+        monkeypatch.setattr(amp_mod, "run", writing_run)
+    else:
+        monkeypatch.setattr(graphpoly, "eval_catalog", writing_catalog)
+    assert run_cli("--threads", "2", command, "--config", cfg) == 2
 
 
 def test_compare_single_trial_is_usage_error(tmp_path, capsys):
@@ -745,6 +753,9 @@ def test_read_moments_csv_matches_legacy(tmp_path):
     ({"T": 0}, "T must be >= 1"),
     ({"kappa": {"tag": "moments", "values": [0.0, 1.0, 0.0, 2.0]}},
      "scalar modes need a cumulant table"),
+    ({"kappa": {"tag": "cumulants"}},
+     "config key 'kappa' in section 'amp' has no key 'values'"),
+    ({"kappa": {"values": [0.0, 1.0]}}, "config key 'kappa' in section 'amp' has no key 'tag'"),
 ])
 def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
     base = {"nonlinearities": ["identity", "identity"], "T": 2,
@@ -765,6 +776,8 @@ def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message)
     ({"kind": "community", "n": 64, "q": 2, "sigma": [1, 1, 1, 1]}, "sigma"),
     ({"kind": "punctured", "n": 64, "inner": "goe", "eigenvalues": "uniform"},
      "eigenvalues"),
+    ({"kind": "community", "n": 64, "q": 2, "inner": "wigner"}, "inner"),
+    ({"kind": "goe", "n": 0}, "n"),
 ])
 def test_ensemble_fields_the_kind_does_not_read_are_usage_errors(tmp_path, capsys,
                                                                  ensemble, field):
