@@ -2,9 +2,9 @@
 exact Onsager corrections, and closed-form state-evolution predictions."""
 
 from .diagrams import (CATALOG, Diagram, DiagramClass, canonical_form,
-                       canonicalize, classify, cycles_of_cactus, named_diagram,
-                       parse_diagram, quotient, w_to_z_coefficients,
-                       z_to_w_coefficients)
+                       canonicalize, check_open_cactus, classify,
+                       cycles_of_cactus, named_diagram, parse_diagram, quotient,
+                       w_to_z_coefficients, z_to_w_coefficients)
 from .ensembles import EnsembleSpec, generate, puncture
 from .freeprob import (CumulantTable, cactus_traffic_value,
                        cumulants_to_moments, diagonal_from_spectral,
@@ -12,8 +12,7 @@ from .freeprob import (CumulantTable, cactus_traffic_value,
                        named_table, weingarten_limit)
 from .gaussian import (GaussianLaw, Polynomial, isserlis_moment,
                        named_polynomial, poly_expectation)
-from .graphpoly import (eval_open_cactus_matrix, eval_w, eval_w_brute, eval_z,
-                        fundamental_bound_audit)
+from .graphpoly import eval_w, eval_w_brute, eval_z, fundamental_bound_audit
 from .amp import (AMPConfig, AMPTrace, DivergenceError, empirical_state,
                   onsager_b, run)
 from .state_evolution import (SEDivergenceError, SEKernel, compare_empirical,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import amp as amp_mod
 from . import ensembles, freeprob, graphpoly, matrixio, state_evolution as se_mod
-from .diagrams import Diagram, classify, named_diagram
+from .diagrams import Diagram, check_open_cactus, classify, named_diagram
 from .freeprob import CumulantTable, cactus_traffic_value, named_table
 
 AUDIT_OPEN_CACTUSES = {
@@ -119,6 +119,9 @@ def _amp_config_from(cfg, seed):
     if isinstance(kappa, str):
         kappa = named_table(kappa)
     elif kappa is not None:
+        for key in kappa:
+            if key not in ("tag", "values"):
+                raise ValueError("config key 'kappa' in section 'amp' has unknown key %r" % key)
         try:
             kappa = CumulantTable.from_json(kappa)
         except KeyError as exc:
@@ -310,6 +313,8 @@ def _delocalization_audit(cfg):
     names = cfg.get("open_cactuses", list(AUDIT_OPEN_CACTUSES))
     opens = [AUDIT_OPEN_CACTUSES[nm] if nm in AUDIT_OPEN_CACTUSES else named_diagram(nm)
              for nm in names]
+    for d in opens:
+        check_open_cactus(d)
 
     def rows(m, budget):
         rep = ensembles.delocalization_audit(m, opens, budget=budget)

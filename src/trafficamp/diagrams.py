@@ -184,18 +184,6 @@ def biconnected_blocks(d):
     return blocks
 
 
-def bridges(d):
-    """Edge indices of bridges: single-edge biconnected blocks (loops never bridge)."""
-    out = []
-    for block in biconnected_blocks(d):
-        if len(block) == 1:
-            ei = block[0]
-            u, v = d.edges[ei]
-            if u != v:
-                out.append(ei)
-    return sorted(out)
-
-
 def _block_is_cycle(d, block):
     deg = {}
     for ei in block:
@@ -422,69 +410,15 @@ def cycles_of_cactus(d):
     return sorted(out)
 
 
-def open_cactus_parts(d):
-    """Decompose a 2-rooted open cactus into (base path vertices, hanging cactuses).
-
-    Returns (path, cactuses) where path = [u1..uk] runs from roots[0] to
-    roots[1] along the bridge edges, and cactuses[i] is the hanging cactus at
-    path[i] as a rooted Diagram (vertices relabeled, root first).
-    """
+def check_open_cactus(d):
+    """Raise DiagramError unless d is an open cactus: two distinct roots joined
+    by a base path of bridges, with a cactus hanging at each path vertex; that
+    is, one more edge between the roots closes d into a cactus."""
     if len(d.roots) != 2 or d.roots[0] == d.roots[1]:
         raise DiagramError("open cactus needs two distinct roots")
-    if not is_connected(d):
-        raise DiagramError("open cactus must be connected")
-    brs = bridges(d)
-    if not brs:
-        raise DiagramError("open cactus needs at least one base-path (bridge) edge")
-    badj = {}
-    for ei in brs:
-        u, v = d.edges[ei]
-        badj.setdefault(u, []).append(v)
-        badj.setdefault(v, []).append(u)
-    r1, r2 = d.roots
-    if r1 not in badj or r2 not in badj:
-        raise DiagramError("roots must be endpoints of the base path")
-    if len(badj[r1]) != 1 or len(badj[r2]) != 1:
-        raise DiagramError("roots must be base-path endpoints")
-    if any(len(nb) > 2 for nb in badj.values()):
-        raise DiagramError("bridges do not form a simple path")
-    path = [r1]
-    prev = None
-    while path[-1] != r2:
-        nxt = [w for w in badj[path[-1]] if w != prev]
-        if len(nxt) != 1:
-            raise DiagramError("bridges do not form a simple path")
-        prev = path[-1]
-        path.append(nxt[0])
-    if len(path) - 1 != len(brs):
-        raise DiagramError("bridges do not form a single path")
-
-    strip = Diagram(d.vertex_count,
-                    tuple(e for i, e in enumerate(d.edges) if i not in brs), ())
-    comps = connected_components(strip)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    if len({comp_of[u] for u in path}) != len(path) or len(comps) != len(path):
-        raise DiagramError("hanging cactuses must be vertex-disjoint, one per path vertex")
-    cactuses = []
-    for u in path:
-        comp = comps[comp_of[u]]
-        sub = _induced(strip, comp, root=u)
-        if not classify(sub).cactus:
-            raise DiagramError("hanging component at %d is not a cactus" % u)
-        cactuses.append(sub)
-    return path, cactuses
-
-
-def _induced(d, verts, root=None):
-    verts = sorted(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    vset = set(verts)
-    edges = tuple((idx[u], idx[v]) for u, v in d.edges if u in vset and v in vset)
-    roots = (idx[root],) if root is not None else ()
-    return Diagram(len(verts), edges, roots)
+    if not classify(Diagram(d.vertex_count, d.edges + (d.roots,), d.roots)).cactus:
+        raise DiagramError("%s is not an open cactus: an edge joining its roots "
+                           "does not close it into a cactus" % d)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import graphpoly
+from . import diagrams, graphpoly
 
 KINDS = ("goe", "wigner", "haar_orthogonal", "rom", "r_rom", "hadamard",
          "dst", "dct", "punctured", "block_goe", "community", "orth_invariant")
@@ -54,6 +54,12 @@ class EnsembleSpec:
                 raise ValueError("block kinds need q dividing n")
         if self.kind == "community" and self.inner not in (None, "rom", "goe"):
             raise ValueError("ensemble field 'inner' must be 'rom' or 'goe', not %r" % self.inner)
+        if self.entry_law not in ("normal", "rademacher"):
+            raise ValueError("ensemble field 'entry_law' must be 'normal' or 'rademacher', "
+                             "not %r" % self.entry_law)
+        if self.eigenvalues not in (None, "rademacher", "semicircle", "uniform"):
+            raise ValueError("ensemble field 'eigenvalues' must be 'rademacher', "
+                             "'semicircle' or 'uniform', not %r" % self.eigenvalues)
         if self.kind == "block_goe":
             if self.sigma is None or np.size(self.sigma) != self.q * self.q:
                 raise ValueError("block_goe needs sigma with q*q = %d entries"
@@ -201,13 +207,11 @@ def _wigner_fill(rng, n, entry_law, out=None):
         def fill(z):
             rng.standard_normal(out=z)
             z /= np.sqrt(n)
-    elif entry_law == "rademacher":
+    else:  # rademacher, the one other law that EnsembleSpec accepts
         def fill(z):
             np.multiply(rng.integers(0, 2, size=len(z)), 2.0, out=z)
             z -= 1.0
             z /= np.sqrt(n)
-    else:
-        raise ValueError("unknown entry law %r" % entry_law)
     return _symmetric_fill(n, 0, fill, out)
 
 
@@ -321,19 +325,18 @@ def _eigen_sample(rng, n, name):
         return rng.integers(0, 2, size=n) * 2.0 - 1.0
     if name == "uniform":
         return rng.uniform(-1.0, 1.0, size=n)
-    if name == "semicircle":
-        # accept-reject against the semicircle density on [-2, 2]
-        out = np.empty(n)
-        have = 0
-        while have < n:
-            x = rng.uniform(-2.0, 2.0, size=2 * (n - have))
-            u = rng.uniform(0.0, 1.0, size=2 * (n - have))
-            keep = x[u < np.sqrt(4.0 - x ** 2) / 2.0]
-            take = min(len(keep), n - have)
-            out[have:have + take] = keep[:take]
-            have += take
-        return out
-    raise ValueError("unknown eigenvalue sampler %r" % name)
+    # semicircle, the one other sampler that EnsembleSpec accepts: accept-reject
+    # against the semicircle density on [-2, 2]
+    out = np.empty(n)
+    have = 0
+    while have < n:
+        x = rng.uniform(-2.0, 2.0, size=2 * (n - have))
+        u = rng.uniform(0.0, 1.0, size=2 * (n - have))
+        keep = x[u < np.sqrt(4.0 - x ** 2) / 2.0]
+        take = min(len(keep), n - have)
+        out[have:have + take] = keep[:take]
+        have += take
+    return out
 
 
 def _goe_blocks(rng, m, q, sigma, skip_first=False):
@@ -403,14 +406,17 @@ def delocalization_audit(m, diagram_set, budget=None):
     """Delocalization report for one matrix: spectral norm, max off-diagonal
     open-cactus entry per diagram, and the centered cactus-vector norms.
 
-    Each entry of diagram_set must be an open cactus (two roots).  The rooted
-    cactus check uses the diagram obtained by merging the two roots.
+    Each entry of diagram_set must pass diagrams.check_open_cactus; all are
+    checked before anything is evaluated.  Each matrix value is one eval_w
+    call, so `budget` covers the whole diagram, base path included.
     """
+    for d in diagram_set:
+        diagrams.check_open_cactus(d)
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
     report = {"n": n, "norm": operator_norm(m), "diagrams": []}
     for d in diagram_set:
-        w = graphpoly.eval_open_cactus_matrix(d, m, budget=budget)
+        w = graphpoly.eval_w(d, m, budget=budget)
         off = w - np.diag(np.diag(w))
         maxoff = float(np.max(np.abs(off)))
         diag = np.diag(w).copy()

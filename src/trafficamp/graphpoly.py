@@ -41,28 +41,6 @@ class BudgetError(RuntimeError):
     """Estimated evaluation cost exceeds the configured budget."""
 
 
-def _as_labels(d, labels):
-    """Normalize labels to one symmetric n x n array per edge, in edge order.
-
-    Each distinct array is checked once, however many edges it labels.
-    """
-    if isinstance(labels, np.ndarray):
-        labels = [labels] * d.edge_count
-    labels = list(labels)
-    if len(labels) != d.edge_count:
-        raise ValueError("need one label per edge (%d edges, %d labels)"
-                         % (d.edge_count, len(labels)))
-    if d.edge_count == 0:
-        raise ValueError("cannot infer dimension from an edgeless diagram; "
-                         "pass n explicitly where supported")
-    n = np.asarray(labels[0]).shape[0]
-    checked = {}
-    for a in labels:
-        if id(a) not in checked:
-            checked[id(a)] = _as_matrix(a, n)
-    return [checked[id(a)] for a in labels], n
-
-
 def _as_matrix(a, n=None):
     """One edge label as a float64 array, checked to be symmetric n x n."""
     a = np.asarray(a, dtype=np.float64)
@@ -76,9 +54,22 @@ def _as_matrix(a, n=None):
 
 
 def _labels_and_n(d, labels, n):
-    """Checked labels (None for an edgeless diagram) and the dimension."""
+    """Checked labels and the dimension.  Labels become one symmetric n x n
+    array per edge, in edge order, each distinct array checked once however
+    many edges it labels; an edgeless diagram has labels None."""
     if d.edge_count:
-        return _as_labels(d, labels)
+        if isinstance(labels, np.ndarray):
+            labels = [labels] * d.edge_count
+        labels = list(labels)
+        if len(labels) != d.edge_count:
+            raise ValueError("need one label per edge (%d edges, %d labels)"
+                             % (d.edge_count, len(labels)))
+        n = np.asarray(labels[0]).shape[0]
+        checked = {}
+        for a in labels:
+            if id(a) not in checked:
+                checked[id(a)] = _as_matrix(a, n)
+        return [checked[id(a)] for a in labels], n
     if n is None:
         if isinstance(labels, np.ndarray):
             n = labels.shape[0]
@@ -355,7 +346,7 @@ def _combine_roots(roots, factors, scale, n):
 
 
 def _eval_w(d, labels, n, vertex_weights=None, budget=None):
-    """eval_w on labels already checked by _as_labels (None when edgeless)."""
+    """eval_w on labels already checked by _labels_and_n (None when edgeless)."""
     weighted = tuple(vertex_weights) if vertex_weights else ()
     weights = []
     for v in weighted:
@@ -524,32 +515,6 @@ def eval_z_brute(d, labels, n=None, budget=1e8):
             out[assign[roots[0]], assign[roots[0]]] += term
         else:
             out[assign[roots[0]], assign[roots[1]]] += term
-    return out
-
-
-def eval_open_cactus_matrix(d, a, budget=None):
-    """Matrix value of an open cactus: alternating diag(hanging) and A product.
-
-    The base path contributes one factor of A per edge; each base vertex
-    contributes the diagonal matrix of its hanging-cactus vector.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    path, cactuses = diagrams.open_cactus_parts(d)
-    hang = []
-    for c in cactuses:
-        if c.edge_count == 0:
-            hang.append(np.ones(n))
-        else:
-            hang.append(eval_w(c, a, budget=budget))
-    out = None
-    for i in range(len(path)):
-        if out is None:
-            out = hang[i][:, None] * a
-        elif i < len(path) - 1:
-            out = (out * hang[i][None, :]) @ a
-        else:
-            out = out * hang[i][None, :]
     return out
 
 

@@ -185,12 +185,16 @@ def test_catalog_checks_once_and_runs_each_step_once(tmp_path, monkeypatch, comm
     seen = _count_engine_work(monkeypatch)
     assert run_cli(command, "--config", cfg) == 0
     # one symmetry check and one program run per trial, every step of it run
-    # once and freed after its last use
+    # once and freed after its last use; on trial 0, cactus-audit adds one of
+    # each per open cactus: open_path1 has no step, open_path2 one
     requests = [(d, basis) for _, d, basis in
                 ([(nm, named_diagram(nm), b) for nm in names for b in "wz"]
                  if command == "traffic" else [_audit_request(nm) for nm in names])]
     steps = _steps(graphpoly._catalog(tuple(requests), 16, CANON_CAP))
-    _assert_each_step_runs_once(seen, 2 * 3, [steps] * 6)
+    if command == "traffic":
+        _assert_each_step_runs_once(seen, 2 * 3, [steps] * 6)
+    else:
+        _assert_each_step_runs_once(seen, 2 * 5, [steps, 0, 1, steps, steps] * 2)
     # the diagrams share steps: run one by one they make more kernel calls
     alone = sum(len([s for s in graphpoly._plan(q, (), 16)[0] if s])
                 for d, basis in requests
@@ -385,6 +389,37 @@ def test_cactus_audit_runs_delocalization_once_per_n(tmp_path, monkeypatch):
             spec = _ensemble_from_config(load_config(cfg), n=m.shape[0])
             assert np.array_equal(m, _generate_trial(spec, 1, 0, threading.local()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("edge", "open cactus needs two distinct roots"),
+    ("diagram{v=3; roots=[1,1]; edges=[(0,1),(1,2)]}", "open cactus needs two distinct roots"),
+    ("diagram{v=2; roots=[0,1]; edges=[(0,1),(0,1)]}", "is not an open cactus"),
+    ("diagram{v=4; roots=[0,3]; edges=[(0,1),(1,2),(2,3),(1,2)]}", "is not an open cactus"),
+])
+def test_cactus_audit_rejects_a_bad_open_cactus_before_any_matrix(tmp_path, capsys,
+                                                                  monkeypatch, name, message):
+    built = []
+    monkeypatch.setattr(ensembles, "generate", lambda *args: built.append(args))
+    cfg = _write_config(tmp_path, dimension_sweep=[16], trials=2,
+                        open_cactuses=["open_path1", name])
+    assert run_cli("cactus-audit", "--config", cfg) == 2
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
+def test_cactus_audit_budget_covers_the_whole_open_cactus(tmp_path, capsys):
+    # a path of 10 edges costs 9 n^3, over the default budget of 8 n^3
+    path10 = "diagram{v=11; roots=[0,10]; edges=[%s]}" % ",".join(
+        "(%d,%d)" % (i, i + 1) for i in range(10))
+    cfg = _write_config(tmp_path, dimension_sweep=[16], trials=2, diagrams=["cycle2"],
+                        open_cactuses=[path10])
+    assert run_cli("cactus-audit", "--config", cfg) == 3
+    assert "exceeds budget" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, dimension_sweep=[16], trials=2, diagrams=["cycle2"],
+                        open_cactuses=[path10], eval_budget=9 * 16.0 ** 3)
+    assert run_cli("cactus-audit", "--config", cfg) == 0
+    assert len(open(tmp_path / "out" / "delocalization.csv").read().splitlines()) == 3
 
 
 def test_gen_se_compare_threads_byte_identical(tmp_path):
@@ -756,6 +791,8 @@ def test_read_moments_csv_matches_legacy(tmp_path):
     ({"kappa": {"tag": "cumulants"}},
      "config key 'kappa' in section 'amp' has no key 'values'"),
     ({"kappa": {"values": [0.0, 1.0]}}, "config key 'kappa' in section 'amp' has no key 'tag'"),
+    ({"kappa": {"tag": "cumulants", "values": [0, 1, 0, 0], "valeus": [9]}},
+     "config key 'kappa' in section 'amp' has unknown key 'valeus'"),
 ])
 def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
     base = {"nonlinearities": ["identity", "identity"], "T": 2,
@@ -778,6 +815,8 @@ def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message)
      "eigenvalues"),
     ({"kind": "community", "n": 64, "q": 2, "inner": "wigner"}, "inner"),
     ({"kind": "goe", "n": 0}, "n"),
+    ({"kind": "wigner", "n": 64, "entry_law": "bogus"}, "entry_law"),
+    ({"kind": "orth_invariant", "n": 64, "eigenvalues": "bogus"}, "eigenvalues"),
 ])
 def test_ensemble_fields_the_kind_does_not_read_are_usage_errors(tmp_path, capsys,
                                                                  ensemble, field):

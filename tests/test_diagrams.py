@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from trafficamp import graphpoly
 from trafficamp.diagrams import (CATALOG, Diagram, DiagramClass, DiagramError,
-                                 _block_is_cycle, biconnected_blocks, bridges,
+                                 _block_is_cycle, biconnected_blocks,
                                  canonical_form, canonicalize, classify,
                                  cycles_of_cactus, enumerate_connected_multigraphs,
                                  enumerate_two_edge_connected, format_diagram,
@@ -97,9 +97,9 @@ def _legacy_classify(d):
     Treelike and gaussian_tree require a root; rootless diagrams get False.
     """
     conn = is_connected(d)
-    brs = bridges(d)
-    two_ec = conn and not brs
     blocks = biconnected_blocks(d)
+    brs = sorted(b[0] for b in blocks if len(b) == 1)
+    two_ec = conn and not brs
     cactus = two_ec and all(_block_is_cycle(d, b) for b in blocks)
     deg = d.degrees()
     eulerian = conn and all(x % 2 == 0 for x in deg)

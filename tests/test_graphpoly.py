@@ -7,8 +7,10 @@ import pytest
 from trafficamp import graphpoly as gp
 from trafficamp import matrixio
 from trafficamp.amp import AMPConfig, run
-from trafficamp.diagrams import (CATALOG, Diagram, DiagramError,
-                                 enumerate_connected_multigraphs)
+from trafficamp.diagrams import (CATALOG, Diagram, DiagramError, biconnected_blocks,
+                                 check_open_cactus, classify, connected_components,
+                                 enumerate_connected_multigraphs, is_connected)
+from trafficamp.ensembles import EnsembleSpec, generate
 
 
 def _rand_sym(rng, n):
@@ -114,9 +116,9 @@ def test_open_cactus_matrix():
     rng = np.random.default_rng(8)
     h = _rand_orth_sym(rng, 8)
     oc = Diagram(3, ((0, 1), (1, 2)), (0, 2))
-    assert np.allclose(gp.eval_open_cactus_matrix(oc, h), h @ h, atol=1e-10)
+    assert np.allclose(gp.eval_w(oc, h), h @ h, atol=1e-10)
     oc1 = Diagram(2, ((0, 1),), (0, 1))
-    assert np.allclose(gp.eval_open_cactus_matrix(oc1, h), h)
+    assert np.allclose(gp.eval_w(oc1, h), h)
     a = _rand_sym(rng, 8)
     cases = [
         Diagram(5, ((0, 1), (1, 2), (1, 3), (3, 4), (4, 1)), (0, 2)),
@@ -124,11 +126,12 @@ def test_open_cactus_matrix():
         Diagram(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (0, 5), (5, 0)), (0, 2)),
     ]
     for oc in cases:
-        w1 = gp.eval_open_cactus_matrix(oc, a, budget=float("inf"))
-        w2 = gp.eval_w(oc, a, budget=float("inf"))
+        check_open_cactus(oc)
+        w1 = gp.eval_w(oc, a, budget=float("inf"))
+        w2 = gp.eval_w_brute(oc, a)
         assert np.allclose(w1, w2, atol=1e-9), oc
     with pytest.raises(DiagramError):
-        gp.eval_open_cactus_matrix(CATALOG["theta"].with_roots((0, 1)), a)
+        check_open_cactus(CATALOG["theta"].with_roots((0, 1)))
 
 
 def test_fundamental_bound():
@@ -373,6 +376,157 @@ def test_labels_checked_once_per_distinct_array(monkeypatch):
     assert len(seen) == 2
     with pytest.raises(ValueError, match="symmetric"):
         gp.eval_w(CATALOG["path2"], [a, np.triu(a)])
+
+
+# ---------------------------------------------------------------------------
+# open cactuses: eval_w against the base-path product evaluator it replaces
+# ---------------------------------------------------------------------------
+
+def _legacy_eval_open_cactus_matrix(d, a, budget=None):
+    """Matrix value of an open cactus: alternating diag(hanging) and A product.
+
+    The base path contributes one factor of A per edge; each base vertex
+    contributes the diagonal matrix of its hanging-cactus vector.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    path, cactuses = _legacy_open_cactus_parts(d)
+    hang = []
+    for c in cactuses:
+        if c.edge_count == 0:
+            hang.append(np.ones(n))
+        else:
+            hang.append(gp.eval_w(c, a, budget=budget))
+    out = None
+    for i in range(len(path)):
+        if out is None:
+            out = hang[i][:, None] * a
+        elif i < len(path) - 1:
+            out = (out * hang[i][None, :]) @ a
+        else:
+            out = out * hang[i][None, :]
+    return out
+
+
+def _legacy_bridges(d):
+    """Edge indices of bridges: single-edge biconnected blocks (loops never bridge)."""
+    out = []
+    for block in biconnected_blocks(d):
+        if len(block) == 1:
+            ei = block[0]
+            u, v = d.edges[ei]
+            if u != v:
+                out.append(ei)
+    return sorted(out)
+
+
+def _legacy_open_cactus_parts(d):
+    """Decompose a 2-rooted open cactus into (base path vertices, hanging cactuses).
+
+    Returns (path, cactuses) where path = [u1..uk] runs from roots[0] to
+    roots[1] along the bridge edges, and cactuses[i] is the hanging cactus at
+    path[i] as a rooted Diagram (vertices relabeled, root first).
+    """
+    if len(d.roots) != 2 or d.roots[0] == d.roots[1]:
+        raise DiagramError("open cactus needs two distinct roots")
+    if not is_connected(d):
+        raise DiagramError("open cactus must be connected")
+    brs = _legacy_bridges(d)
+    if not brs:
+        raise DiagramError("open cactus needs at least one base-path (bridge) edge")
+    badj = {}
+    for ei in brs:
+        u, v = d.edges[ei]
+        badj.setdefault(u, []).append(v)
+        badj.setdefault(v, []).append(u)
+    r1, r2 = d.roots
+    if r1 not in badj or r2 not in badj:
+        raise DiagramError("roots must be endpoints of the base path")
+    if len(badj[r1]) != 1 or len(badj[r2]) != 1:
+        raise DiagramError("roots must be base-path endpoints")
+    if any(len(nb) > 2 for nb in badj.values()):
+        raise DiagramError("bridges do not form a simple path")
+    path = [r1]
+    prev = None
+    while path[-1] != r2:
+        nxt = [w for w in badj[path[-1]] if w != prev]
+        if len(nxt) != 1:
+            raise DiagramError("bridges do not form a simple path")
+        prev = path[-1]
+        path.append(nxt[0])
+    if len(path) - 1 != len(brs):
+        raise DiagramError("bridges do not form a single path")
+
+    strip = Diagram(d.vertex_count,
+                    tuple(e for i, e in enumerate(d.edges) if i not in brs), ())
+    comps = connected_components(strip)
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    if len({comp_of[u] for u in path}) != len(path) or len(comps) != len(path):
+        raise DiagramError("hanging cactuses must be vertex-disjoint, one per path vertex")
+    cactuses = []
+    for u in path:
+        comp = comps[comp_of[u]]
+        sub = _legacy_induced(strip, comp, root=u)
+        if not classify(sub).cactus:
+            raise DiagramError("hanging component at %d is not a cactus" % u)
+        cactuses.append(sub)
+    return path, cactuses
+
+
+def _legacy_induced(d, verts, root=None):
+    verts = sorted(verts)
+    idx = {v: i for i, v in enumerate(verts)}
+    vset = set(verts)
+    edges = tuple((idx[u], idx[v]) for u, v in d.edges if u in vset and v in vset)
+    roots = (idx[root],) if root is not None else ()
+    return Diagram(len(verts), edges, roots)
+
+
+_OPEN_CACTUSES = [
+    Diagram(3, ((0, 1), (1, 2)), (0, 2)),  # the three that cactus-audit runs by default
+    Diagram(2, ((0, 1),), (0, 1)),
+    Diagram(4, ((0, 1), (1, 2), (2, 3), (3, 1)), (0, 1)),
+    Diagram(4, ((0, 1), (1, 2), (2, 3)), (0, 3)),  # a 3-edge path
+    Diagram(3, ((0, 1), (1, 2), (1, 1)), (0, 2)),  # a loop on the middle vertex
+    Diagram(6, ((0, 1), (0, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 1)), (0, 1)),
+    Diagram(3, ((0, 1), (1, 2)), (2, 0)),  # reversed roots
+]
+
+
+@pytest.mark.parametrize("spec", [EnsembleSpec("goe", 1, seed=3), EnsembleSpec("goe", 128, seed=3),
+                                  EnsembleSpec("goe", 512, seed=3),
+                                  EnsembleSpec("punctured", 256, inner="hadamard")])
+def test_open_cactus_bytes_match_legacy_evaluator(spec):
+    a = generate(spec).values
+    for d in _OPEN_CACTUSES:
+        assert (gp.eval_w(d, a).tobytes()
+                == _legacy_eval_open_cactus_matrix(d, a).tobytes()), d
+
+
+def _rejects(check, d):
+    try:
+        check(d)
+    except DiagramError:
+        return True
+    return False
+
+
+def test_check_open_cactus_accepts_what_the_legacy_decomposition_accepts():
+    graphs = list(enumerate_connected_multigraphs(5, 6)) + [
+        Diagram(2), Diagram(3, ((0, 1),)), Diagram(4, ((0, 1), (2, 3))),
+        Diagram(4, ((0, 1), (1, 2), (2, 0)))]
+    accepted = 0
+    for g in graphs:
+        v = range(g.vertex_count)
+        for roots in [()] + [(r,) for r in v] + [(r, s) for r in v for s in v]:
+            d = g.with_roots(roots)
+            rejected = _rejects(check_open_cactus, d)
+            assert rejected == _rejects(_legacy_open_cactus_parts, d), d
+            accepted += not rejected
+    assert accepted > 300
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ def test_hadamard_open_cactus_values():
     # input: identity for even base paths, the matrix itself for odd ones
     h = generate(EnsembleSpec("hadamard", 128)).values
     base2 = Diagram(5, ((0, 1), (1, 2), (1, 3), (3, 1), (2, 4), (4, 2)), (0, 2))
-    w = gp.eval_open_cactus_matrix(base2, h, budget=float("inf"))
+    w = gp.eval_w(base2, h, budget=float("inf"))
     assert np.allclose(w, np.eye(128), atol=1e-10)
     base1 = Diagram(4, ((0, 1), (0, 2), (2, 0), (1, 3), (3, 1)), (0, 1))
-    w = gp.eval_open_cactus_matrix(base1, h, budget=float("inf"))
+    w = gp.eval_w(base1, h, budget=float("inf"))
     assert np.allclose(w, h, atol=1e-10)
     # an odd hanging cycle suppresses the norm
     tri = Diagram(4, ((0, 1), (1, 2), (2, 3), (3, 1)), (0, 1))
-    w = gp.eval_open_cactus_matrix(tri, h, budget=float("inf"))
+    w = gp.eval_w(tri, h, budget=float("inf"))
     assert np.linalg.norm(w, 2) < 3.0 / np.sqrt(128)
 
 
