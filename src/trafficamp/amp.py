@@ -143,16 +143,17 @@ def _windows_program(windows, n):
     return graphpoly._compile(outputs, n), {win: k for k, win in enumerate(windows)}
 
 
-def onsager_b(a, fprime_vectors, s, t, budget=None, _trial=None):
+def onsager_b(a, fprime_vectors, s, t, _trial=None):
     """Distinct-index closed-walk sum b_{s,t}, exactly.
 
     fprime_vectors[r] supplies the weight vector at interior step r, needed
     for s < r < t.  Computed by Mobius inversion over set partitions of the
     t-s walk positions, evaluating each contracted weighted cycle with the
-    graph-polynomial engine, as one output of a compiled program.  The exact
-    memory term passes its per-trial `_trial` (program, window index, slots;
-    it has checked `a`), so a kernel result shared by the windows of a trial
-    runs once per trial.
+    graph-polynomial engine, as one output of a compiled program, under the
+    engine's default budget of 8 n^3 per quotient (every window of at most
+    EXACT_WINDOW_CAP steps stays under it).  The exact memory term passes its
+    per-trial `_trial` (program, window index, slots; it has checked `a`), so
+    a kernel result shared by the windows of a trial runs once per trial.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -168,7 +169,7 @@ def onsager_b(a, fprime_vectors, s, t, budget=None, _trial=None):
         prog, index = _windows_program(((s, t),), n)
         _trial = prog, index, [None] * prog.size
     prog, index, slots = _trial
-    return graphpoly._execute(prog, index[(s, t)], slots, (a,), fprime_vectors, budget)
+    return graphpoly._execute(prog, index[(s, t)], slots, a, fprime_vectors)
 
 
 def onsager_b_brute(a, fprime_vectors, s, t):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import json
@@ -36,11 +37,13 @@ def config_hash(obj):
 
 
 def write_csv(path, header, rows, cfg_obj):
-    with open(path, "w") as fh:
+    """A config-hash comment line, then the header and rows; a cell holding a
+    comma (an inline diagram literal) or a quote is quoted."""
+    with open(path, "w", newline="") as fh:
         fh.write("# config-hash: %s\n" % config_hash(cfg_obj))
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_cell(x) for x in row] for row in rows)
 
 
 def _cell(x):
@@ -130,6 +133,13 @@ def _amp_config_from(cfg, seed):
         nonlinearities=tuple(a["nonlinearities"]), T=int(a["T"]),
         mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"),
         seed=seed)
+
+
+def _check_exact_n(acfg, spec):
+    """amp and se reject an exact-mode n over amp.EXACT_N_CAP before any matrix
+    is built (amp's memory term checks it again for library callers)."""
+    if acfg.mode == "exact_treelike" and spec.n > amp_mod.EXACT_N_CAP:
+        raise ValueError("exact mode budget: n <= %d" % amp_mod.EXACT_N_CAP)
 
 
 def _is_deterministic(spec):
@@ -359,6 +369,7 @@ def cmd_amp(args):
     cfgs = [_amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1))
             for t in range(trials)]
     spec = _ensemble_from_config(cfg)
+    _check_exact_n(cfgs[0], spec)
     labels = _block_label_vector(spec)
 
     def work(m, block):  # in lockstep; the iterates are kept, the Onsager vectors not
@@ -423,6 +434,7 @@ def build_kernel(cfg):
     """The SE kernel of cfg's AMP run, from the AMPConfig and EnsembleSpec that
     `amp` reads, so `se` rejects every config that `amp` rejects."""
     acfg, spec = _amp_config_from(cfg, seed=0), _ensemble_from_config(cfg)
+    _check_exact_n(acfg, spec)
     fs, T = acfg.nonlinearities, acfg.T
     if acfg.mode == "scalar_kappa":
         return se_mod.se_orthogonal(fs, acfg.kappa, T)

@@ -41,8 +41,8 @@ class Diagram:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise DiagramError("diagram needs at least one vertex")
-        # normalize each pair but keep edge order: per-edge labels are
-        # positional, and quotients must preserve the correspondence
+        # normalize each pair but keep edge order: contraction plans, and so
+        # the bytes of every value, follow edge order
         norm = tuple((min(u, v), max(u, v)) for u, v in self.edges)
         object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "roots", tuple(self.roots))
@@ -84,9 +84,6 @@ class Diagram:
 
     def with_roots(self, roots):
         return Diagram(self.vertex_count, self.edges, tuple(roots))
-
-    def unrooted(self):
-        return Diagram(self.vertex_count, self.edges, ())
 
     def __str__(self):
         return format_diagram(self)
@@ -287,10 +284,14 @@ def _compress(signatures):
     return [order[s] for s in signatures]
 
 
-def canonicalize(d, cap=CANON_CAP):
+def _check_size(d):
+    if d.vertex_count > CANON_CAP:
+        raise DiagramSizeError("vertex count %d exceeds cap %d" % (d.vertex_count, CANON_CAP))
+
+
+def canonicalize(d):
     """Relabel vertices into canonical order; equal outputs iff rooted-isomorphic."""
-    if d.vertex_count > cap:
-        raise DiagramSizeError("vertex count %d exceeds cap %d" % (d.vertex_count, cap))
+    _check_size(d)
     return _canonicalize_cached(d)
 
 
@@ -350,9 +351,9 @@ def _canonicalize_cached(d):
     return Diagram(n, edges, roots)
 
 
-def canonical_form(d, cap=CANON_CAP):
+def canonical_form(d):
     """Opaque comparable/hashable key; equal keys iff rooted-isomorphic multigraphs."""
-    c = canonicalize(d, cap=cap)
+    c = canonicalize(d)
     return (c.vertex_count, c.roots, c.edges)
 
 
@@ -360,36 +361,35 @@ def canonical_form(d, cap=CANON_CAP):
 # w <-> z change of basis
 # ---------------------------------------------------------------------------
 
-def w_to_z_coefficients(d, cap=CANON_CAP):
+def w_to_z_coefficients(d):
     """Coefficients of w_d = sum_a c_{a,d} z_a over canonical quotient diagrams.
 
     c_{a,d} counts vertex partitions P with d_P isomorphic to a; the
     coefficient sum is Bell(|V(d)|).
     """
-    if d.vertex_count > cap:
-        raise DiagramSizeError("vertex count %d exceeds cap %d" % (d.vertex_count, cap))
+    _check_size(d)
     out = {}
     for part in set_partitions(range(d.vertex_count)):
-        q = canonicalize(quotient(d, part), cap=cap)
+        q = canonicalize(quotient(d, part))
         out[q] = out.get(q, 0) + 1
     return out
 
 
-def z_to_w_coefficients(d, cap=CANON_CAP):
+def z_to_w_coefficients(d):
     """Integer coefficients c' with z_d = sum_a c'_{a,d} w_a (Mobius inversion).
 
     Computed by recursively eliminating strictly coarser quotients.
     """
-    return dict(_z_to_w_cached(canonicalize(d, cap=cap), cap))
+    return dict(_z_to_w_cached(canonicalize(d)))
 
 
 @lru_cache(maxsize=None)
-def _z_to_w_cached(dc, cap):
+def _z_to_w_cached(dc):
     out = {dc: 1}
-    for a, c in w_to_z_coefficients(dc, cap=cap).items():
+    for a, c in w_to_z_coefficients(dc).items():
         if a == dc:
             continue
-        for b, c2 in _z_to_w_cached(a, cap):
+        for b, c2 in _z_to_w_cached(a):
             out[b] = out.get(b, 0) - c * c2
             if out[b] == 0:
                 del out[b]

@@ -436,7 +436,7 @@ def _geodesic_matchings(fixed_a, fixed_b, size, budget, restrict=None):
     return out
 
 
-def weingarten_limit(d, moments, cap=HALF_EDGE_CAP):
+def weingarten_limit(d, moments):
     """Limiting (1/n) E z_d for an orthogonally invariant ensemble with the
     given spectral moments, computed through the Weingarten expansion.
 
@@ -451,8 +451,8 @@ def weingarten_limit(d, moments, cap=HALF_EDGE_CAP):
     if not classify(d).connected:
         raise DiagramError("diagram must be connected")
     size = 2 * d.edge_count
-    if size > cap:
-        raise DiagramError("diagram has %d half-edges > cap %d" % (size, cap))
+    if size > HALF_EDGE_CAP:
+        raise DiagramError("diagram has %d half-edges > cap %d" % (size, HALF_EDGE_CAP))
     if any(x % 2 for x in d.degrees()):
         return 0.0
     if d.edge_count == 0:

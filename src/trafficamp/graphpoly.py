@@ -1,26 +1,29 @@
-"""Graph-polynomial evaluation in the w- and z-bases.
+"""Graph-polynomial evaluation in the w- and z-bases, on one symmetric matrix.
 
 A diagram with 0/1/2 roots evaluates to a scalar/vector/matrix: the sum over
 all vertex labelings (w-basis) or injective labelings (z-basis) of the product
-of matrix entries along edges.  The main evaluator contracts vertices in a
-greedy min-width order; a literal nested-loop oracle is kept alongside.
+of the matrix's entries along the diagram's edges.  eval_catalog is the one
+entry to the contraction engine; eval_w and eval_z are one request to it each.
+The engine contracts vertices in a greedy min-width order; literal
+nested-loop oracles are kept alongside.
 
-The public functions check their matrix labels once per call and hand them
-to a private core.  The core's plan (elimination order, cost estimates, and
-each elimination's einsum path expanded into numpy's pairwise kernel calls)
-is built once per (diagram, weighted vertices, n) and reused.
+eval_catalog checks its matrix once.  The plan of one diagram (elimination
+order, cost estimates, and each elimination's einsum path expanded into
+numpy's pairwise kernel calls) is built once per (diagram, weighted
+vertices, n) and reused; plans, and so the bytes of every value, follow the
+diagram's edge order.
 
-A family of evaluations that share their leaves (one eval_w call; the
-quotients of one eval_z; the requests of one eval_catalog; the Onsager
-windows of one exact AMP trial) is compiled once per size n into a
-straight-line program (_compile).  The program numbers every distinct value
-it needs -- a label, its diagonal, a product of vertex weights, a kernel step
--- with an integer slot, in the order an on-demand evaluation first asks for
-it, and lists for each instruction the slots whose last use it is.  Running
-it on a matrix (_execute) is one loop over the instructions: each kernel
-step runs once and is freed after its last use, and each evaluation scales
-and combines its root factors and adds into its output in term order, so
-the values equal those of evaluating each diagram on its own, bit for bit.
+A family of evaluations that share their leaves (the requests of one
+eval_catalog and their z-basis quotients; the Onsager windows of one exact
+AMP trial) is compiled once per size n into a straight-line program
+(_compile).  The program numbers every distinct value it needs -- the
+matrix, its diagonal, a product of vertex weights, a kernel step -- with an
+integer slot, in the order an on-demand evaluation first asks for it, and
+lists for each instruction the slots whose last use it is.  Running it on a
+matrix (_execute) is one loop over the instructions: each kernel step runs
+once and is freed after its last use, and each evaluation scales and
+combines its root factors and adds into its output in term order, so the
+values equal those of evaluating each diagram on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,65 +37,43 @@ import numpy as np
 from numpy._core.einsumfunc import bmm_einsum, c_einsum
 
 from . import diagrams
-from .diagrams import DiagramError, quotient, set_partitions
+from .diagrams import DiagramError, quotient  # noqa: F401 (benchmark/selftest.py checks this binding)
 
 
 class BudgetError(RuntimeError):
     """Estimated evaluation cost exceeds the configured budget."""
 
 
-def _as_matrix(a, n=None):
-    """One edge label as a float64 array, checked to be symmetric n x n."""
+def _as_matrix(a):
+    """The matrix as a float64 array, checked to be symmetric n x n."""
     a = np.asarray(a, dtype=np.float64)
-    if n is None:
-        n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("all edge labels must be n x n with equal n")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("the matrix must be n x n")
     if not np.array_equal(a, a.T):
-        raise ValueError("edge labels must be symmetric")
+        raise ValueError("the matrix must be symmetric")
     return a
-
-
-def _labels_and_n(d, labels, n):
-    """Checked labels and the dimension.  Labels become one symmetric n x n
-    array per edge, in edge order, each distinct array checked once however
-    many edges it labels; an edgeless diagram has labels None."""
-    if d.edge_count:
-        if isinstance(labels, np.ndarray):
-            labels = [labels] * d.edge_count
-        labels = list(labels)
-        if len(labels) != d.edge_count:
-            raise ValueError("need one label per edge (%d edges, %d labels)"
-                             % (d.edge_count, len(labels)))
-        n = np.asarray(labels[0]).shape[0]
-        checked = {}
-        for a in labels:
-            if id(a) not in checked:
-                checked[id(a)] = _as_matrix(a, n)
-        return [checked[id(a)] for a in labels], n
-    if n is None:
-        if isinstance(labels, np.ndarray):
-            n = labels.shape[0]
-        else:
-            raise ValueError("edgeless diagram needs explicit n")
-    return None, n
 
 
 def _default_budget(n):
     return 8.0 * n ** 3
 
 
-def eval_w(d, labels, n=None, vertex_weights=None, budget=None):
-    """w-basis value of a diagram on per-edge (or one shared) matrix labels.
+def eval_w(d, a, budget=None):
+    """w-basis value of a diagram on the symmetric matrix a.
 
     Sums over all vertex labelings with roots pinned, by eliminating one
-    non-root vertex at a time (greedy minimum contraction width).  Optional
-    vertex_weights maps vertex -> length-n vector multiplied at that vertex.
-    Raises BudgetError when the estimated flop count exceeds `budget`
-    (default 8 n^3); pass budget=float("inf") to force through.
+    non-root vertex at a time (greedy minimum contraction width).  Raises
+    BudgetError when the estimated flop count exceeds `budget` (default
+    8 n^3); pass budget=float("inf") to force through.
     """
-    labels, n = _labels_and_n(d, labels, n)
-    return _eval_w(d, labels, n, vertex_weights, budget)
+    return eval_catalog([(d, "w")], a, budget)[0]
+
+
+def eval_z(d, a, budget=None):
+    """z-basis value: the w-sum restricted to injective vertex labelings,
+    as the quotients' w-values times the coefficients of
+    diagrams.z_to_w_coefficients."""
+    return eval_catalog([(d, "z")], a, budget)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,11 +136,9 @@ def _plan(d, weighted, n):
     return tuple(steps), tuple(costs), tuple(factors)
 
 
-def _edge_keys(d, shared=True):
-    """Leaf key of each edge of d: its label, or the diagonal of it for a loop;
-    label 0 for every edge of a shared matrix, else the edge's own."""
-    return tuple(("diag" if u == v else "label", 0 if shared else ei)
-                 for ei, (u, v) in enumerate(d.edges))
+def _edge_keys(d):
+    """Leaf key of each edge of d: the matrix, or its diagonal for a loop."""
+    return tuple("diag" if u == v else "label" for u, v in d.edges)
 
 
 def _step_key(kernel, inputs):
@@ -210,8 +189,8 @@ def _compile(outputs, n):
     outputs: per output, (zero_start, terms); a term is (coef, diagram,
     weighted vertices, leaf keys), its value coef times the w-value of the
     diagram, summed in term order.  Leaf keys, one per edge then one per
-    weighted vertex, name the values the program reads: ("label", i) is
-    labels[i], ("diag", i) its diagonal, ("weight", r1, .., rk) the product
+    weighted vertex, name the values the program reads: "label" is the
+    matrix, "diag" its diagonal, ("weight", r1, .., rk) the product
     weights[r1] * .. * weights[rk] left to right.  Each distinct value (leaf,
     partial weight product or kernel step, keyed by _step_key over its inputs'
     keys) is computed once, in the order an on-demand evaluation of the terms
@@ -227,10 +206,10 @@ def _compile(outputs, n):
     def leaf(key):
         if key in slot:
             return slot[key]
-        if key[0] == "label":
-            return emit(key, _LABEL, key[1])
-        if key[0] == "diag":
-            return emit(key, _DIAG, leaf(("label", key[1])))
+        if key == "label":
+            return emit(key, _LABEL, None)
+        if key == "diag":
+            return emit(key, _DIAG, leaf("label"))
         if len(key) == 2:
             return emit(key, _WEIGHT, key[1])
         return emit(key, _MUL, leaf(key[:-1]), leaf(("weight", key[-1])))
@@ -273,12 +252,12 @@ def _compile(outputs, n):
                     tuple(z for z, _ in outputs), tuple(costs), len(slot))
 
 
-def _execute(prog, k, slots, labels=(), weights=(), budget=None):
+def _execute(prog, k, slots, a, weights=(), budget=None):
     """The value of output k of prog: its instructions run on `slots`, which
     holds the still-live values of the outputs run before it on the same
-    leaves.  `labels` and `weights` are indexed as the leaf keys say.  Raises
-    BudgetError, before running anything, if an evaluation's estimated cost
-    exceeds `budget` (default 8 n^3)."""
+    leaves.  `a` is the checked matrix; `weights` is indexed as the leaf keys
+    say.  Raises BudgetError, before running anything, if an evaluation's
+    estimated cost exceeds `budget` (default 8 n^3)."""
     n = prog.n
     if budget is None:
         budget = _default_budget(n)
@@ -303,7 +282,7 @@ def _execute(prog, k, slots, labels=(), weights=(), budget=None):
         elif op == _MUL:
             slots[out] = slots[x] * slots[y]
         elif op == _LABEL:
-            slots[out] = labels[x]
+            slots[out] = a
         elif op == _DIAG:
             slots[out] = np.diag(slots[x]).copy()
         else:
@@ -345,83 +324,29 @@ def _combine_roots(roots, factors, scale, n):
     return mat
 
 
-def _eval_w(d, labels, n, vertex_weights=None, budget=None):
-    """eval_w on labels already checked by _labels_and_n (None when edgeless)."""
-    weighted = tuple(vertex_weights) if vertex_weights else ()
-    weights = []
-    for v in weighted:
-        w = np.asarray(vertex_weights[v], dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("vertex weight must be a length-n vector")
-        weights.append(w)
-    leaf_keys = _edge_keys(d, shared=False) + tuple(("weight", k) for k in range(len(weighted)))
-    prog = _compile(((False, ((1, d, weighted, leaf_keys),)),), n)
-    return _execute(prog, 0, [None] * prog.size, labels, weights, budget)
-
-
-def eval_w_brute(d, labels, n=None, vertex_weights=None, budget=1e8):
+def eval_w_brute(d, a, budget=1e8):
     """Literal nested-loop w-basis sum with compensated accumulation."""
-    labels, n = _labels_and_n(d, labels, n)
+    a = _as_matrix(a)
+    n = a.shape[0]
     if float(n) ** d.vertex_count > budget:
         raise BudgetError("brute force needs %g terms > budget %g"
                           % (float(n) ** d.vertex_count, budget))
-    roots = d.roots
-    free = [v for v in range(d.vertex_count) if v not in set(roots)]
-
-    if not roots:
-        acc = [0.0, 0.0]
-        targets = [()]
-    elif len(roots) == 1 or roots[0] == roots[1]:
-        acc = [[0.0, 0.0] for _ in range(n)]
-    else:
-        acc = [[[0.0, 0.0] for _ in range(n)] for _ in range(n)]
-
-    def kahan(cell, x):
-        y = x - cell[1]
+    acc = {}  # root labels -> [sum, compensation]
+    for label in itertools.product(range(n), repeat=d.vertex_count):
+        term = 1.0
+        for u, v in d.edges:
+            term *= a[label[u], label[v]]
+        cell = acc.setdefault(tuple(label[r] for r in d.roots), [0.0, 0.0])
+        y = term - cell[1]
         t = cell[0] + y
         cell[1] = (t - cell[0]) - y
         cell[0] = t
-
-    weights = vertex_weights or {}
-    for assign in itertools.product(range(n), repeat=len(free)):
-        label = {}
-        for v, i in zip(free, assign):
-            label[v] = i
-        if not roots:
-            term = 1.0
-            for ei, (u, v) in enumerate(d.edges):
-                term *= labels[ei][label[u], label[v]]
-            for v, w in weights.items():
-                term *= w[label[v]]
-            kahan(acc, term)
-        elif len(roots) == 1 or roots[0] == roots[1]:
-            for i in range(n):
-                label[roots[0]] = i
-                term = 1.0
-                for ei, (u, v) in enumerate(d.edges):
-                    term *= labels[ei][label[u], label[v]]
-                for v, w in weights.items():
-                    term *= w[label[v]]
-                kahan(acc[i], term)
-        else:
-            for i in range(n):
-                label[roots[0]] = i
-                for j in range(n):
-                    label[roots[1]] = j
-                    term = 1.0
-                    for ei, (u, v) in enumerate(d.edges):
-                        term *= labels[ei][label[u], label[v]]
-                    for v, w in weights.items():
-                        term *= w[label[v]]
-                    kahan(acc[i][j], term)
-
-    if not roots:
-        return acc[0]
-    if len(roots) == 1:
-        return np.array([c[0] for c in acc])
-    if roots[0] == roots[1]:
-        return np.diag([c[0] for c in acc])
-    return np.array([[c[0] for c in row] for row in acc])
+    if not d.roots:
+        return acc[()][0]
+    out = np.zeros((n,) * len(d.roots))  # coinciding roots fill the diagonal
+    for key, (total, _) in acc.items():
+        out[key] = total
+    return out
 
 
 def partition_mobius(blocks):
@@ -433,49 +358,25 @@ def partition_mobius(blocks):
     return out
 
 
-def eval_z(d, labels, n=None, budget=None, cap=diagrams.CANON_CAP):
-    """z-basis value: the w-sum restricted to injective vertex labelings.
-
-    Computed exactly by Mobius inversion over the vertex-partition lattice,
-    z_d = sum_P mu(P) w_{d_P}; per-edge labels survive contraction since
-    quotients preserve edge order.  One shared matrix goes through
-    eval_catalog, which groups isomorphic quotients.
-    """
-    if d.vertex_count > cap:
-        raise diagrams.DiagramSizeError("vertex count exceeds cap")
-    if isinstance(labels, np.ndarray) and d.edge_count:
-        return eval_catalog([(d, "z")], labels, budget=budget, cap=cap)[0]
-    # quotients keep the edges and their order, so one checked list serves all
-    lab, n = _labels_and_n(d, labels, n)
-    prog = _compile(((False, tuple((mu, q, (), _edge_keys(q, shared=False))
-                                   for mu, q in _quotients(d))),), n)
-    return _execute(prog, 0, [None] * prog.size, lab, budget=budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _quotients(d):
-    """(Mobius coefficient, quotient) per vertex partition of d."""
-    return tuple((partition_mobius(part), quotient(d, part))
-                 for part in set_partitions(range(d.vertex_count)))
-
-
-def eval_catalog(requests, a, budget=None, cap=diagrams.CANON_CAP):
-    """Values of (diagram, basis) requests on one shared matrix, in order.
+def eval_catalog(requests, a, budget=None):
+    """Values of (diagram, basis) requests on one symmetric matrix, in order.
 
     basis is "w" or "z"; a z-value sums its quotients' w-values with the
-    integer coefficients of z_to_w_coefficients.  The matrix is checked
-    once, and every kernel call that recurs across the requests and their
-    quotients runs once and is freed after its last use.  The values
-    equal those of eval_w and eval_z bit for bit.
+    integer coefficients of z_to_w_coefficients (a diagram over
+    diagrams.CANON_CAP vertices raises DiagramSizeError).  The matrix is
+    checked once, and every kernel call that recurs across the requests and
+    their quotients runs once and is freed after its last use.  Raises
+    BudgetError at the first request whose estimated cost exceeds `budget`
+    (default 8 n^3).
     """
     a = _as_matrix(a)
-    prog = _catalog(tuple(requests), a.shape[0], cap)
+    prog = _catalog(tuple(requests), a.shape[0])
     slots = [None] * prog.size
-    return [_execute(prog, k, slots, (a,), budget=budget) for k in range(len(prog.code))]
+    return [_execute(prog, k, slots, a, budget=budget) for k in range(len(prog.code))]
 
 
 @functools.lru_cache(maxsize=None)
-def _catalog(requests, n, cap):
+def _catalog(requests, n):
     """The program of eval_catalog's requests at size n: one output per
     request, the sum of its w-diagrams times their coefficients."""
     tables = []  # per request: w-diagram -> coefficient
@@ -483,42 +384,29 @@ def _catalog(requests, n, cap):
         if basis == "w":
             tables.append({d: 1})
         elif basis == "z":
-            tables.append(diagrams.z_to_w_coefficients(d, cap=cap))
+            tables.append(diagrams.z_to_w_coefficients(d))
         else:
             raise ValueError("basis must be 'w' or 'z', not %r" % (basis,))
     return _compile(tuple((False, tuple((c, q, (), _edge_keys(q)) for q, c in table.items()))
                           for table in tables), n)
 
 
-def eval_z_brute(d, labels, n=None, budget=1e8):
+def eval_z_brute(d, a, budget=1e8):
     """Injective-labeling oracle for eval_z (test device)."""
-    labels, n = _labels_and_n(d, labels, n)
-    k = d.vertex_count
-    if math.perm(n, k) * max(1, d.edge_count) > budget:
+    a = _as_matrix(a)
+    n = a.shape[0]
+    if math.perm(n, d.vertex_count) * max(1, d.edge_count) > budget:
         raise BudgetError("injective brute force over budget")
-    roots = d.roots
-    if not roots:
-        out = 0.0
-    elif len(roots) == 1:
-        out = np.zeros(n)
-    else:  # two roots, coinciding ones fill the diagonal as eval_w does
-        out = np.zeros((n, n))
-    for assign in itertools.permutations(range(n), k):
+    out = np.zeros((n,) * len(d.roots))  # coinciding roots fill the diagonal
+    for assign in itertools.permutations(range(n), d.vertex_count):
         term = 1.0
-        for ei, (u, v) in enumerate(d.edges):
-            term *= labels[ei][assign[u], assign[v]]
-        if not roots:
-            out += term
-        elif len(roots) == 1:
-            out[assign[roots[0]]] += term
-        elif roots[0] == roots[1]:
-            out[assign[roots[0]], assign[roots[0]]] += term
-        else:
-            out[assign[roots[0]], assign[roots[1]]] += term
-    return out
+        for u, v in d.edges:
+            term *= a[assign[u], assign[v]]
+        out[tuple(assign[r] for r in d.roots)] += term
+    return out if d.roots else float(out)
 
 
-def fundamental_bound_audit(d, labels, n=None, budget=None):
+def fundamental_bound_audit(d, a, budget=None):
     """Check |value| <= product of spectral norms for 2-edge-connected diagrams.
 
     Scalar diagrams are normalized by 1/n; vector norms are sup norms; matrix
@@ -526,13 +414,10 @@ def fundamental_bound_audit(d, labels, n=None, budget=None):
     """
     if not diagrams.classify(d).two_edge_connected:
         raise DiagramError("fundamental bound applies to 2-edge-connected diagrams")
-    lab, n = _labels_and_n(d, labels, n)
-    val = _eval_w(d, lab, n, budget=budget)
-    bound = 1.0
-    for a in (lab or []):
-        bound *= np.linalg.norm(a, 2)
+    val = eval_w(d, a, budget)  # checks a
+    bound = math.prod([np.linalg.norm(a, 2)] * d.edge_count)
     if not d.roots:
-        size = abs(val) / n
+        size = abs(val) / len(a)
     elif len(d.roots) == 1:
         size = float(np.max(np.abs(val)))
     else:

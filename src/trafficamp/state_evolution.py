@@ -15,6 +15,7 @@ import numpy as np
 from .gaussian import GaussianLaw, Polynomial, named_polynomial, poly_expectation
 
 PSD_TOL = -1e-9
+SE_FLOOR = 1e-9  # the least SE a compare z-score divides by
 
 
 class SEDivergenceError(RuntimeError):
@@ -258,7 +259,7 @@ def gaussian_power_moment(variance, k):
     return double_fact * variance ** (k // 2)
 
 
-def compare_empirical(kernel, report, threshold=4.0, se_floor=1e-9):
+def compare_empirical(kernel, report, threshold=4.0):
     """z-scores of across-seed empirical moments against kernel predictions.
 
     `report` aggregates per-seed empirical_state outputs: it must carry
@@ -302,7 +303,7 @@ def compare_empirical(kernel, report, threshold=4.0, se_floor=1e-9):
                 pred = sum(w * target(g, a, b) for g, w in zip(gammas, weights))
                 rows.append({"group": name, "stat": fmt % (a, b), "s": a, "t": b,
                              "empirical": mean, "predicted": pred,
-                             "z": abs(mean - pred) / max(se, se_floor)})
+                             "z": abs(mean - pred) / max(se, SE_FLOOR)})
     passed = all(row["z"] <= threshold for row in rows)
     return rows, passed
 

@@ -112,7 +112,7 @@ def test_criterion_04_onsager_exactness():
         a = (a + a.T) / 2
         fprime = [rng.standard_normal(n) for _ in range(5)]
         w = int(rng.integers(1, 5))
-        b1 = onsager_b(a, fprime, 0, w, budget=float("inf"))
+        b1 = onsager_b(a, fprime, 0, w)
         b2 = onsager_b_brute(a, fprime, 0, w)
         assert np.max(np.abs(b1 - b2)) <= 1e-10, (n, w)
         cases += 1

@@ -43,7 +43,7 @@ def test_onsager_matches_brute():
         a = _rand_sym(rng, n)
         fprime = [rng.standard_normal(n) for _ in range(5)]
         for w in range(1, 5):
-            b1 = onsager_b(a, fprime, 0, w, budget=float("inf"))
+            b1 = onsager_b(a, fprime, 0, w)
             b2 = onsager_b_brute(a, fprime, 0, w)
             assert np.allclose(b1, b2, atol=1e-10)
 
@@ -248,24 +248,27 @@ def test_onsager_bytes_match_legacy():
         fprime = [rng.standard_normal(n) for _ in range(7)]
         for s in (0, 2):
             for w in range(1, 6):
-                for budget in (None, float("inf")):
-                    old = _legacy_onsager_b(a, fprime, s, s + w, budget=budget)
-                    new = onsager_b(a, fprime, s, s + w, budget=budget)
-                    assert new.tobytes() == old.tobytes(), (n, s, w)
+                old = _legacy_onsager_b(a, fprime, s, s + w)
+                new = onsager_b(a, fprime, s, s + w)
+                assert new.tobytes() == old.tobytes(), (n, s, w)
 
 
-def test_onsager_budget_error_unchanged():
+def test_onsager_budget_error_unchanged(monkeypatch):
+    # onsager_b runs under the engine's default budget; lowered, it must fail
+    # where the legacy engine fails, with its message
+    from trafficamp import graphpoly
     rng = np.random.default_rng(21)
     a = _rand_sym(rng, 16)
     fprime = [rng.standard_normal(16) for _ in range(6)]
     for budget in (10.0, 16.0 ** 2, 16.0 ** 3, 3 * 16.0 ** 3):
+        monkeypatch.setattr(graphpoly, "_default_budget", lambda n, _b=budget: _b)
         for w in range(2, 6):
             try:
                 old = _legacy_onsager_b(a, fprime, 0, w, budget=budget).tobytes()
             except BudgetError as exc:
                 old = str(exc)
             try:
-                new = onsager_b(a, fprime, 0, w, budget=budget).tobytes()
+                new = onsager_b(a, fprime, 0, w).tobytes()
             except BudgetError as exc:
                 new = str(exc)
             assert new == old, (budget, w)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ from trafficamp import ensembles, graphpoly, matrixio
 from trafficamp.cli import (CONFIG_KEYS, _audit_request, _orthogonality_error,
                             _report_rows, build_kernel, load_config, main,
                             read_moments_csv, write_csv)
-from trafficamp.diagrams import CANON_CAP, named_diagram, z_to_w_coefficients
+from trafficamp.diagrams import named_diagram, z_to_w_coefficients
 from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import named_polynomial
 from trafficamp.state_evolution import aggregate_reports
@@ -190,7 +191,7 @@ def test_catalog_checks_once_and_runs_each_step_once(tmp_path, monkeypatch, comm
     requests = [(d, basis) for _, d, basis in
                 ([(nm, named_diagram(nm), b) for nm in names for b in "wz"]
                  if command == "traffic" else [_audit_request(nm) for nm in names])]
-    steps = _steps(graphpoly._catalog(tuple(requests), 16, CANON_CAP))
+    steps = _steps(graphpoly._catalog(tuple(requests), 16))
     if command == "traffic":
         _assert_each_step_runs_once(seen, 2 * 3, [steps] * 6)
     else:
@@ -422,6 +423,24 @@ def test_cactus_audit_budget_covers_the_whole_open_cactus(tmp_path, capsys):
     assert len(open(tmp_path / "out" / "delocalization.csv").read().splitlines()) == 3
 
 
+def test_inline_diagram_literals_stay_one_csv_cell(tmp_path):
+    # an inline literal holds commas, so its cell is quoted and reads back whole
+    tri = "diagram{v=3; roots=[]; edges=[(0,1),(1,2),(2,0)]}"
+    path2 = "diagram{v=3; roots=[0,2]; edges=[(0,1),(1,2)]}"
+    cfg = _write_config(tmp_path, dimension_sweep=[16, 32], trials=2,
+                        diagrams=["cycle2", tri], open_cactuses=["open_path1", path2])
+    names = {"traffic": ["traffic.csv", "traffic_exponents.csv"],
+             "cactus-audit": ["cactus_audit.csv", "cactus_audit_exponents.csv",
+                              "delocalization.csv"]}
+    for command, files in names.items():
+        assert run_cli(command, "--config", cfg) == 0
+        for name in files:
+            with open(tmp_path / "out" / name, newline="") as fh:
+                rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+            assert len(rows) > 1 and {len(r) for r in rows} == {len(rows[0])}, name
+            assert tri in sum(rows, []) or path2 in sum(rows, []), name
+
+
 def test_gen_se_compare_threads_byte_identical(tmp_path):
     cfg = _write_config(tmp_path)
     assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
@@ -509,6 +528,8 @@ def test_threads_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, comma
       "kappa": "goe", "init": "zeros"}, "unknown init 'zeros'"),
     ({"nonlinearities": ["identity"] * 6, "T": 6, "mode": "exact_treelike",
       "init": "ones"}, "T <= 5"),
+    ({"nonlinearities": ["identity"] * 3, "T": 3, "mode": "exact_treelike",
+      "init": "ones", "ensemble": {"kind": "goe", "n": 2048}}, "n <= 256"),
 ])
 def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, capsys,
                                                      amp, message):
@@ -520,7 +541,9 @@ def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, caps
         return real_generate(spec, stream, out)
 
     monkeypatch.setattr(ensembles, "generate", recording_generate)
-    cfg = _write_config(tmp_path, amp=amp)
+    amp = dict(amp)
+    ensemble = amp.pop("ensemble", {"kind": "goe", "n": 256})  # a case may carry its own
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp=amp)
     assert run_cli("amp", "--config", cfg) == 2
     assert message in capsys.readouterr().err
     assert calls == []
@@ -793,12 +816,16 @@ def test_read_moments_csv_matches_legacy(tmp_path):
     ({"kappa": {"values": [0.0, 1.0]}}, "config key 'kappa' in section 'amp' has no key 'tag'"),
     ({"kappa": {"tag": "cumulants", "values": [0, 1, 0, 0], "valeus": [9]}},
      "config key 'kappa' in section 'amp' has unknown key 'valeus'"),
+    ({"mode": "exact_treelike", "nonlinearities": ["identity"] * 3, "T": 3,
+      "ensemble": {"kind": "goe", "n": 2048}}, "n <= 256"),
 ])
 def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
     base = {"nonlinearities": ["identity", "identity"], "T": 2,
             "mode": "scalar_kappa", "kappa": "goe", "init": "ones"}
     section = {k: v for k, v in dict(base, **amp).items() if v is not None}
-    cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 32}, amp=section)
+    # a case may carry its ensemble section along
+    ensemble = section.pop("ensemble", {"kind": "goe", "n": 32})
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp=section)
     errors = []
     for argv in (["amp", "--no-save-traces"], ["se", "--out", str(tmp_path / "k.json")]):
         assert run_cli(*argv, "--config", cfg) == 2, argv
