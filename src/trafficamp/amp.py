@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,8 @@ from .ensembles import stream_rng
 from .freeprob import CumulantTable
 from .gaussian import Polynomial, named_polynomial
 
-EXACT_N_CAP = 256
-EXACT_T_CAP = 5
-EXACT_WINDOW_CAP = 5
+EXACT_WINDOW_CAP = 7  # the longest window onsager_b_brute is tested at
+_MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2  # half the RAM
 
 MODES = ("exact_treelike", "scalar_kappa", "punctured_kappa", "block_goe")
 
@@ -68,8 +68,8 @@ class AMPConfig:
         if self.mode == "exact_treelike" and self.init != "ones":
             raise ValueError("exact_treelike mode starts from x_0 = 1; "
                              "init must be \"ones\", not %r" % self.init)
-        if self.mode == "exact_treelike" and self.T > EXACT_T_CAP:
-            raise ValueError("exact mode budget: T <= %d" % EXACT_T_CAP)
+        if self.mode == "exact_treelike" and self.T > EXACT_WINDOW_CAP:
+            raise ValueError("exact mode: T <= %d, the longest window" % EXACT_WINDOW_CAP)
 
     def to_json(self):
         out = {"nonlinearities": [list(p.coeffs) for p in self.nonlinearities],
@@ -92,17 +92,6 @@ class AMPTrace:
     iterates: np.ndarray       # rows x_1..x_T
     onsager: dict              # (s, t) -> vector (exact) or scalar coefficient
     mode: str
-
-    @property
-    def T(self):
-        return self.iterates.shape[0]
-
-    @property
-    def n(self):
-        return self.iterates.shape[1]
-
-    def x(self, t):
-        return self.x0 if t == 0 else self.iterates[t - 1]
 
 
 def _init_vector(cfg, n, stream):
@@ -143,20 +132,33 @@ def _windows_program(windows, n):
     return graphpoly._compile(outputs, n), {win: k for k, win in enumerate(windows)}
 
 
+def _exact_program(n, T, threads=1):
+    """The windows program of an exact T-step trial at size n, and its window
+    index.  Raises BudgetError when `threads` trials at once, each the program's
+    peak bytes plus its 8 n^2-byte matrix, would exceed _MEMORY_BOUND."""
+    prog, index = _windows_program(tuple((s, t) for t in range(1, T + 1)
+                                         for s in range(t - 1)), n)
+    need = threads * (prog.peak + 8 * n * n)
+    if need > _MEMORY_BOUND:
+        raise graphpoly.BudgetError("exact mode at n=%d, T=%d on %d thread(s) needs %.3g bytes, "
+                                    "over the bound of %.3g (half of physical memory)"
+                                    % (n, T, threads, need, _MEMORY_BOUND))
+    return prog, index
+
+
 def onsager_b(a, fprime_vectors, s, t, _trial=None):
     """Distinct-index closed-walk sum b_{s,t}, exactly.
 
     fprime_vectors[r] supplies the weight vector at interior step r, needed
-    for s < r < t.  Computed by Mobius inversion over set partitions of the
-    t-s walk positions, evaluating each contracted weighted cycle with the
-    graph-polynomial engine, as one output of a compiled program, under the
-    engine's default budget of 8 n^3 per quotient (every window of at most
-    EXACT_WINDOW_CAP steps stays under it).  The exact memory term passes its
-    per-trial `_trial` (program, window index, slots; it has checked `a`), so
-    a kernel result shared by the windows of a trial runs once per trial.
+    for s < r < t; the window t-s is 1..EXACT_WINDOW_CAP.  Computed by Mobius
+    inversion over set partitions of the t-s walk positions, evaluating each
+    contracted weighted cycle as one output of a compiled program, under the
+    engine's default budget of 8 n^3 per quotient (each such window needs at
+    most 0.75 of it).  The exact memory term passes its per-trial `_trial`
+    (program, window index, slots; it has checked `a`), so a kernel result
+    shared by the windows of a trial runs once per trial.
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
     w = t - s
     if not 1 <= w <= EXACT_WINDOW_CAP:
         raise ValueError("window %d outside 1..%d" % (w, EXACT_WINDOW_CAP))
@@ -166,7 +168,7 @@ def onsager_b(a, fprime_vectors, s, t, _trial=None):
         a = graphpoly._as_matrix(a)
         fprime_vectors = {r: np.asarray(fprime_vectors[r], dtype=np.float64)
                           for r in range(s + 1, t)}
-        prog, index = _windows_program(((s, t),), n)
+        prog, index = _windows_program(((s, t),), len(a))
         _trial = prog, index, [None] * prog.size
     prog, index, slots = _trial
     return graphpoly._execute(prog, index[(s, t)], slots, a, fprime_vectors)
@@ -233,12 +235,8 @@ def _memory_term(a, cfg):
     from A f_{t-1}, given rows f_s(x_s), f'_{t-1}(x_{t-1}) and the row means of
     f'_s(x_s)."""
     if cfg.mode == "exact_treelike":
-        n = a.shape[0]
-        if n > EXACT_N_CAP:
-            raise ValueError("exact mode budget: n <= %d" % EXACT_N_CAP)
         a = graphpoly._as_matrix(a)
-        prog, index = _windows_program(tuple((s, t) for t in range(1, cfg.T + 1)
-                                             for s in range(t - 1)), n)
+        prog, index = _exact_program(len(a), cfg.T)
         # x_0 = 1 on one matrix makes every row the same trial: one run of the
         # program and one f'_0, f'_1, ... history, from row 0
         trial, hist = (prog, index, [None] * prog.size), []

@@ -86,8 +86,8 @@ def _has_type(value, t):
 
 def load_config(path):
     """Read a JSON config; a key outside CONFIG_KEYS, a value (or list entry) not
-    of the key's JSON type (a bool is not a number), or a `trials` below 1, is a
-    ValueError that names the key."""
+    of the key's JSON type (a bool is not a number), a `trials` below 1, or a
+    repeated `dimension_sweep` entry, is a ValueError that names the key."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -106,6 +106,8 @@ def load_config(path):
                     raise ValueError("config key %r%s%s must be %s%s, not %r, in %s" % (
                         key, entry, "" if section is None else " in " + place,
                         _type_name(t), " >= 1" if key == "trials" else "", v, path))
+    if len(set(sweep := cfg.get("dimension_sweep", []))) < len(sweep):
+        raise ValueError("config key 'dimension_sweep' repeats an entry: %r in %s" % (sweep, path))
     return cfg
 
 
@@ -133,13 +135,6 @@ def _amp_config_from(cfg, seed):
         nonlinearities=tuple(a["nonlinearities"]), T=int(a["T"]),
         mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"),
         seed=seed)
-
-
-def _check_exact_n(acfg, spec):
-    """amp and se reject an exact-mode n over amp.EXACT_N_CAP before any matrix
-    is built (amp's memory term checks it again for library callers)."""
-    if acfg.mode == "exact_treelike" and spec.n > amp_mod.EXACT_N_CAP:
-        raise ValueError("exact mode budget: n <= %d" % amp_mod.EXACT_N_CAP)
 
 
 def _is_deterministic(spec):
@@ -369,7 +364,8 @@ def cmd_amp(args):
     cfgs = [_amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1))
             for t in range(trials)]
     spec = _ensemble_from_config(cfg)
-    _check_exact_n(cfgs[0], spec)
+    if cfgs[0].mode == "exact_treelike":  # the memory bound, before any matrix is built
+        amp_mod._exact_program(spec.n, cfgs[0].T, args.threads)
     labels = _block_label_vector(spec)
 
     def work(m, block):  # in lockstep; the iterates are kept, the Onsager vectors not
@@ -434,7 +430,6 @@ def build_kernel(cfg):
     """The SE kernel of cfg's AMP run, from the AMPConfig and EnsembleSpec that
     `amp` reads, so `se` rejects every config that `amp` rejects."""
     acfg, spec = _amp_config_from(cfg, seed=0), _ensemble_from_config(cfg)
-    _check_exact_n(acfg, spec)
     fs, T = acfg.nonlinearities, acfg.T
     if acfg.mode == "scalar_kappa":
         return se_mod.se_orthogonal(fs, acfg.kappa, T)
@@ -479,10 +474,9 @@ def cmd_compare(args):
     write_csv(out, ["group", "stat", "s", "t", "empirical", "predicted", "z"],
               [(r["group"], r["stat"], r["s"], r["t"], r["empirical"],
                 r["predicted"], r["z"]) for r in rows], kobj)
-    worst = max(rows, key=lambda r: r["z"]) if rows else None
+    worst = max(rows, key=lambda r: r["z"])
     print("compared %d statistics; %s (worst z = %.2f at %s)"
-          % (len(rows), "PASS" if passed else "FAIL",
-             worst["z"] if worst else 0.0, worst["stat"] if worst else "-"))
+          % (len(rows), "PASS" if passed else "FAIL", worst["z"], worst["stat"]))
     return 0 if passed else 1
 
 

@@ -164,6 +164,8 @@ class _Program(NamedTuple):
     its value to the output instead) and then frees the slots in `drop`, whose
     last use it was.  zero_start says per output whether its sum starts from
     zeros(n); costs holds per output each evaluation's running cost estimates.
+    peak is the most bytes its slots hold at once, the matrix aside: a kernel
+    step counts n^(its output indices) float64s, a diagonal or weight product n.
     """
 
     n: int
@@ -171,6 +173,7 @@ class _Program(NamedTuple):
     zero_start: tuple
     costs: tuple
     size: int  # the number of slots
+    peak: int
 
 
 def _reads(op, x, y):
@@ -248,8 +251,15 @@ def _compile(outputs, n):
         ins.append(())
     for f, ins in last.items():
         ins[4] += (f,)
+    size, live, peak = {}, 0, 0  # a slot is written while its inputs are still held
+    for op, out, x, _, drop in itertools.chain.from_iterable(code):
+        if op != _EVAL:
+            size[out] = 0 if op == _LABEL else n ** len(x.split("->")[1]) if op == _KERNEL else n
+            live += size[out]
+        peak = max(peak, live)
+        live -= sum(size[f] for f in drop)
     return _Program(n, tuple(tuple(tuple(ins) for ins in c) for c in code),
-                    tuple(z for z, _ in outputs), tuple(costs), len(slot))
+                    tuple(z for z, _ in outputs), tuple(costs), len(slot), 8 * peak)
 
 
 def _execute(prog, k, slots, a, weights=(), budget=None):

@@ -57,12 +57,6 @@ class SEKernel:
             if evs.min() < PSD_TOL * max(1.0, abs(evs).max()):
                 raise ValueError("kernel not PSD: min eigenvalue %g" % evs.min())
 
-    @property
-    def gamma(self):
-        if len(self.gammas) != 1:
-            raise ValueError("kernel is a mixture; use .gammas")
-        return self.gammas[0]
-
     def to_json(self):
         # sub-1e-14 entries are snapped to 0 in the serialized report only
         def snap(g):
@@ -269,8 +263,8 @@ def compare_empirical(kernel, report, threshold=4.0):
     and a statistic's prediction is the weighted sum over the mixture.  Blocks
     are compared when the kernel is a mixture and the report has blocks, else
     "all".  Returns a verdict table (list of row dicts) and an overall pass
-    flag.  A report whose SEs are all 0 (one trial), or with a statistic or
-    block the kernel does not have, gives no z-scores and raises ValueError.
+    flag.  A report with no statistic, with all SEs 0 (one trial), or with a
+    statistic or block the kernel does not have raises ValueError.
     """
     subs = [report] + list(report.get("blocks", {}).values())
     ses = [se for g in subs for part in ("second", "power")
@@ -304,6 +298,8 @@ def compare_empirical(kernel, report, threshold=4.0):
                 rows.append({"group": name, "stat": fmt % (a, b), "s": a, "t": b,
                              "empirical": mean, "predicted": pred,
                              "z": abs(mean - pred) / max(se, SE_FLOOR)})
+    if not rows:
+        raise ValueError("no statistics found in the report; nothing to compare")
     passed = all(row["z"] <= threshold for row in rows)
     return rows, passed
 

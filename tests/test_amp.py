@@ -37,15 +37,17 @@ def test_onsager_window2():
 
 
 def test_onsager_matches_brute():
+    # every window up to EXACT_WINDOW_CAP = 7; the brute sum over n (n-1)!/(n-w)!
+    # walks takes about a second at n = 9, w = 7, so the long windows get fewer draws
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        n = int(rng.integers(4, 13))
+    for k in range(25):
+        n = int(rng.integers(4, 10)) if k >= 3 else 7 + k
         a = _rand_sym(rng, n)
-        fprime = [rng.standard_normal(n) for _ in range(5)]
-        for w in range(1, 5):
+        fprime = [rng.standard_normal(n) for _ in range(7)]
+        for w in range(1, 8 if k < 3 else 6):
             b1 = onsager_b(a, fprime, 0, w)
             b2 = onsager_b_brute(a, fprime, 0, w)
-            assert np.allclose(b1, b2, atol=1e-10)
+            assert np.allclose(b1, b2, atol=1e-10), (n, w)
 
 
 def test_config_validation():
@@ -166,8 +168,7 @@ def test_gaussianity_kurtosis_on_goe():
         a = generate(EnsembleSpec("goe", n, seed=40 + s)).values
         tr = run(a, cfg)
         row = []
-        for t in range(1, 4):
-            x = tr.x(t)
+        for x in tr.iterates:
             row.append(float(np.mean(x ** 4) / np.mean(x ** 2) ** 2 - 3.0))
         kurt.append(row)
     kurt = np.asarray(kurt)
@@ -175,12 +176,22 @@ def test_gaussianity_kurtosis_on_goe():
     assert z.max() <= 4.0, kurt.mean(axis=0)
 
 
-def test_exact_mode_budget_guard():
+def test_exact_mode_budget_guard(monkeypatch):
+    from trafficamp import amp
     a = generate(EnsembleSpec("goe", 32, seed=8)).values
-    with pytest.raises(ValueError):
-        run(a, AMPConfig(nonlinearities=("identity",) * 6, T=6, mode="exact_treelike"))
-    with pytest.raises(ValueError):
-        onsager_b(a, [None] * 8, 0, 7)
+    with pytest.raises(ValueError, match="T <= 7"):
+        run(a, AMPConfig(nonlinearities=("identity",) * 8, T=8, mode="exact_treelike"))
+    with pytest.raises(ValueError, match="window 8 outside 1..7"):
+        onsager_b(a, [None] * 9, 0, 8)
+    # a library run checks its program's peak and matrix against the memory bound
+    cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
+    need = amp._exact_program(32, 5)[0].peak + 8 * 32 ** 2
+    monkeypatch.setattr(amp, "_MEMORY_BOUND", need)
+    assert run(a, cfg).iterates.shape == (5, 32)
+    monkeypatch.setattr(amp, "_MEMORY_BOUND", need // 2)
+    with pytest.raises(BudgetError) as err:
+        run(a, cfg)
+    assert "needs %.3g bytes, over the bound of %.3g" % (need, need // 2) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +200,13 @@ def test_exact_mode_budget_guard():
 # ---------------------------------------------------------------------------
 
 def _legacy_onsager_b(a, fprime_vectors, s, t, budget=None):
-    from trafficamp.amp import EXACT_WINDOW_CAP
     from trafficamp.diagrams import cycle_diagram, quotient, set_partitions
     from trafficamp.graphpoly import partition_mobius
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     w = t - s
-    if not 1 <= w <= EXACT_WINDOW_CAP:
-        raise ValueError("window %d outside 1..%d" % (w, EXACT_WINDOW_CAP))
+    if not 1 <= w <= 5:
+        raise ValueError("window %d outside 1..5" % w)
     if w == 1:
         return np.diag(a).copy()
     cyc = cycle_diagram(w, rooted=True)
@@ -307,13 +317,44 @@ def test_config_rejects_unknown_init(mode, kappa):
 
 
 def test_exact_mode_caps():
-    AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
-    with pytest.raises(ValueError, match="T <= 5"):
-        AMPConfig(nonlinearities=("identity",) * 6, T=6, mode="exact_treelike")
+    # T is capped by the longest window, EXACT_WINDOW_CAP = 7; n only by memory
+    AMPConfig(nonlinearities=("identity",) * 7, T=7, mode="exact_treelike")
+    with pytest.raises(ValueError, match="T <= 7"):
+        AMPConfig(nonlinearities=("identity",) * 8, T=8, mode="exact_treelike")
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
-    assert run(np.eye(256), cfg).iterates.shape == (1, 256)
-    with pytest.raises(ValueError, match="n <= 256"):
-        run(np.eye(257), cfg)
+    assert run(np.eye(257), cfg).iterates.shape == (1, 257)
+
+
+@pytest.mark.parametrize("T", [5, 7])
+def test_exact_trial_peak_is_the_program_estimate(T):
+    # the traced peak of one trial lies between the program's slot-liveness
+    # estimate and that plus two n x n float64 arrays (kernel temporaries)
+    import tracemalloc
+
+    from trafficamp import amp
+    n = 128
+    a = generate(EnsembleSpec("community", n, seed=3, q=4, inner="rom")).values
+    cfg = AMPConfig(nonlinearities=("identity", "cube_hermite", "square_centered",
+                                    "identity", "cube_hermite", "identity", "identity")[:T],
+                    T=T, mode="exact_treelike")
+    run(a, cfg)  # the program is compiled once per process
+    tracemalloc.start()
+    try:
+        run(a, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = amp._exact_program(n, T)[0].peak
+    assert estimate <= peak <= estimate + 2 * 8 * n * n, (peak / (8 * n * n),
+                                                           estimate / (8 * n * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
+def test_every_exact_window_meets_the_default_budget(n):
+    from trafficamp import amp, graphpoly
+    prog = amp._exact_program(n, amp.EXACT_WINDOW_CAP)[0]
+    worst = max(costs[-1] for window in prog.costs for costs in window)
+    assert worst <= graphpoly._default_budget(n), worst / n ** 3
 
 
 def _exact_configs(k, T=5):
@@ -601,7 +642,7 @@ def _legacy_empirical_state(trace, block_labels=None, max_power=6):
                 "power": {(t, k): float(np.mean(xs[t - 1] ** k))
                           for t in range(1, T + 1) for k in range(1, max_power + 1)}}
 
-    xs = [trace.x(t) for t in range(1, trace.T + 1)]
+    xs = list(trace.iterates)
     out = moments(xs)
     if block_labels is not None:
         labels = np.asarray(block_labels)

@@ -266,12 +266,15 @@ def test_config_values_of_the_wrong_json_type_name_the_key(tmp_path, capsys, sec
 
 
 def test_config_rejects_a_dimension_sweep_that_is_not_a_list(tmp_path, capsys):
-    path = _write_config(tmp_path, dimension_sweep=32)
-    with pytest.raises(ValueError, match="'dimension_sweep' must be a list of integers, not 32"):
-        load_config(path)
-    for command in ("traffic", "cactus-audit", "amp", "se"):
-        assert run_cli(command, "--config", path) == 2
-        assert "'dimension_sweep'" in capsys.readouterr().err
+    # nor one that repeats an n, whose exponent fit would be degenerate
+    for sweep, message in ((32, "'dimension_sweep' must be a list of integers, not 32"),
+                           ([32, 64, 32], r"'dimension_sweep' repeats an entry: \[32, 64, 32\]")):
+        path = _write_config(tmp_path, dimension_sweep=sweep)
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        for command in ("traffic", "cactus-audit", "amp", "se"):
+            assert run_cli(command, "--config", path) == 2
+            assert "'dimension_sweep'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,n", [("hadamard", 64), ("dst", 64), ("dst", 50)])
@@ -347,6 +350,12 @@ def test_compare_single_trial_is_usage_error(tmp_path, capsys):
                    "--out", str(tmp_path / "out" / "verdict.csv"))
     assert code == 2
     assert "1-trial" in capsys.readouterr().err
+    # a moments file with its header only compares nothing
+    empty = tmp_path / "out" / "empty.csv"
+    write_csv(empty, ["group", "kind", "a", "b", "mean", "se"], [], {})
+    assert run_cli("compare", "--kernel", str(kernel), "--moments", str(empty),
+                   "--out", str(tmp_path / "out" / "verdict.csv")) == 2
+    assert "no statistics found" in capsys.readouterr().err
 
 
 def _outputs(outdir):
@@ -523,16 +532,8 @@ def test_threads_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, comma
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("amp, message", [
-    ({"nonlinearities": ["identity", "identity"], "T": 2, "mode": "scalar_kappa",
-      "kappa": "goe", "init": "zeros"}, "unknown init 'zeros'"),
-    ({"nonlinearities": ["identity"] * 6, "T": 6, "mode": "exact_treelike",
-      "init": "ones"}, "T <= 5"),
-    ({"nonlinearities": ["identity"] * 3, "T": 3, "mode": "exact_treelike",
-      "init": "ones", "ensemble": {"kind": "goe", "n": 2048}}, "n <= 256"),
-])
-def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, capsys,
-                                                     amp, message):
+def _record_generated_kinds(monkeypatch):
+    """The kind of each matrix ensembles.generate builds from now on."""
     calls = []
     real_generate = ensembles.generate
 
@@ -541,12 +542,40 @@ def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, caps
         return real_generate(spec, stream, out)
 
     monkeypatch.setattr(ensembles, "generate", recording_generate)
+    return calls
+
+
+@pytest.mark.parametrize("amp, message", [
+    ({"nonlinearities": ["identity", "identity"], "T": 2, "mode": "scalar_kappa",
+      "kappa": "goe", "init": "zeros"}, "unknown init 'zeros'"),
+    ({"nonlinearities": ["identity"] * 8, "T": 8, "mode": "exact_treelike",
+      "init": "ones"}, "T <= 7"),
+])
+def test_amp_rejects_config_before_building_a_matrix(tmp_path, monkeypatch, capsys,
+                                                     amp, message):
+    calls = _record_generated_kinds(monkeypatch)
     amp = dict(amp)
     ensemble = amp.pop("ensemble", {"kind": "goe", "n": 256})  # a case may carry its own
     cfg = _write_config(tmp_path, ensemble=ensemble, amp=amp)
     assert run_cli("amp", "--config", cfg) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+def test_amp_over_the_memory_bound_exits_3_before_building_a_matrix(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the bound holds the program peak plus the matrix of every trial run at once
+    import trafficamp.amp as amp_mod
+    calls = _record_generated_kinds(monkeypatch)
+    cfg = _treelike_config(tmp_path)
+    need = amp_mod._exact_program(64, 5)[0].peak + 8 * 64 ** 2
+    monkeypatch.setattr(amp_mod, "_MEMORY_BOUND", need + need // 2)
+    assert run_cli("--threads", "2", "amp", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert "needs %.3g bytes, over the bound of %.3g" % (2 * need, need + need // 2) in err
+    assert calls == []
+    assert run_cli("--threads", "1", "amp", "--config", cfg, "--no-save-traces") == 0
+    assert calls == ["community"] * 4
 
 
 def _treelike_config(tmp_path, **amp):
@@ -797,8 +826,8 @@ def test_read_moments_csv_matches_legacy(tmp_path):
 
 @pytest.mark.parametrize("amp, message", [
     ({"init": "zeros"}, "unknown init 'zeros'"),
-    ({"mode": "exact_treelike", "nonlinearities": ["identity"] * 6, "T": 6},
-     "T <= 5"),
+    ({"mode": "exact_treelike", "nonlinearities": ["identity"] * 8, "T": 8},
+     "T <= 7"),
     ({"mode": "exact_treelike", "init": "gaussian"}, "init must be"),
     ({"kappa": None}, "scalar modes need a cumulant table"),
     ({"mode": "punctured_kappa", "kappa": None, "init": "gaussian"},
@@ -816,8 +845,6 @@ def test_read_moments_csv_matches_legacy(tmp_path):
     ({"kappa": {"values": [0.0, 1.0]}}, "config key 'kappa' in section 'amp' has no key 'tag'"),
     ({"kappa": {"tag": "cumulants", "values": [0, 1, 0, 0], "valeus": [9]}},
      "config key 'kappa' in section 'amp' has unknown key 'valeus'"),
-    ({"mode": "exact_treelike", "nonlinearities": ["identity"] * 3, "T": 3,
-      "ensemble": {"kind": "goe", "n": 2048}}, "n <= 256"),
 ])
 def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
     base = {"nonlinearities": ["identity", "identity"], "T": 2,
@@ -832,6 +859,13 @@ def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message)
         errors.append(capsys.readouterr().err)
     assert message in errors[0]
     assert errors[0] == errors[1]
+
+
+def test_se_reads_no_memory_bound(tmp_path):
+    # the SE kernel depends on neither n nor the host: an exact config at any n
+    cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 2048}, amp={
+        "nonlinearities": ["identity"] * 3, "T": 3, "mode": "exact_treelike"})
+    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0
 
 
 @pytest.mark.parametrize("ensemble, field", [

@@ -50,7 +50,7 @@ def test_eval_z_matches_brute(d, n, seed):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(3, 6), s=st.integers(0, 2), w=st.integers(1, 5),
+@given(n=st.integers(3, 6), s=st.integers(0, 2), w=st.integers(1, 7),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_onsager_b_matches_brute(n, s, w, seed):
     rng = np.random.default_rng(seed)

@@ -19,32 +19,34 @@ from trafficamp.state_evolution import (SEDivergenceError, SEKernel, _finite,
 
 def test_goe_identity_kernel():
     k = se_orthogonal(["identity"] * 3, named_table("goe"), 3)
-    assert np.allclose(k.gamma, np.eye(3), atol=1e-12)
+    assert len(k.gammas) == 1
+    assert np.allclose(k.gammas[0], np.eye(3), atol=1e-12)
 
 
 def test_single_step_kernel():
     kt = CumulantTable((0.0, 2.5), "cumulants")
     k = se_orthogonal(["identity"], kt, 1)
-    assert abs(k.gamma[0, 0] - 2.5) < 1e-12
+    assert abs(k.gammas[0][0, 0] - 2.5) < 1e-12
 
 
 def test_rom_identity_degenerates():
     # on a symmetric orthogonal model with f = x the second iterate vanishes
     k = se_orthogonal(["identity"] * 2, named_table("rom"), 2)
-    assert abs(k.gamma[1, 1]) < 1e-12
+    assert abs(k.gammas[0][1, 1]) < 1e-12
     k3 = se_orthogonal(["identity"] * 3, named_table("rom", 8), 3)
-    assert abs(k3.gamma[2, 2] - 1.0) < 1e-12
-    assert abs(k3.gamma[0, 2] + 1.0) < 1e-12  # x_3 = -x_1 in the limit
+    assert abs(k3.gammas[0][2, 2] - 1.0) < 1e-12
+    assert abs(k3.gammas[0][0, 2] + 1.0) < 1e-12  # x_3 = -x_1 in the limit
 
 
 def test_punctured_kernel_values():
     k = se_punctured(["identity"] + ["cube_hermite"] * 3, named_table("rom"), 4)
-    diag = np.diag(k.gamma)
+    assert len(k.gammas) == 1
+    diag = np.diag(k.gammas[0])
     assert abs(diag[0] - 1.0) < 1e-12
     assert abs(diag[1] - 6.0) < 1e-12
     assert abs(diag[2] - 1296.0) < 1e-9
     k1 = se_punctured(["identity"], named_table("rom"), 1)
-    assert abs(k1.gamma[0, 0] - 1.0) < 1e-12
+    assert abs(k1.gammas[0][0, 0] - 1.0) < 1e-12
     with pytest.raises(ValueError):
         se_punctured(["cube_hermite"], named_table("rom"), 1)
 
@@ -55,7 +57,7 @@ def test_punctured_equals_orthogonal_when_centered():
     fs = ["identity", "cube_hermite", "cube_hermite"]
     kp = se_punctured(fs, named_table("rom"), 3)
     ko = se_orthogonal(fs, named_table("rom"), 3)
-    assert np.allclose(kp.gamma, ko.gamma, atol=1e-9)
+    assert np.allclose(kp.gammas[0], ko.gammas[0], atol=1e-9)
 
 
 def test_block_q1_equals_orthogonal():
@@ -63,7 +65,7 @@ def test_block_q1_equals_orthogonal():
                ["identity", "square_centered", "cube_hermite", "identity"]):
         kb = se_block_goe(fs, [[1.0]], 1, 4)
         ko = se_orthogonal(fs, named_table("goe"), 4)
-        assert np.allclose(kb.gammas[0], ko.gamma, atol=1e-12)
+        assert np.allclose(kb.gammas[0], ko.gammas[0], atol=1e-12)
 
 
 def test_block_decoupled():
@@ -96,7 +98,7 @@ def test_community_kernels():
 
 def test_kernel_properties():
     k = se_punctured(["identity"] + ["cube_hermite"] * 2, named_table("rom"), 3)
-    g = k.gamma
+    g = k.gammas[0]
     assert np.array_equal(g, g.T)
     assert np.linalg.eigvalsh(g).min() > -1e-9 * abs(g).max()
     with pytest.raises(ValueError):
@@ -142,10 +144,10 @@ def test_recursion_well_founded():
     fs = ["identity", "cube_hermite", "square_centered", "identity"]
     k4 = se_orthogonal(fs, named_table("rom"), 4)
     k2 = se_orthogonal(fs[:2], named_table("rom", 4), 2)
-    assert np.allclose(k4.gamma[:2, :2], k2.gamma, atol=1e-12)
+    assert np.allclose(k4.gammas[0][:2, :2], k2.gammas[0], atol=1e-12)
     p4 = se_punctured(fs, named_table("rom"), 4)
     p3 = se_punctured(fs[:3], named_table("rom", 6), 3)
-    assert np.allclose(p4.gamma[:3, :3], p3.gamma, atol=1e-12)
+    assert np.allclose(p4.gammas[0][:3, :3], p3.gammas[0], atol=1e-12)
 
 
 def test_aggregate_reports_block():
@@ -169,7 +171,7 @@ def test_se_divergence_names_first_nonfinite_step():
             se_orthogonal(fs, named_table("rom", 16), 8)
         assert exc.value.t == 8
         # one step earlier the kernel is still finite
-        assert np.isfinite(se_orthogonal(fs, named_table("rom", 14), 7).gamma).all()
+        assert np.isfinite(se_orthogonal(fs, named_table("rom", 14), 7).gammas[0]).all()
 
 
 @pytest.mark.parametrize("variant, t", [("punctured", 8), ("community", 7)])
