@@ -12,7 +12,7 @@ from .freeprob import (CumulantTable, cactus_traffic_value,
                        named_table, weingarten_limit)
 from .gaussian import (GaussianLaw, Polynomial, isserlis_moment,
                        named_polynomial, poly_expectation)
-from .graphpoly import eval_w, eval_w_brute, eval_z, fundamental_bound_audit
+from .graphpoly import eval_w, eval_w_brute, eval_z
 from .amp import (AMPConfig, AMPTrace, DivergenceError, empirical_state,
                   onsager_b, run)
 from .state_evolution import (SEDivergenceError, SEKernel, compare_empirical,

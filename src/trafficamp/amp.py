@@ -78,13 +78,6 @@ class AMPConfig:
             out["kappa"] = self.kappa.to_json()
         return out
 
-    @classmethod
-    def from_json(cls, obj):
-        kappa = CumulantTable.from_json(obj["kappa"]) if "kappa" in obj else None
-        return cls(nonlinearities=tuple(obj["nonlinearities"]), T=int(obj["T"]),
-                   mode=obj.get("mode", "scalar_kappa"), kappa=kappa,
-                   init=obj.get("init", "ones"), seed=int(obj.get("seed", 0)))
-
 
 @dataclass
 class AMPTrace:

@@ -137,8 +137,24 @@ def _amp_config_from(cfg, seed):
         seed=seed)
 
 
+def _law(spec):
+    """(kind, punctured, law) of spec: its kind, with the aliases r_rom (punctured
+    rom) and orth_invariant with Rademacher eigenvalues (rom) resolved and a
+    puncturing unwrapped; whether it is punctured; and the named_table names
+    (cumulants, moments) of its n -> infty limit law, or None when it has none."""
+    punctured = spec.kind in ("punctured", "r_rom")
+    kind = {"punctured": spec.inner, "r_rom": "rom"}.get(spec.kind, spec.kind)
+    if kind == "orth_invariant" and spec.eigenvalues in (None, "rademacher"):
+        kind = "rom"
+    if kind == "rom" or kind in ensembles.DETERMINISTIC:
+        return kind, punctured, ("rom", "rademacher")
+    if kind in ("goe", "wigner") and not punctured:
+        return kind, punctured, ("goe", "semicircle")
+    return kind, punctured, None
+
+
 def _is_deterministic(spec):
-    return (spec.inner if spec.kind == "punctured" else spec.kind) in ensembles.DETERMINISTIC
+    return _law(spec)[0] in ensembles.DETERMINISTIC
 
 
 def _generate_trial(spec, master_seed, trial, local):
@@ -197,7 +213,8 @@ def cmd_gen(args):
     with open(out + ".json", "w") as fh:
         json.dump(gm.spec.to_json(), fh, indent=2)
     msg = "wrote %s (%d x %d)" % (out, spec.n, spec.n)
-    if spec.kind in ensembles.DETERMINISTIC or spec.kind == "rom":
+    _, punctured, law = _law(spec)
+    if not punctured and law == ("rom", "rademacher"):  # an orthogonal H
         msg += "; max |H^2 - I| = %.2e" % _orthogonality_error(gm.values)
     print(msg)
     return 0
@@ -216,16 +233,13 @@ def _orthogonality_error(h):
 # ---------------------------------------------------------------------------
 
 def _analytic_targets(spec, d):
-    """(w_target, z_target) in the n -> infty limit, or None when no claim."""
-    kind = spec.kind
-    if kind in ("goe", "wigner"):
-        kappa, moments = named_table("goe"), named_table("semicircle")
-    elif kind in ("rom", "r_rom") or _is_deterministic(spec):
-        # for unpunctured Fourier-type matrices the diagonal distribution exists
-        # on cactuses, but bridged diagrams may diverge
-        kappa, moments = named_table("rom"), named_table("rademacher")
-    else:
+    """(w_target, z_target) in the n -> infty limit of spec's law, or None when
+    no claim.  For unpunctured Fourier-type matrices the diagonal distribution
+    exists on cactuses, but bridged diagrams may diverge."""
+    law = _law(spec)[2]
+    if law is None:
         return None, None
+    kappa, moments = (named_table(name) for name in law)
     cls = classify(d)
     if cls.cactus:
         try:
@@ -435,17 +449,17 @@ def build_kernel(cfg):
         return se_mod.se_orthogonal(fs, acfg.kappa, T)
     if acfg.mode == "punctured_kappa":
         return se_mod.se_punctured(fs, acfg.kappa, T)
-    if acfg.mode == "block_goe":
-        if spec.kind != "block_goe":
-            raise ValueError("no SE preset for block_goe mode on %r" % spec.kind)
+    if spec.kind == "block_goe":  # block_goe or exact_treelike mode
         return se_mod.se_block_goe(fs, spec.sigma_matrix(), spec.q, T)
+    if acfg.mode == "block_goe":
+        raise ValueError("no SE preset for block_goe mode on %r" % spec.kind)
     if spec.kind == "community":  # exact_treelike from here on
         kin = ensembles.community_kappa_table(spec.q, spec.inner or "rom",
                                               length=max(8, 2 * T))
         return se_mod.se_community(fs, kin, spec.q, T)
-    if spec.kind in ("goe", "wigner", "rom"):
-        table = named_table("rom" if spec.kind == "rom" else "goe", 2 * T)
-        return se_mod.se_orthogonal(fs, table, T)
+    kind, punctured, law = _law(spec)
+    if law and not punctured and kind not in ensembles.DETERMINISTIC:
+        return se_mod.se_orthogonal(fs, named_table(law[0], 2 * T), T)
     raise ValueError("no SE preset for treelike mode on %r" % spec.kind)
 
 

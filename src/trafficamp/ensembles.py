@@ -1,4 +1,4 @@
-"""Matrix ensembles: GOE, Wigner, Haar-orthogonal, ROM, Fourier-type
+"""Matrix ensembles: GOE, Wigner, ROM, Haar-conjugated, Fourier-type
 deterministic matrices, their puncturings, and block models.
 
 All generation is driven by a counter-based Philox stream keyed by
@@ -13,10 +13,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import diagrams, graphpoly
+from . import diagrams, freeprob, graphpoly
 
-KINDS = ("goe", "wigner", "haar_orthogonal", "rom", "r_rom", "hadamard",
-         "dst", "dct", "punctured", "block_goe", "community", "orth_invariant")
+KINDS = ("goe", "wigner", "rom", "r_rom", "hadamard", "dst", "dct", "punctured",
+         "block_goe", "community", "orth_invariant")
 
 # the fields beyond kind, n and seed that each kind reads; punctured also
 # passes its fields on to its inner kind
@@ -215,10 +215,10 @@ def _wigner_fill(rng, n, entry_law, out=None):
     return _symmetric_fill(n, 0, fill, out)
 
 
-def _haar(rng, n, out=None):
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return np.multiply(q, np.sign(np.diag(r))[None, :], out=out)
+def _haar(rng, n):
+    """A Haar-orthogonal n x n draw (not symmetric)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))[None, :]
 
 
 def _conjugated(rng, n, eigenvalues, out=None):
@@ -294,10 +294,6 @@ def generate(spec, stream=0, out=None):
         m = _goe_fill(rng, n, np.sqrt(1.0 / n), np.sqrt(2.0 / n), out)
     elif kind == "wigner":
         m = _wigner_fill(rng, n, spec.entry_law, out)
-    elif kind == "haar_orthogonal":
-        # raw Haar draw; orthogonal but not symmetric (building block for
-        # rom / orth_invariant, which conjugate it into symmetric matrices)
-        m = _haar(rng, n, out)
     elif kind == "rom":
         m = _conjugated(rng, n, "rademacher", out)
     elif kind in ("r_rom", "punctured"):
@@ -378,10 +374,9 @@ def block_labels(n, q):
 
 def community_kappa_table(q, inner="rom", length=8):
     """Block-scale cumulant table of the community model's distinguished block."""
-    from .freeprob import named_table, CumulantTable
-    base = named_table(inner, length)
+    base = freeprob.named_table(inner, length)
     vals = tuple(v / q ** (k / 2.0) for k, v in zip(range(1, length + 1), base.values))
-    return CumulantTable(vals, "cumulants")
+    return freeprob.CumulantTable(vals, "cumulants")
 
 
 NORM_ITERS, NORM_TOL, NORM_SEED = 200, 1e-10, 0  # operator_norm's power iteration

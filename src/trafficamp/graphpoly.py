@@ -37,7 +37,7 @@ import numpy as np
 from numpy._core.einsumfunc import bmm_einsum, c_einsum
 
 from . import diagrams
-from .diagrams import DiagramError, quotient  # noqa: F401 (benchmark/selftest.py checks this binding)
+from .diagrams import quotient  # noqa: F401 (benchmark/selftest.py checks this binding)
 
 
 class BudgetError(RuntimeError):
@@ -415,22 +415,3 @@ def eval_z_brute(d, a, budget=1e8):
         out[tuple(assign[r] for r in d.roots)] += term
     return out if d.roots else float(out)
 
-
-def fundamental_bound_audit(d, a, budget=None):
-    """Check |value| <= product of spectral norms for 2-edge-connected diagrams.
-
-    Scalar diagrams are normalized by 1/n; vector norms are sup norms; matrix
-    norms are spectral.  Returns dict with value, bound, and pass flag.
-    """
-    if not diagrams.classify(d).two_edge_connected:
-        raise DiagramError("fundamental bound applies to 2-edge-connected diagrams")
-    val = eval_w(d, a, budget)  # checks a
-    bound = math.prod([np.linalg.norm(a, 2)] * d.edge_count)
-    if not d.roots:
-        size = abs(val) / len(a)
-    elif len(d.roots) == 1:
-        size = float(np.max(np.abs(val)))
-    else:
-        size = np.linalg.norm(val, 2)
-    ok = size <= bound * (1 + 1e-9) + 1e-12
-    return {"value": size, "bound": bound, "ok": bool(ok)}

@@ -61,7 +61,7 @@ def test_config_validation():
                   kappa=named_table("rom"), init="ones")
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="scalar_kappa",
                     kappa=named_table("goe"))
-    assert AMPConfig.from_json(cfg.to_json()).kappa.values == cfg.kappa.values
+    assert cfg.to_json()["kappa"] == {"tag": "cumulants", "values": list(cfg.kappa.values)}
 
 
 def test_treelike_first_step():
@@ -304,7 +304,7 @@ def test_treelike_rejects_ignored_init():
         AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike",
                   init="gaussian")
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
-    assert AMPConfig.from_json(cfg.to_json()).init == "ones"
+    assert cfg.to_json()["init"] == "ones"
 
 
 @pytest.mark.parametrize("mode, kappa", [("scalar_kappa", "goe"),

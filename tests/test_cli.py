@@ -868,6 +868,82 @@ def test_se_reads_no_memory_bound(tmp_path):
     assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0
 
 
+def test_exact_mode_on_block_goe_passes_compare_against_se_block_goe(tmp_path, capsys):
+    # the exact Onsager term converges to the block-GOE memory term (A o A) f'
+    cfg = _write_config(
+        tmp_path, ensemble={"kind": "block_goe", "n": 1024, "q": 2,
+                            "sigma": [1.0, 0.5, 0.5, 1.0]},
+        amp={"nonlinearities": ["identity", "square_centered", "square_centered"],
+             "T": 3, "mode": "exact_treelike", "init": "ones"},
+        trials=20, master_seed=300)
+    out = tmp_path / "out"
+    assert run_cli("--threads", "2", "amp", "--config", cfg, "--no-save-traces") == 0
+    assert run_cli("se", "--config", cfg) == 0
+    assert json.loads((out / "kernel.json").read_text())["variant"] == "block_goe"
+    assert run_cli("compare", "--kernel", str(out / "kernel.json"), "--threshold", "4",
+                   "--moments", str(out / "moments.csv"),
+                   "--out", str(out / "verdict.csv")) == 0
+    assert "; PASS (worst z" in capsys.readouterr().out
+
+
+# the kinds that exact mode has an SE preset for, and the fields other kinds need
+EXACT_SE_KINDS = {"goe", "wigner", "rom", "orth_invariant", "community", "block_goe"}
+KIND_FIELDS = {"punctured": {"inner": "rom"}, "community": {"q": 2},
+           "block_goe": {"q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("kind", ensembles.KINDS)
+def test_se_in_exact_mode_has_a_preset_only_for_its_rows(tmp_path, capsys, kind):
+    cfg = _write_config(tmp_path, ensemble={"kind": kind, "n": 64, **KIND_FIELDS.get(kind, {})},
+                        amp={"nonlinearities": ["identity"] * 2, "T": 2,
+                             "mode": "exact_treelike"})
+    code = run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json"))
+    if kind in EXACT_SE_KINDS:
+        assert code == 0
+    else:
+        assert code == 2
+        assert "no SE preset for treelike mode on %r" % kind in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble, twin", [
+    ({"kind": "r_rom"}, {"kind": "punctured", "inner": "rom"}),
+    ({"kind": "rom"}, {"kind": "orth_invariant"}),
+])
+def test_kinds_that_generate_the_same_matrices_get_the_same_limit_law(tmp_path, ensemble,
+                                                                      twin):
+    # traffic targets and the exact-mode SE kernel, apart from the config hash
+    outputs = []
+    for i, ens in enumerate((ensemble, twin)):
+        (tmp_path / str(i)).mkdir()
+        cfg = _write_config(tmp_path / str(i), ensemble=dict(ens, n=64), trials=3,
+                            diagrams=["cycle2", "cycle4", "theta", "star3"],
+                            amp={"nonlinearities": ["identity"] * 3, "T": 3,
+                                 "mode": "exact_treelike"})
+        out = tmp_path / str(i) / "out"
+        assert run_cli("traffic", "--config", cfg) == 0
+        code = run_cli("se", "--config", cfg, "--out", str(out / "k.json"))
+        kernel = json.loads((out / "k.json").read_text()) if code == 0 else {}
+        kernel.pop("config_hash", None)
+        outputs.append(((out / "traffic.csv").read_text().split("\n", 1)[1], code, kernel))
+    assert outputs[0] == outputs[1]
+    rows = list(csv.DictReader(outputs[0][0].splitlines()))
+    assert [r["target"] for r in rows if r["diagram"] == "cycle4"] == ["1.0", "-1.0"]
+    assert outputs[0][1] == (0 if ensemble["kind"] == "rom" else 2)
+
+
+def test_gen_and_configs_reject_haar_orthogonal(tmp_path, monkeypatch, capsys):
+    # the kind is gone: a Haar draw is only a building block of the conjugated kinds
+    calls = _record_generated_kinds(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--kind", "haar_orthogonal", "--n", "8")
+    assert exc.value.code == 2
+    cfg = _write_config(tmp_path, ensemble={"kind": "haar_orthogonal", "n": 64})
+    for command in ("amp", "traffic", "cactus-audit", "se"):
+        assert run_cli(command, "--config", cfg) == 2, command
+        assert "unknown ensemble kind 'haar_orthogonal'" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("ensemble, field", [
     ({"kind": "goe", "n": 64, "entry_law": "rademacher"}, "entry_law"),
     ({"kind": "goe", "n": 64, "q": 2}, "q"),

@@ -126,17 +126,6 @@ def test_open_cactus_matrix():
         check_open_cactus(CATALOG["theta"].with_roots((0, 1)))
 
 
-def test_fundamental_bound():
-    rng = np.random.default_rng(9)
-    h = _rand_orth_sym(rng, 64)
-    assert gp.fundamental_bound_audit(CATALOG["cycle2"], h)["ok"]
-    assert gp.fundamental_bound_audit(CATALOG["theta"], h)["ok"]
-    r = gp.fundamental_bound_audit(CATALOG["cycle4"], np.eye(16))
-    assert r["ok"] and abs(r["value"] - 1.0) < 1e-12  # equality at identity
-    with pytest.raises(DiagramError):
-        gp.fundamental_bound_audit(CATALOG["path2"], h)
-
-
 def test_budget_errors():
     a = np.zeros((64, 64))
     with pytest.raises(gp.BudgetError):

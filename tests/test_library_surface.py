@@ -2,7 +2,7 @@
 against: every public module-level function or class of `src/trafficamp` is
 named somewhere in the package other than `__init__.py`, or is listed below.
 So is every public method or property of a public class, as an attribute
-(`obj.member`), and every optional parameter of a public function is passed by
+(`obj.member`, and a classmethod as `Class.member`), and every optional parameter of a public function is passed by
 some package call, or is listed."""
 
 import ast
@@ -19,7 +19,6 @@ ALLOWED = {
     "enumerate_two_edge_connected": "the diagrams of acceptance criterion 3",
     "enumerate_connected_multigraphs": "the diagrams of acceptance criterion 1",
     "cumulants_to_moments": "the forward transform of acceptance criterion 2",
-    "fundamental_bound_audit": "the norm-bound audit, to be wired into cactus-audit",
     "eval_z": "public single-call API for one z-basis value",
     "puncture": "public single-call API; generate punctures in place",
     "read_matrix": "reads the TAMP0001 files that gen and amp write",
@@ -47,7 +46,8 @@ def _trees():
 
 def _public_and_referenced():
     """The public names, each with its module file; the names the package
-    references (as names, attributes or imports); and its attribute names."""
+    references (as names, attributes or imports); and its attribute reads, each
+    as `member` and, when read off a name or attribute `owner`, `owner.member`."""
     public, referenced, attributes = {}, set(), set()
     for module, tree in _trees():
         for node in tree.body:
@@ -60,13 +60,17 @@ def _public_and_referenced():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
                 attributes.add(node.attr)
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if owner:
+                    attributes.add("%s.%s" % (owner, node.attr))
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     return public, referenced, attributes
 
 
 def _members():
-    """(Class.member, member) per public method or property of a public class."""
+    """(Class.member, the read that uses it) per public method or property of a
+    public class: `Class.member` for a classmethod, `member` for any other."""
     for _, tree in _trees():
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
@@ -74,9 +78,12 @@ def _members():
                     names = ([node.name] if isinstance(node, ast.FunctionDef) else
                              [t.id for t in node.targets if isinstance(t, ast.Name)]
                              if isinstance(node, ast.Assign) else [])
+                    classmethod = isinstance(node, ast.FunctionDef) and any(
+                        getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
                     for name in names:
                         if not name.startswith("_"):
-                            yield "%s.%s" % (cls.name, name), name
+                            member = "%s.%s" % (cls.name, name)
+                            yield member, member if classmethod else name
 
 
 def _optional_params(fn):
@@ -121,7 +128,9 @@ def test_every_allowed_name_exists_and_is_otherwise_unused():
 
 def test_every_public_member_is_used_by_the_package_or_allowed():
     # a member counts as used only when read as an attribute: a variable `x` or a
-    # parameter `gamma` elsewhere does not reach AMPTrace.x or SEKernel.gamma
+    # parameter `gamma` elsewhere does not reach AMPTrace.x or SEKernel.gamma; and
+    # a classmethod only when read off its class: EnsembleSpec.from_json being
+    # read does not reach another class's from_json
     _, _, referenced = _public_and_referenced()
     members = dict(_members())
     unused = sorted(m for m, name in members.items()
