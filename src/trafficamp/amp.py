@@ -320,25 +320,25 @@ def run(a, cfg, stream=0):
 # ---------------------------------------------------------------------------
 
 def empirical_state(trace, block_labels=None, max_power=6):
-    """Empirical moments of the iterates: pair moments <x_s x_t> and powers
-    <x_t^k>, optionally conditioned on block labels."""
-    def moments(xs):
+    """Empirical moments of the iterates under the row keys of moments.csv, in its
+    order: (group, "second", s, t) -> <x_s x_t> for s <= t, then (group, "power", t,
+    k) -> <x_t^k>, for the group "all", then per block label r "block<r>"."""
+    xs = np.ascontiguousarray(trace.iterates)
+    T = len(xs)
+    keys = ([("second", s, t) for s in range(1, T + 1) for t in range(s, T + 1)]
+            + [("power", t, k) for t in range(1, T + 1) for k in range(1, max_power + 1)])
+    groups = [("all", xs)]
+    if block_labels is not None:
+        labels = np.asarray(block_labels)
+        groups += [("block%d" % r, np.ascontiguousarray(xs[:, labels == r]))
+                   for r in sorted(set(labels.tolist()))]
+    out = {}
+    for group, x in groups:
         # the (T, m) rows of the products with x_s, and of the k-th powers, each
         # row's mean reduced along its contiguous axis: the bytes of np.mean over
         # that row alone
-        T = len(xs)
-        pairs = [(s, t) for s in range(1, T + 1) for t in range(s, T + 1)]
-        second = np.concatenate([np.mean(xs[s] * xs[s:], axis=1) for s in range(T)])
-        power = np.column_stack([np.mean(xs ** k, axis=1) for k in range(1, max_power + 1)])
-        return {"second": dict(zip(pairs, second.tolist())),
-                "power": dict(zip(((t, k) for t in range(1, T + 1)
-                                   for k in range(1, max_power + 1)),
-                                  power.ravel().tolist()))}
-
-    xs = np.ascontiguousarray(trace.iterates)
-    out = moments(xs)
-    if block_labels is not None:
-        labels = np.asarray(block_labels)
-        out["blocks"] = {int(r): moments(np.ascontiguousarray(xs[:, labels == r]))
-                         for r in sorted(set(labels.tolist()))}
+        second = np.concatenate([np.mean(x[s] * x[s:], axis=1) for s in range(T)])
+        power = np.column_stack([np.mean(x ** k, axis=1) for k in range(1, max_power + 1)])
+        out.update(zip([(group,) + key for key in keys],
+                       second.tolist() + power.ravel().tolist()))
     return out

@@ -58,8 +58,8 @@ CONFIG_KEYS = {
     None: {"ensemble": dict, "diagrams": [str], "amp": dict, "trials": int,
            "dimension_sweep": [int], "output_dir": str, "master_seed": int,
            "eval_budget": float, "open_cactuses": [str]},
-    "ensemble": {"kind": str, "n": int, "seed": int, "entry_law": str, "inner": str,
-                 "q": int, "sigma": [float], "eigenvalues": str},
+    "ensemble": {"kind": str, "n": int, "entry_law": str, "inner": str, "q": int,
+                 "sigma": [float], "eigenvalues": str},
     "amp": {"nonlinearities": [(str, [float])], "T": int, "mode": str,
             "kappa": (str, dict), "init": str},
 }
@@ -260,6 +260,9 @@ def _sweep(args, requests):
     None, run on trial 0's.  Per n: (n, spec, [(name, d, basis, mean, se)], audit)."""
     cfg, master_seed, trials, outdir = _setup(args)
     reqs, audit = requests(cfg)
+    for name, d, _ in reqs:
+        if d.roots:
+            raise ValueError("diagram %r has roots; 'diagrams' takes closed diagrams only" % name)
     budget = float(cfg.get("eval_budget", 0)) or None
     catalog = [(d, basis) for _, d, basis in reqs]
 
@@ -401,8 +404,7 @@ def cmd_amp(args):
         print("all %d trials diverged" % trials, file=sys.stderr)
         return 4
 
-    report = se_mod.aggregate_reports(states)
-    rows = _report_rows(report)
+    rows = [key + stat for key, stat in se_mod.aggregate_reports(states).items()]
     header = ["group", "kind", "a", "b", "mean", "se"]
     write_csv(os.path.join(outdir, "moments.csv"), header, rows, cfg)
     with open(os.path.join(outdir, "moments.json"), "w") as fh:
@@ -414,25 +416,18 @@ def cmd_amp(args):
     return 4 if divergences else 0
 
 
-def _report_rows(report):
-    groups = [("all", report)] + [("block%d" % r, sub) for r, sub
-                                  in sorted(report.get("blocks", {}).items())]
-    return [(group, kind, a, b, mean, se) for group, sub in groups
-            for kind in ("second", "power")
-            for (a, b), (mean, se) in sorted(sub[kind].items())]
-
-
 def read_moments_csv(path):
-    report = {"second": {}, "power": {}}
+    """moments.csv as aggregate_reports gave it: (group, kind, a, b) -> (mean, se)."""
+    report = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith(("#", "group,")):
                 group, kind, a, b, mean, se = line.split(",")
-                sub = report if group == "all" else report.setdefault(
-                    "blocks", {}).setdefault(int(group.replace("block", "")),
-                                             {"second": {}, "power": {}})
-                sub[kind][(int(a), int(b))] = (float(mean), float(se) if se else 0.0)
+                if kind not in ("second", "power"):
+                    raise KeyError(kind)
+                group = group if group == "all" else "block%d" % int(group.replace("block", ""))
+                report[group, kind, int(a), int(b)] = (float(mean), float(se) if se else 0.0)
     return report
 
 
@@ -445,6 +440,8 @@ def build_kernel(cfg):
     `amp` reads, so `se` rejects every config that `amp` rejects."""
     acfg, spec = _amp_config_from(cfg, seed=0), _ensemble_from_config(cfg)
     fs, T = acfg.nonlinearities, acfg.T
+    if acfg.init != "ones" and acfg.mode != "punctured_kappa":  # the others start at x_0 = 1
+        raise ValueError("no SE preset for init %r in %s mode" % (acfg.init, acfg.mode))
     if acfg.mode == "scalar_kappa":
         return se_mod.se_orthogonal(fs, acfg.kappa, T)
     if acfg.mode == "punctured_kappa":

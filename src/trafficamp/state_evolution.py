@@ -256,48 +256,44 @@ def gaussian_power_moment(variance, k):
 def compare_empirical(kernel, report, threshold=4.0):
     """z-scores of across-seed empirical moments against kernel predictions.
 
-    `report` aggregates per-seed empirical_state outputs: it must carry
-    {"second": {(s,t): (mean, se)}, "power": {(t,k): (mean, se)}} and, for
-    mixture kernels, "blocks": {r: {...same...}}.  Each compared group is a
-    mixture of kernels: "all" is the whole kernel, block r its kernel r alone,
-    and a statistic's prediction is the weighted sum over the mixture.  Blocks
-    are compared when the kernel is a mixture and the report has blocks, else
-    "all".  Returns a verdict table (list of row dicts) and an overall pass
+    `report` maps the row keys of moments.csv, (group, kind, a, b), to (mean,
+    se), as aggregate_reports gives: group "all" or "block<r>", kind "second"
+    (a, b = s, t) or "power" (a, b = t, k).  Each compared group is a mixture of
+    kernels: "all" is the whole kernel, block r its kernel r alone, and a
+    statistic's prediction is the weighted sum over the mixture.  The block rows
+    are compared when the kernel is a mixture and the report has them, else the
+    "all" rows.  Returns a verdict table (list of row dicts) and an overall pass
     flag.  A report with no statistic, with all SEs 0 (one trial), or with a
     statistic or block the kernel does not have raises ValueError.
     """
-    subs = [report] + list(report.get("blocks", {}).values())
-    ses = [se for g in subs for part in ("second", "power")
-           for _, se in g.get(part, {}).values()]
-    if ses and not any(ses):
+    if report and not any(se for _, se in report.values()):
         raise ValueError("every across-trial SE in the report is 0, as from a "
                          "1-trial run; compare needs at least 2 trials")
-    if len(kernel.gammas) == 1 or "blocks" not in report:
-        groups = [("all", report, kernel.gammas, kernel.weights)]
-    else:
-        for r in report["blocks"]:
-            if not 0 <= r < len(kernel.gammas):
+    blocks = len(kernel.gammas) > 1 and any(key[0] != "all" for key in report)
+    chosen = {}  # (block r, or -1 for "all"; kind is "power"; a; b) -> (group, kind, stat)
+    for (group, kind, a, b), stat in report.items():
+        if (group != "all") == blocks:
+            r = int(group[5:]) if blocks else -1
+            if blocks and not 0 <= r < len(kernel.gammas):
                 raise ValueError("the moments have block %d; the kernel has %d blocks"
                                  % (r, len(kernel.gammas)))
-        groups = [("block%d" % r, sub, (kernel.gammas[r],), (1.0,))
-                  for r, sub in sorted(report["blocks"].items())]
-    stats = (("second", "x%d*x%d", lambda g, s, t: g[s - 1, t - 1]),
-             ("power", "x%d^%d",
-              lambda g, t, k: gaussian_power_moment(g[t - 1, t - 1], k)))
-    for name, sub, _, _ in groups:
-        for part, fmt, _ in stats:
-            for a, b in sub.get(part, {}):
-                if not 1 <= a <= kernel.T or part == "second" and not 1 <= b <= kernel.T:
-                    raise ValueError("statistic %s of group %s is outside the kernel's "
-                                     "T = %d" % (fmt % (a, b), name, kernel.T))
+            chosen[r, kind == "power", a, b] = group, kind, stat
+    stats = {"second": ("x%d*x%d", lambda g, s, t: g[s - 1, t - 1]),
+             "power": ("x%d^%d", lambda g, t, k: gaussian_power_moment(g[t - 1, t - 1], k))}
+    # checked group by group, each kind's statistics in the report's order
+    for (_, _, a, b), (group, kind, _) in sorted(chosen.items(), key=lambda item: item[0][:2]):
+        if not 1 <= a <= kernel.T or kind == "second" and not 1 <= b <= kernel.T:
+            raise ValueError("statistic %s of group %s is outside the kernel's "
+                             "T = %d" % (stats[kind][0] % (a, b), group, kernel.T))
     rows = []
-    for name, sub, gammas, weights in groups:
-        for part, fmt, target in stats:
-            for (a, b), (mean, se) in sorted(sub.get(part, {}).items()):
-                pred = sum(w * target(g, a, b) for g, w in zip(gammas, weights))
-                rows.append({"group": name, "stat": fmt % (a, b), "s": a, "t": b,
-                             "empirical": mean, "predicted": pred,
-                             "z": abs(mean - pred) / max(se, SE_FLOOR)})
+    for (r, _, a, b), (group, kind, (mean, se)) in sorted(chosen.items()):
+        fmt, target = stats[kind]
+        gammas, weights = ((kernel.gammas[r],), (1.0,)) if blocks else (kernel.gammas,
+                                                                         kernel.weights)
+        pred = sum(w * target(g, a, b) for g, w in zip(gammas, weights))
+        rows.append({"group": group, "stat": fmt % (a, b), "s": a, "t": b,
+                     "empirical": mean, "predicted": pred,
+                     "z": abs(mean - pred) / max(se, SE_FLOOR)})
     if not rows:
         raise ValueError("no statistics found in the report; nothing to compare")
     passed = all(row["z"] <= threshold for row in rows)
@@ -305,22 +301,12 @@ def compare_empirical(kernel, report, threshold=4.0):
 
 
 def aggregate_reports(states):
-    """Combine per-seed empirical_state dicts into (mean, across-seed SE) maps,
-    for the whole report and for each block alike."""
+    """Combine per-seed empirical_state maps into one map from each of their
+    keys to (mean, across-seed SE)."""
     m = len(states)
-
-    def agg(groups):  # one group (the whole report, or a block) per seed
-        out = {}
-        for part in ("second", "power"):
-            out[part] = {}
-            for key in groups[0][part]:
-                vals = np.array([g[part][key] for g in groups], dtype=np.float64)
-                se = vals.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
-                out[part][key] = (float(vals.mean()), float(se))
-        return out
-
-    out = agg(states)
-    if "blocks" in states[0]:
-        out["blocks"] = {r: agg([st["blocks"][r] for st in states])
-                         for r in states[0]["blocks"]}
+    out = {}
+    for key in states[0]:
+        vals = np.array([st[key] for st in states], dtype=np.float64)
+        se = vals.std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
+        out[key] = (float(vals.mean()), float(se))
     return out

@@ -107,7 +107,7 @@ def test_block_goe_runner():
     manual = b @ tr.iterates[0] - ((b * b) @ np.ones(n)) * np.ones(n)
     assert np.allclose(tr.iterates[1], manual, atol=1e-12)
     st = empirical_state(tr, block_labels=block_labels(n, 2))
-    assert set(st["blocks"]) == {0, 1}
+    assert {group for group, _, _, _ in st} == {"all", "block0", "block1"}
 
 
 def test_empirical_state():
@@ -115,14 +115,14 @@ def test_empirical_state():
     from trafficamp.amp import AMPTrace
     tr = AMPTrace(np.ones(10), tr_iter, {}, "synthetic")
     st = empirical_state(tr)
-    assert st["second"][(1, 2)] == 2.0
-    assert st["power"][(2, 3)] == 8.0
+    assert st["all", "second", 1, 2] == 2.0
+    assert st["all", "power", 2, 3] == 8.0
     rng = np.random.default_rng(4)
     x = rng.standard_normal(100000)
     tr = AMPTrace(np.ones(100000), x[None, :], {}, "synthetic")
     st = empirical_state(tr)
     se = np.sqrt(96.0 / 100000)  # Var X^4 = 96 at unit variance
-    assert abs(st["power"][(1, 4)] - 3.0) < 4 * se
+    assert abs(st["all", "power", 1, 4] - 3.0) < 4 * se
 
 
 def test_divergence_reported():
@@ -660,6 +660,7 @@ def _exact_items(report):
 
 
 def test_empirical_state_bytes_match_legacy():
+    from test_state_evolution import _flatten
     rng = np.random.default_rng(44)
     for case in range(300):
         n, T = int(rng.integers(1, 600)), int(rng.integers(1, 7))
@@ -670,11 +671,11 @@ def test_empirical_state_bytes_match_legacy():
         tr = AMPTrace(np.ones(n), it, {}, "x")
         labels = rng.integers(0, 1 + case % 4, n) if case % 3 else None
         for power in (6, 3):
-            assert (_exact_items(empirical_state(tr, labels, max_power=power))
-                    == _exact_items(_legacy_empirical_state(tr, labels, max_power=power))), case
+            assert (_exact_items(empirical_state(tr, labels, max_power=power)) == _exact_items(
+                _flatten(_legacy_empirical_state(tr, labels, max_power=power)))), case
     a = generate(EnsembleSpec("community", 64, seed=5, q=4, inner="rom")).values
     tr = run(a, AMPConfig(nonlinearities=("identity", "cube_hermite") * 3, T=5,
                           mode="exact_treelike"))
     labels = block_labels(64, 4)
     assert (_exact_items(empirical_state(tr, labels))
-            == _exact_items(_legacy_empirical_state(tr, labels)))
+            == _exact_items(_flatten(_legacy_empirical_state(tr, labels))))

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from trafficamp import ensembles, graphpoly, matrixio
+from trafficamp import state_evolution as se_mod
 from trafficamp.cli import (CONFIG_KEYS, _audit_request, _orthogonality_error,
-                            _report_rows, build_kernel, load_config, main,
-                            read_moments_csv, write_csv)
+                            build_kernel, load_config, main, read_moments_csv, write_csv)
 from trafficamp.diagrams import named_diagram, z_to_w_coefficients
 from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import named_polynomial
@@ -23,6 +23,12 @@ from test_graphpoly import _assert_each_step_runs_once, _count_engine_work, _ste
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _write_moments(path, report):
+    """moments.csv of an aggregate_reports map, written as `amp` writes it."""
+    write_csv(path, ["group", "kind", "a", "b", "mean", "se"],
+              [key + stat for key, stat in report.items()], {})
 
 
 def test_gen_and_formats(tmp_path):
@@ -98,7 +104,7 @@ def test_amp_se_compare_pipeline(tmp_path):
     assert run_cli("amp", "--config", cfg) == 0
     moments = tmp_path / "out" / "moments.csv"
     report = read_moments_csv(str(moments))
-    assert (1, 1) in report["second"]
+    assert ("all", "second", 1, 1) in report
     kernel = tmp_path / "out" / "kernel.json"
     assert run_cli("se", "--config", cfg, "--out", str(kernel)) == 0
     verdict = tmp_path / "out" / "verdict.csv"
@@ -113,9 +119,6 @@ def test_compare_detects_onsager_ablation(tmp_path):
     # moments produced WITHOUT the memory term must fail the GOE kernel
     import trafficamp.amp as amp_mod
     from trafficamp.ensembles import EnsembleSpec, generate
-    from trafficamp.state_evolution import aggregate_reports
-    from trafficamp.cli import _report_rows, write_csv
-
     states = []
     for s in range(6):
         a = generate(EnsembleSpec("goe", 512, seed=s)).values
@@ -123,9 +126,7 @@ def test_compare_detects_onsager_ablation(tmp_path):
         x2 = a @ x1  # no correction
         tr = amp_mod.AMPTrace(np.ones(512), np.vstack([x1, x2]), {}, "ablated")
         states.append(amp_mod.empirical_state(tr))
-    rep = aggregate_reports(states)
-    write_csv(tmp_path / "m.csv", ["group", "kind", "a", "b", "mean", "se"],
-              _report_rows(rep), {})
+    _write_moments(tmp_path / "m.csv", aggregate_reports(states))
     cfg = _write_config(tmp_path)
     kernel = tmp_path / "k.json"
     run_cli("se", "--config", cfg, "--out", str(kernel))
@@ -215,7 +216,7 @@ def test_preset_configs_load():
 
 
 @pytest.mark.parametrize("section,key", [(None, "trails"), ("ensemble", "sigam"),
-                                         ("amp", "kapa")])
+                                         ("amp", "kapa"), ("ensemble", "seed")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, section, key):
     cfg = json.loads(open(_write_config(tmp_path)).read())
     (cfg if section is None else cfg[section])[key] = 1
@@ -231,9 +232,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, section, key):
 
 
 def test_config_accepts_every_documented_key(tmp_path):
-    cfg = {"ensemble": {"kind": "goe", "n": 8, "seed": 1, "entry_law": "normal",
-                        "inner": "rom", "q": 2, "sigma": [1, 0.5, 0.5, 1.0],
-                        "eigenvalues": "uniform"},
+    cfg = {"ensemble": {"kind": "goe", "n": 8, "entry_law": "normal", "inner": "rom",
+                        "q": 2, "sigma": [1, 0.5, 0.5, 1.0], "eigenvalues": "uniform"},
            "diagrams": ["cycle2"], "trials": 1, "dimension_sweep": [8],
            "amp": {"nonlinearities": ["identity", [0, 1.5]], "T": 2, "mode": "block_goe",
                    "kappa": {"tag": "cumulants", "values": [0, 1]}, "init": "ones"},
@@ -813,15 +813,38 @@ def test_build_kernel_matches_legacy_bytes():
 
 
 def test_read_moments_csv_matches_legacy(tmp_path):
-    from test_state_evolution import _synthetic_states
+    from test_state_evolution import _flatten, _synthetic_states
     paths = [ROOT / "benchmark" / "refs" / "amp_goe" / "seed0" / "moments.csv"]
-    for labels in ([0, 1] * 100, [2] * 50 + [0] * 150):
+    for labels in (None, [0, 1] * 100, [2] * 50 + [0] * 150):
         path = tmp_path / ("m%d.csv" % len(paths))
         rep = aggregate_reports(_synthetic_states(3, labels, 0, n=200))
-        write_csv(path, ["group", "kind", "a", "b", "mean", "se"], _report_rows(rep), {})
+        _write_moments(path, rep)
+        assert repr(read_moments_csv(str(path))) == repr(rep)
         paths.append(path)
     for path in paths:
-        assert repr(read_moments_csv(str(path))) == repr(_legacy_read_moments_csv(path))
+        assert (repr(read_moments_csv(str(path)))
+                == repr(_flatten(_legacy_read_moments_csv(path))))
+
+
+@pytest.mark.parametrize("ensemble, amp", [
+    ({"kind": "goe", "n": 64}, {"mode": "scalar_kappa", "kappa": "goe"}),
+    ({"kind": "block_goe", "n": 64, "q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]},
+     {"mode": "block_goe"})], ids=["goe", "block_goe"])
+def test_amp_writes_moments_that_read_back_as_aggregated(tmp_path, monkeypatch, ensemble,
+                                                         amp):
+    reports = []
+
+    def aggregate(states):
+        reports.append(aggregate_reports(states))
+        return reports[-1]
+    monkeypatch.setattr(se_mod, "aggregate_reports", aggregate)
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp=dict(
+        amp, nonlinearities=["identity", "square_centered"], T=2))
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+    assert len(reports) == 1
+    assert any(group != "all" for group, _, _, _ in reports[0]) == ("q" in ensemble)
+    assert (repr(read_moments_csv(str(tmp_path / "out" / "moments.csv")))
+            == repr(reports[0]))
 
 
 @pytest.mark.parametrize("amp, message", [
@@ -866,6 +889,32 @@ def test_se_reads_no_memory_bound(tmp_path):
     cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 2048}, amp={
         "nonlinearities": ["identity"] * 3, "T": 3, "mode": "exact_treelike"})
     assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0
+
+
+@pytest.mark.parametrize("ensemble, amp", [
+    ({"kind": "goe", "n": 64}, {"mode": "scalar_kappa", "kappa": "goe"}),
+    ({"kind": "block_goe", "n": 64, "q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]},
+     {"mode": "block_goe"})], ids=["scalar_kappa", "block_goe"])
+def test_se_rejects_gaussian_init_outside_punctured_mode(tmp_path, capsys, ensemble, amp):
+    # every SE variant but the punctured one starts from x_0 = 1; `amp` runs the config
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp=dict(
+        amp, nonlinearities=["square_centered", "identity"], T=2, init="gaussian"))
+    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 2
+    assert ("no SE preset for init 'gaussian' in %s mode" % amp["mode"]
+            in capsys.readouterr().err)
+    assert not (tmp_path / "k.json").exists()
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+
+
+@pytest.mark.parametrize("command", ["traffic", "cactus-audit"])
+def test_rooted_diagrams_are_rejected_before_building_a_matrix(tmp_path, monkeypatch,
+                                                               capsys, command):
+    calls = _record_generated_kinds(monkeypatch)
+    rooted = "diagram{v=2; roots=[0]; edges=[(0,1),(0,1)]}"
+    cfg = _write_config(tmp_path, diagrams=["cycle2", rooted], dimension_sweep=[64])
+    assert run_cli(command, "--config", cfg) == 2
+    assert "diagram %r has roots" % rooted in capsys.readouterr().err
+    assert calls == []
 
 
 def test_exact_mode_on_block_goe_passes_compare_against_se_block_goe(tmp_path, capsys):
@@ -978,7 +1027,7 @@ def test_block_goe_without_q_squared_sigma_names_the_key(tmp_path, capsys, sigma
 
 @pytest.mark.parametrize("section, key, value", [
     ("amp", "T", 2.7), ("amp", "T", "2"), ("ensemble", "n", 64.9),
-    ("ensemble", "n", True), ("ensemble", "q", 2.0), ("ensemble", "seed", "1"),
+    ("ensemble", "n", True), ("ensemble", "q", 2.0), ("ensemble", "q", "2"),
     (None, "master_seed", 1.5), (None, "master_seed", False),
     (None, "dimension_sweep", [32, "64"]), (None, "dimension_sweep", [32.0]),
 ])

@@ -3,12 +3,15 @@ against: every public module-level function or class of `src/trafficamp` is
 named somewhere in the package other than `__init__.py`, or is listed below.
 So is every public method or property of a public class, as an attribute
 (`obj.member`, and a classmethod as `Class.member`), and every optional parameter of a public function is passed by
-some package call, or is listed."""
+some package call, or is listed.  Every function whose spans benchmark/tracer.py
+reads by name is a public function of its layer, or is listed."""
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "trafficamp"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "trafficamp"
 
 # public names that no other package code reaches, each with its reason
 ALLOWED = {
@@ -35,6 +38,15 @@ ALLOWED_MEMBERS = {
 ALLOWED_PARAMS = {
     "main.argv": "entry point: the console script passes none, tests pass argv",
     "empirical_state.max_power": "the calibration tests cap the powers at 4",
+}
+
+
+# "<layer>.<function>" names that benchmark/tracer.py reads and that name no
+# function of the layer, with the reason
+ALLOWED_TRACED = {
+    "graphpoly.eval_open_cactus_matrix": "deleted when the delocalization audit moved to "
+                                         "eval_w; graphpoly.open_cactus.self_s reads 0 until "
+                                         "the benchmark reads counters kept by the package",
 }
 
 
@@ -158,3 +170,26 @@ def test_every_optional_parameter_is_passed_by_the_package_or_allowed():
     assert sorted(p for p in unpassed if p not in ALLOWED_PARAMS) == [], \
         "optional parameters no package call passes"
     assert sorted(p for p in ALLOWED_PARAMS if p not in unpassed) == []
+
+
+def _traced_names():
+    """The "<layer>.<function>" strings of benchmark/tracer.py that are not the
+    names of its PER_LAYER metrics: the spans that its metrics read."""
+    tree = ast.parse((ROOT / "benchmark" / "tracer.py").read_text())
+    values = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    layers = ast.literal_eval(values["LAYERS"])
+    metrics = {name for name, _, _ in ast.literal_eval(values["PER_LAYER"])}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"(\w+)\.\w+", node.value)
+            and node.value.split(".")[0] in layers and node.value not in metrics}
+
+
+def test_every_function_the_tracer_reads_is_a_public_function_of_its_layer():
+    functions = {"%s.%s" % (module, node.name) for module, tree in _trees()
+                 for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    traced = _traced_names()
+    assert "amp.empirical_state" in traced and "cli.write_csv" in traced
+    assert sorted(name for name in traced if name not in functions) == sorted(ALLOWED_TRACED)

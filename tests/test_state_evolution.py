@@ -159,8 +159,8 @@ def test_aggregate_reports_block():
         states.append(empirical_state(tr, block_labels=[0] * 50 + [1] * 50,
                                       max_power=2))
     rep = aggregate_reports(states)
-    assert set(rep["blocks"]) == {0, 1}
-    mean, se = rep["blocks"][0]["second"][(1, 1)]
+    assert {group for group, _, _, _ in rep} == {"all", "block0", "block1"}
+    mean, se = rep["block0", "second", 1, 1]
     assert se > 0
 
 
@@ -472,13 +472,23 @@ def test_community_kernels_match_legacy_bytes(fs):
                         == _kernel_bytes(_legacy_se_community, fs, kin, q, T)), (q, T)
 
 
-def _synthetic_states(T, labels, seed, trials=5, n=400):
+def _flatten(nested):
+    """A nested report of the legacy oracles, {"second": {(s, t): v}, "power":
+    {(t, k): v}} with optional "blocks": {r: {...same...}}, keyed as the rows of
+    moments.csv in its order: (group, kind, a, b) -> v."""
+    groups = [("all", nested)] + [("block%d" % r, sub)
+                                  for r, sub in nested.get("blocks", {}).items()]
+    return {(group, kind, a, b): v for group, sub in groups
+            for kind in ("second", "power") for (a, b), v in sub[kind].items()}
+
+
+def _synthetic_states(T, labels, seed, trials=5, n=400, state=empirical_state):
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(trials):
         x = np.cumsum(rng.standard_normal((T, n)), axis=0) * 0.7
-        states.append(empirical_state(AMPTrace(np.ones(n), x, {}, "synthetic"),
-                                      block_labels=labels, max_power=4))
+        states.append(state(AMPTrace(np.ones(n), x, {}, "synthetic"),
+                            block_labels=labels, max_power=4))
     return states
 
 
@@ -487,6 +497,7 @@ def _row_bytes(rows):
 
 
 def test_aggregate_and_compare_match_legacy_bytes():
+    from test_amp import _legacy_empirical_state
     T, n = 3, 400
     fs = ["identity", "cube_hermite", "square_centered"]
     kernels = [se_orthogonal(fs, named_table("rom"), T),
@@ -496,14 +507,15 @@ def test_aggregate_and_compare_match_legacy_bytes():
     label_sets = [None, [0] * (n // 2) + [1] * (n // 2),
                   [1] * (n // 4) + [0] * (3 * n // 4)]
     for seed, labels in enumerate(label_sets):
-        states = _synthetic_states(T, labels, seed)
-        rep = aggregate_reports(states)
-        assert repr(rep) == repr(_legacy_aggregate_reports(states))
+        rep = aggregate_reports(_synthetic_states(T, labels, seed))
+        old_rep = _legacy_aggregate_reports(
+            _synthetic_states(T, labels, seed, state=_legacy_empirical_state))
+        assert repr(rep) == repr(_flatten(old_rep))
         # single kernels, mixtures with and without blocks, single kernels with blocks
         for kernel in kernels:
             for threshold in (4.0, 1e9):
                 rows, ok = compare_empirical(kernel, rep, threshold=threshold)
-                old_rows, old_ok = _legacy_compare_empirical(kernel, rep, threshold)
+                old_rows, old_ok = _legacy_compare_empirical(kernel, old_rep, threshold)
                 assert _row_bytes(rows) == _row_bytes(old_rows) and ok == old_ok
                 assert rows
 
