@@ -13,8 +13,7 @@ from .freeprob import (CumulantTable, cactus_traffic_value,
 from .gaussian import (GaussianLaw, Polynomial, isserlis_moment,
                        named_polynomial, poly_expectation)
 from .graphpoly import eval_w, eval_w_brute, eval_z
-from .amp import (AMPConfig, AMPTrace, DivergenceError, empirical_state,
-                  onsager_b, run)
+from .amp import AMPConfig, DivergenceError, empirical_state, onsager_b, run
 from .state_evolution import (SEDivergenceError, SEKernel, compare_empirical,
                               se_block_goe, se_community, se_orthogonal,
                               se_punctured)

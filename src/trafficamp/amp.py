@@ -21,7 +21,7 @@ from . import graphpoly
 from .diagrams import cycle_diagram, quotient, set_partitions
 from .ensembles import stream_rng
 from .freeprob import CumulantTable
-from .gaussian import Polynomial, named_polynomial
+from .gaussian import named_polynomial
 
 EXACT_WINDOW_CAP = 7  # the longest window onsager_b_brute is tested at
 _MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2  # half the RAM
@@ -70,26 +70,13 @@ class AMPConfig:
                              "init must be \"ones\", not %r" % self.init)
         if self.mode == "exact_treelike" and self.T > EXACT_WINDOW_CAP:
             raise ValueError("exact mode: T <= %d, the longest window" % EXACT_WINDOW_CAP)
-
-    def to_json(self):
-        out = {"nonlinearities": [list(p.coeffs) for p in self.nonlinearities],
-               "T": self.T, "mode": self.mode, "init": self.init, "seed": self.seed}
-        if self.kappa is not None:
-            out["kappa"] = self.kappa.to_json()
-        return out
+        if self.kappa is not None and self.mode in ("exact_treelike", "block_goe"):
+            raise ValueError("%s mode does not read kappa" % self.mode)
 
 
-@dataclass
-class AMPTrace:
-    x0: np.ndarray
-    iterates: np.ndarray       # rows x_1..x_T
-    onsager: dict              # (s, t) -> vector (exact) or scalar coefficient
-    mode: str
-
-
-def _init_vector(cfg, n, stream):
+def _init_vector(cfg, n, key):
     if cfg.init == "gaussian":
-        return stream_rng(cfg.seed, stream).standard_normal(n)
+        return stream_rng(*key).standard_normal(n)
     return np.ones(n)
 
 
@@ -188,21 +175,6 @@ def onsager_b_brute(a, fprime_vectors, s, t):
 # iterations
 # ---------------------------------------------------------------------------
 
-class TrialBlock(tuple):
-    """AMPConfigs, differing only in seed, of trials run in lockstep on one
-    matrix; like a config it has a T and mode (read by benchmark/tracer.py)."""
-
-    def __new__(cls, cfgs):
-        block = super().__new__(cls, cfgs)
-        shared = [{k: v for k, v in c.to_json().items() if k != "seed"} for c in block]
-        if not block or any(s != shared[0] for s in shared):
-            raise ValueError("a trial block needs configs differing only in seed")
-        return block
-
-    T = property(lambda self: self[0].T)
-    mode = property(lambda self: self[0].mode)
-
-
 def _matvec(a, f, out):
     """out[j] = a @ f[j] per row of f, each row tile of a (about 1 MiB) applied to
     every row of f while in cache.  Tiles start on multiples of 16 rows and a one-row
@@ -223,10 +195,9 @@ def _row_means(m):
 
 
 def _memory_term(a, cfg):
-    """cfg's nonlinearities and memory term: a generator of (t, fvec, fprime, fpmean)
-    yielding per Onsager key each live row's coefficient and the term to subtract
-    from A f_{t-1}, given rows f_s(x_s), f'_{t-1}(x_{t-1}) and the row means of
-    f'_s(x_s)."""
+    """cfg's memory term: a generator of (t, fvec, fprime, fpmean) yielding the
+    terms to subtract from A f_{t-1}, given rows f_s(x_s), f'_{t-1}(x_{t-1}) and
+    the row means of f'_s(x_s)."""
     if cfg.mode == "exact_treelike":
         a = graphpoly._as_matrix(a)
         prog, index = _exact_program(len(a), cfg.T)
@@ -237,19 +208,16 @@ def _memory_term(a, cfg):
         def memory(t, fvec, fprime, fpmean):
             hist.append(fprime[0])
             for s in range(t):
-                b = onsager_b(a, hist, s, t, _trial=trial)
-                yield (s, t), [b] * len(fvec[s]), b * fvec[s]
-        # f_0 = 1, so x_1 = A 1 and f'_0 = 0
-        return (Polynomial((1.0,)),) + cfg.nonlinearities[1:], memory
+                yield onsager_b(a, hist, s, t, _trial=trial) * fvec[s]
+        return memory
 
     if cfg.mode == "block_goe":
         a2 = a * a
 
         def memory(t, fvec, fprime, fpmean):
             if t >= 2:
-                b = _matvec(a2, fprime, np.empty_like(fprime))
-                yield (t - 2, t), b, b * fvec[t - 2]
-        return cfg.nonlinearities, memory
+                yield _matvec(a2, fprime, np.empty_like(fprime)) * fvec[t - 2]
+        return memory
 
     kap, centred = cfg.kappa, cfg.mode == "punctured_kappa"
 
@@ -259,27 +227,25 @@ def _memory_term(a, cfg):
             for r in range(s + 1, t):
                 coef *= fpmean[r]
             f = fvec[s] - _row_means(fvec[s])[:, None] if centred else fvec[s]
-            yield (s, t), coef.tolist(), coef[:, None] * f
-    return cfg.nonlinearities, memory
+            yield coef[:, None] * f
+    return memory
 
 
-def _lockstep(a, block, streams):
-    """AMP for the trials of `block` (one stream each) in lockstep on `a`: one
-    AMPTrace or DivergenceError per trial.  Row j of each array, the j-th live
-    trial, gets the operations of that trial run alone; a trial leaves at its
+def _lockstep(a, cfg, keys):
+    """AMP for cfg's trials (one Philox key each) in lockstep on `a`: one (T, n)
+    iterates array or DivergenceError per trial.  Row j of each array, the j-th
+    live trial, gets the operations of that trial run alone; a trial leaves at its
     first non-finite iterate."""
-    cfg, k, n = block[0], len(block), a.shape[0]
-    fs, memory = _memory_term(a, cfg)
-    x0 = np.stack([_init_vector(c, n, s) for c, s in zip(block, streams)])
+    fs, k, n = cfg.nonlinearities, len(keys), a.shape[0]
+    memory = _memory_term(a, cfg)
+    x0 = np.stack([_init_vector(cfg, n, key) for key in keys])
     iters = np.empty((k, cfg.T, n))
-    onsager, out, live = [{} for _ in range(k)], [None] * k, np.arange(k)
+    out, live = [None] * k, np.arange(k)
     fvec, fprime = [fs[0](x0)], fs[0].derivative()(x0)
     fpmean = [_row_means(fprime)]
     for t in range(1, cfg.T + 1):
         xt = _matvec(a, fvec[t - 1], np.empty((len(live), n)))
-        for key, coef, term in memory(t, fvec, fprime, fpmean):
-            for trial, c in zip(live, coef):
-                onsager[trial][key] = c
+        for term in memory(t, fvec, fprime, fpmean):
             xt = xt - term
         finite = np.isfinite(xt)
         ok = finite.all(axis=1)
@@ -296,34 +262,36 @@ def _lockstep(a, block, streams):
             fprime = fs[t].derivative()(xt)
             fpmean.append(_row_means(fprime))
     for j in live:
-        out[j] = AMPTrace(x0[j], iters[j], onsager[j], cfg.mode)
+        out[j] = iters[j]
     return out
 
 
-def run(a, cfg, stream=0):
-    """AMP in cfg's mode.  One AMPConfig: its AMPTrace, or DivergenceError
-    raised.  A TrialBlock (or configs that differ only in their seed), with one
-    stream each: one AMPTrace or DivergenceError per trial, the trials run in
-    lockstep on `a`."""
-    one = isinstance(cfg, AMPConfig)
-    block, streams = (TrialBlock([cfg]), [stream]) if one else (TrialBlock(cfg), stream)
-    if len(streams) != len(block):
-        raise ValueError("%d streams for %d trials" % (len(streams), len(block)))
-    out = _lockstep(np.asarray(a, dtype=np.float64), block, streams)
-    if one and isinstance(out[0], DivergenceError):
+def run(a, cfg, keys=None):
+    """AMP in cfg's mode.  Without keys, one trial keyed (cfg.seed, 0): its (T, n)
+    iterates x_1..x_T, or DivergenceError raised.  With keys, a non-empty list of
+    Philox keys (seed, stream), one trial each, run in lockstep on `a`: one
+    iterates array or DivergenceError per trial."""
+    if keys is not None and not len(keys):
+        raise ValueError("run needs at least one key")
+    out = _lockstep(np.asarray(a, dtype=np.float64), cfg,
+                    [(cfg.seed, 0)] if keys is None else keys)
+    if keys is not None:
+        return out
+    if isinstance(out[0], DivergenceError):
         raise out[0]
-    return out[0] if one else out
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
 # empirical moments
 # ---------------------------------------------------------------------------
 
-def empirical_state(trace, block_labels=None, max_power=6):
-    """Empirical moments of the iterates under the row keys of moments.csv, in its
-    order: (group, "second", s, t) -> <x_s x_t> for s <= t, then (group, "power", t,
-    k) -> <x_t^k>, for the group "all", then per block label r "block<r>"."""
-    xs = np.ascontiguousarray(trace.iterates)
+def empirical_state(iterates, block_labels=None, max_power=6):
+    """Empirical moments of the (T, n) iterates under the row keys of moments.csv,
+    in its order: (group, "second", s, t) -> <x_s x_t> for s <= t, then (group,
+    "power", t, k) -> <x_t^k>, for the group "all", then per block label r
+    "block<r>"."""
+    xs = np.ascontiguousarray(iterates)
     T = len(xs)
     keys = ([("second", s, t) for s in range(1, T + 1) for t in range(s, T + 1)]
             + [("power", t, k) for t in range(1, T + 1) for k in range(1, max_power + 1)])

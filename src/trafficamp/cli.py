@@ -118,7 +118,7 @@ def _ensemble_from_config(cfg, n=None):
     return ensembles.EnsembleSpec.from_json(spec)
 
 
-def _amp_config_from(cfg, seed):
+def _amp_config_from(cfg):
     a = dict(cfg["amp"])
     kappa = a.get("kappa")
     if isinstance(kappa, str):
@@ -133,8 +133,7 @@ def _amp_config_from(cfg, seed):
             raise ValueError("config key 'kappa' in section 'amp' has no key %s" % exc)
     return amp_mod.AMPConfig(
         nonlinearities=tuple(a["nonlinearities"]), T=int(a["T"]),
-        mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"),
-        seed=seed)
+        mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"))
 
 
 def _law(spec):
@@ -377,19 +376,17 @@ def _block_label_vector(spec):
 
 def cmd_amp(args):
     cfg, master_seed, trials, outdir = _setup(args)
-    # every trial's config, checked before any matrix is built
-    cfgs = [_amp_config_from(cfg, seed=master_seed + 1000003 * (t + 1))
-            for t in range(trials)]
+    acfg = _amp_config_from(cfg)  # checked before any matrix is built
     spec = _ensemble_from_config(cfg)
-    if cfgs[0].mode == "exact_treelike":  # the memory bound, before any matrix is built
-        amp_mod._exact_program(spec.n, cfgs[0].T, args.threads)
+    if acfg.mode == "exact_treelike":  # the memory bound, before any matrix is built
+        amp_mod._exact_program(spec.n, acfg.T, args.threads)
     labels = _block_label_vector(spec)
 
-    def work(m, block):  # in lockstep; the iterates are kept, the Onsager vectors not
-        traces = amp_mod.run(m, amp_mod.TrialBlock(cfgs[t] for t in block), block)
+    def work(m, block):  # in lockstep; trial t is keyed (its seed, stream t)
+        keys = [(master_seed + 1000003 * (t + 1), t) for t in block]
         return [res if isinstance(res, amp_mod.DivergenceError) else
-                (res.iterates, amp_mod.empirical_state(res, block_labels=labels))
-                for res in traces]
+                (res, amp_mod.empirical_state(res, block_labels=labels))
+                for res in amp_mod.run(m, acfg, keys)]
 
     results = _trials(spec, master_seed, trials, args.threads, work)
     states, divergences = [], []
@@ -438,7 +435,7 @@ def read_moments_csv(path):
 def build_kernel(cfg):
     """The SE kernel of cfg's AMP run, from the AMPConfig and EnsembleSpec that
     `amp` reads, so `se` rejects every config that `amp` rejects."""
-    acfg, spec = _amp_config_from(cfg, seed=0), _ensemble_from_config(cfg)
+    acfg, spec = _amp_config_from(cfg), _ensemble_from_config(cfg)
     fs, T = acfg.nonlinearities, acfg.T
     if acfg.init != "ones" and acfg.mode != "punctured_kappa":  # the others start at x_0 = 1
         raise ValueError("no SE preset for init %r in %s mode" % (acfg.init, acfg.mode))

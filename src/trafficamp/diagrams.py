@@ -94,9 +94,6 @@ class DiagramClass:
     connected: bool
     two_edge_connected: bool
     cactus: bool
-    eulerian: bool
-    treelike: bool
-    gaussian_tree: bool
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +188,14 @@ def _block_is_cycle(d, block):
 
 
 def classify(d):
-    """Structural flags of a diagram, from one block decomposition.
-
-    Treelike and gaussian_tree require a root; rootless diagrams get False.
-    A rooted connected diagram is treelike when no two vertices are joined by
-    3 edge-disjoint paths, i.e. every block of 2 or more edges is a cycle
-    (Menger, and the ear decomposition of a 2-connected block), and every
-    bridge lies in the root's component of the bridge subgraph.
-    """
+    """Structural flags of a diagram, from one block decomposition: connected,
+    2-edge-connected (connected with no bridge), and cactus (2-edge-connected
+    with every block a cycle)."""
     conn = is_connected(d)
     blocks = biconnected_blocks(d)
-    brs = [b[0] for b in blocks if len(b) == 1]
-    cyclic = all(_block_is_cycle(d, b) for b in blocks if len(b) > 1)
-    two_ec = conn and not brs
-    cactus = two_ec and cyclic
-    eulerian = conn and all(x % 2 == 0 for x in d.degrees())
-
-    treelike = False
-    gaussian = False
-    if conn and d.roots:
-        root = d.roots[0]
-        bridged = Diagram(d.vertex_count, tuple(d.edges[ei] for ei in brs))
-        home = next(c for c in connected_components(bridged) if root in c)
-        treelike = cyclic and all(d.edges[ei][0] in home for ei in brs)
-        if treelike:
-            bdeg = sum(1 for ei in brs for u in d.edges[ei] if u == root)
-            gaussian = bdeg == 1
-    return DiagramClass(conn, two_ec, cactus, eulerian, treelike, gaussian)
+    two_ec = conn and all(len(b) > 1 for b in blocks)
+    cactus = two_ec and all(_block_is_cycle(d, b) for b in blocks)
+    return DiagramClass(conn, two_ec, cactus)
 
 
 # ---------------------------------------------------------------------------

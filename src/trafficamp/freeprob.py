@@ -185,9 +185,6 @@ class CumulantTable:
     def __len__(self):
         return len(self.values)
 
-    def to_json(self):
-        return {"tag": self.tag, "values": list(self.values)}
-
     @classmethod
     def from_json(cls, obj):
         return cls(tuple(obj["values"]), obj["tag"])

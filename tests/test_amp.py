@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from trafficamp.amp import (AMPConfig, AMPTrace, DivergenceError, TrialBlock,
-                            _init_vector, empirical_state, onsager_b,
-                            onsager_b_brute, run)
+from trafficamp.amp import (AMPConfig, DivergenceError, empirical_state,
+                            onsager_b, onsager_b_brute, run)
 from trafficamp.ensembles import (EnsembleSpec, block_labels, generate,
-                                  puncture)
+                                  puncture, stream_rng)
 from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import Polynomial
 from trafficamp.graphpoly import BudgetError
@@ -59,31 +60,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AMPConfig(nonlinearities=("identity",), T=1, mode="punctured_kappa",
                   kappa=named_table("rom"), init="ones")
-    cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="scalar_kappa",
-                    kappa=named_table("goe"))
-    assert cfg.to_json()["kappa"] == {"tag": "cumulants", "values": list(cfg.kappa.values)}
+    for mode in ("exact_treelike", "block_goe"):
+        with pytest.raises(ValueError, match="%s mode does not read kappa" % mode):
+            AMPConfig(nonlinearities=("identity",), T=1, mode=mode, kappa=named_table("rom"))
 
 
 def test_treelike_first_step():
     a = generate(EnsembleSpec("goe", 64, seed=1)).values
-    cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
-    tr = run(a, cfg)
-    # the lag-1 memory term is the diagonal walk
-    assert np.allclose(tr.iterates[0], a @ np.ones(64) - np.diag(a))
-    assert np.allclose(tr.onsager[(0, 1)], np.diag(a))
+    # the lag-1 memory term is the diagonal walk: x_1 = f_0(1) (A 1 - diag(A)),
+    # with f_0(1) = 1 - 3 = -2 for cube_hermite
+    for f0, f0_at_1 in (("identity", 1.0), ("cube_hermite", -2.0)):
+        cfg = AMPConfig(nonlinearities=(f0,), T=1, mode="exact_treelike")
+        assert np.allclose(run(a, cfg)[0], f0_at_1 * (a @ np.ones(64) - np.diag(a))), f0
 
 
 def test_oamp_first_step_and_classical_form():
     a = generate(EnsembleSpec("goe", 128, seed=2)).values
     cfg = AMPConfig(nonlinearities=("identity",) * 3, T=3, mode="scalar_kappa",
                     kappa=named_table("goe"))
-    tr = run(a, cfg)
-    assert np.allclose(tr.iterates[0], a @ np.ones(128))  # kappa_1 = 0
-    # GOE kappa: only the lag-2 coefficient survives, equal to <f'_{t-1}>
-    assert tr.onsager[(0, 1)] == 0.0
-    assert abs(tr.onsager[(1, 3)] - 1.0) < 1e-12
-    x2_manual = a @ tr.iterates[0] - np.ones(128)
-    assert np.allclose(tr.iterates[1], x2_manual, atol=1e-12)
+    x = run(a, cfg)
+    assert np.allclose(x[0], a @ np.ones(128))  # kappa_1 = 0
+    # GOE kappa: only the lag-2 coefficient survives, equal to <f'_{t-1}> = 1
+    assert np.allclose(x[1], a @ x[0] - np.ones(128), atol=1e-12)
+    assert np.allclose(x[2], a @ x[1] - x[0], atol=1e-12)
 
 
 def test_punctured_centering():
@@ -92,9 +91,10 @@ def test_punctured_centering():
     cfg = AMPConfig(nonlinearities=("identity", "cube_hermite"), T=2,
                     mode="punctured_kappa", kappa=named_table("rom"),
                     init="gaussian", seed=5)
-    tr = run(a, cfg)
-    assert abs(np.mean(tr.x0)) < 4 / np.sqrt(256)
-    assert np.isfinite(tr.iterates).all()
+    x = run(a, cfg)
+    # 1^T A = 0 and every memory term is centred, so every iterate has mean 0
+    assert np.abs(x.mean(axis=1)).max() < 1e-9
+    assert np.isfinite(x).all()
 
 
 def test_block_goe_runner():
@@ -102,25 +102,21 @@ def test_block_goe_runner():
     b = generate(EnsembleSpec("block_goe", n, seed=3, q=2,
                               sigma=(1, 0.5, 0.5, 1))).values
     cfg = AMPConfig(nonlinearities=("identity",) * 3, T=3, mode="block_goe")
-    tr = run(b, cfg)
-    assert np.allclose(tr.iterates[0], b @ np.ones(n))
-    manual = b @ tr.iterates[0] - ((b * b) @ np.ones(n)) * np.ones(n)
-    assert np.allclose(tr.iterates[1], manual, atol=1e-12)
-    st = empirical_state(tr, block_labels=block_labels(n, 2))
+    x = run(b, cfg)
+    assert np.allclose(x[0], b @ np.ones(n))
+    manual = b @ x[0] - ((b * b) @ np.ones(n)) * np.ones(n)
+    assert np.allclose(x[1], manual, atol=1e-12)
+    st = empirical_state(x, block_labels=block_labels(n, 2))
     assert {group for group, _, _, _ in st} == {"all", "block0", "block1"}
 
 
 def test_empirical_state():
-    tr_iter = np.vstack([np.ones(10), 2 * np.ones(10)])
-    from trafficamp.amp import AMPTrace
-    tr = AMPTrace(np.ones(10), tr_iter, {}, "synthetic")
-    st = empirical_state(tr)
+    st = empirical_state(np.vstack([np.ones(10), 2 * np.ones(10)]))
     assert st["all", "second", 1, 2] == 2.0
     assert st["all", "power", 2, 3] == 8.0
     rng = np.random.default_rng(4)
     x = rng.standard_normal(100000)
-    tr = AMPTrace(np.ones(100000), x[None, :], {}, "synthetic")
-    st = empirical_state(tr)
+    st = empirical_state(x[None, :])
     se = np.sqrt(96.0 / 100000)  # Var X^4 = 96 at unit variance
     assert abs(st["all", "power", 1, 4] - 3.0) < 4 * se
 
@@ -141,20 +137,23 @@ def test_permutation_equivariance():
     a = generate(EnsembleSpec("goe", n, seed=6)).values
     cfg = AMPConfig(nonlinearities=("identity", "square_centered", "identity"),
                     T=3, mode="scalar_kappa", kappa=named_table("goe"))
-    tr = run(a, cfg)
+    x = run(a, cfg)
     perm = rng.permutation(n)
     ap = a[np.ix_(perm, perm)]
-    trp = run(ap, cfg)
+    xp = run(ap, cfg)
     for t in range(3):
-        assert np.allclose(trp.iterates[t], tr.iterates[t][perm], atol=1e-9)
+        assert np.allclose(xp[t], x[t][perm], atol=1e-9)
 
 
 def test_mode_dispatch():
+    # each mode subtracts its own memory term from A f_0(1) at t = 1
     a = generate(EnsembleSpec("goe", 32, seed=7)).values
-    cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="scalar_kappa",
-                    kappa=named_table("goe"))
-    tr = run(a, cfg)
-    assert tr.mode == "scalar_kappa"
+    a1 = a @ np.ones(32)
+    want = {"scalar_kappa": a1 - 0.5, "exact_treelike": a1 - np.diag(a), "block_goe": a1}
+    for mode, x1 in want.items():
+        cfg = AMPConfig(nonlinearities=("identity",), T=1, mode=mode,
+                        kappa=CumulantTable((0.5,)) if mode == "scalar_kappa" else None)
+        assert np.allclose(run(a, cfg)[0], x1, atol=1e-12), mode
 
 
 def test_gaussianity_kurtosis_on_goe():
@@ -166,14 +165,35 @@ def test_gaussianity_kurtosis_on_goe():
     kurt = []
     for s in range(seeds):
         a = generate(EnsembleSpec("goe", n, seed=40 + s)).values
-        tr = run(a, cfg)
         row = []
-        for x in tr.iterates:
+        for x in run(a, cfg):
             row.append(float(np.mean(x ** 4) / np.mean(x ** 2) ** 2 - 3.0))
         kurt.append(row)
     kurt = np.asarray(kurt)
     z = np.abs(kurt.mean(axis=0)) / (kurt.std(axis=0, ddof=1) / np.sqrt(seeds))
     assert z.max() <= 4.0, kurt.mean(axis=0)
+
+
+def test_exact_mode_matches_block_goe_mode_paired():
+    # the exact memory term against the block one, (A*A) f', on the same block GOE
+    # matrices: each statistic's mean paired difference lies within 4 per-seed
+    # standard deviations of 0 (the typicality gate of acceptance criterion 10)
+    q, n, T = 2, 1024, 3
+    fs = ["identity", "square_centered", "square_centered"]
+    cfgs = [AMPConfig(nonlinearities=fs, T=T, mode=mode)
+            for mode in ("exact_treelike", "block_goe")]
+    labels = block_labels(n, q)
+    diffs = []
+    for s in range(20):
+        m = generate(EnsembleSpec("block_goe", n, seed=300 + s, q=q,
+                                  sigma=(1.0, 0.5, 0.5, 1.0))).values
+        exact, block = (empirical_state(run(m, cfg), block_labels=labels, max_power=4)
+                        for cfg in cfgs)
+        diffs.append([exact[key] - block[key] for key in exact])
+    diffs = np.asarray(diffs)
+    z = np.abs(diffs.mean(axis=0)) / np.maximum(diffs.std(axis=0, ddof=1), 1e-9)
+    assert diffs.shape[1] == 54  # 18 statistics in each of all, block0 and block1
+    assert z.max() <= 4.0, z.max()
 
 
 def test_exact_mode_budget_guard(monkeypatch):
@@ -187,7 +207,7 @@ def test_exact_mode_budget_guard(monkeypatch):
     cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
     need = amp._exact_program(32, 5)[0].peak + 8 * 32 ** 2
     monkeypatch.setattr(amp, "_MEMORY_BOUND", need)
-    assert run(a, cfg).iterates.shape == (5, 32)
+    assert run(a, cfg).shape == (5, 32)
     monkeypatch.setattr(amp, "_MEMORY_BOUND", need // 2)
     with pytest.raises(BudgetError) as err:
         run(a, cfg)
@@ -230,6 +250,8 @@ def _legacy_onsager_b(a, fprime_vectors, s, t, budget=None):
 
 
 def _legacy_run_treelike(a, cfg, budget=None):
+    # it replaces f_0 by 1, as the runner then did: compare it only on configs
+    # whose f_0(1) is 1
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     fs = list(cfg.nonlinearities)
@@ -237,18 +259,16 @@ def _legacy_run_treelike(a, cfg, budget=None):
     fvec = [np.ones(n)]
     fprime = [np.zeros(n)]
     iters = np.empty((cfg.T, n))
-    onsager = {}
     for t in range(1, cfg.T + 1):
         xt = a @ fvec[t - 1]
         for s in range(t):
             b = _legacy_onsager_b(a, fprime, s, t, budget=budget)
-            onsager[(s, t)] = b
             xt = xt - b * fvec[s]
         iters[t - 1] = xt
         if t < cfg.T:
             fvec.append(fs[t](xt))
             fprime.append(fs[t].derivative()(xt))
-    return iters, onsager
+    return iters
 
 
 def test_onsager_bytes_match_legacy():
@@ -290,13 +310,9 @@ def test_treelike_bytes_match_legacy():
     cfg = AMPConfig(nonlinearities=("identity", "cube_hermite", "square_centered",
                                     "identity", "cube_hermite"),
                     T=5, mode="exact_treelike")
-    iters, onsager = _legacy_run_treelike(a, cfg)
+    iters = _legacy_run_treelike(a, cfg)
     for _ in range(2):  # a second trial reuses the step counts and plans
-        tr = run(a, cfg)
-        assert tr.iterates.tobytes() == iters.tobytes()
-        assert sorted(tr.onsager) == sorted(onsager)
-        for key, b in onsager.items():
-            assert tr.onsager[key].tobytes() == b.tobytes(), key
+        assert run(a, cfg).tobytes() == iters.tobytes()
 
 
 def test_treelike_rejects_ignored_init():
@@ -304,7 +320,7 @@ def test_treelike_rejects_ignored_init():
         AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike",
                   init="gaussian")
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
-    assert cfg.to_json()["init"] == "ones"
+    assert cfg.init == "ones"
 
 
 @pytest.mark.parametrize("mode, kappa", [("scalar_kappa", "goe"),
@@ -322,7 +338,7 @@ def test_exact_mode_caps():
     with pytest.raises(ValueError, match="T <= 7"):
         AMPConfig(nonlinearities=("identity",) * 8, T=8, mode="exact_treelike")
     cfg = AMPConfig(nonlinearities=("identity",), T=1, mode="exact_treelike")
-    assert run(np.eye(257), cfg).iterates.shape == (1, 257)
+    assert run(np.eye(257), cfg).shape == (1, 257)
 
 
 @pytest.mark.parametrize("T", [5, 7])
@@ -357,22 +373,21 @@ def test_every_exact_window_meets_the_default_budget(n):
     assert worst <= graphpoly._default_budget(n), worst / n ** 3
 
 
-def _exact_configs(k, T=5):
+def _exact_config(T=5):
     fs = ("identity", "cube_hermite", "square_centered", "identity", "cube_hermite")
-    return [AMPConfig(nonlinearities=fs[:T], T=T, mode="exact_treelike", seed=j)
-            for j in range(k)]
+    return AMPConfig(nonlinearities=fs[:T], T=T, mode="exact_treelike")
+
+
+def _keys(k):
+    return [(j, j) for j in range(k)]
 
 
 def test_exact_lockstep_block_matches_legacy():
     a = generate(EnsembleSpec("punctured", 64, inner="hadamard")).values
-    iters, onsager = _legacy_run_treelike(a, _exact_configs(1)[0])
+    iters = _legacy_run_treelike(a, _exact_config())
     for k in (1, 3):
-        for new in run(a, _exact_configs(k), list(range(k))):
-            assert new.x0.tobytes() == np.ones(64).tobytes()
-            assert new.iterates.tobytes() == iters.tobytes()
-            assert list(new.onsager) == list(onsager)
-            for key, b in onsager.items():
-                assert new.onsager[key].tobytes() == b.tobytes(), key
+        for new in run(a, _exact_config(), _keys(k)):
+            assert new.tobytes() == iters.tobytes()
 
 
 def test_exact_block_memory_is_one_trial():
@@ -381,12 +396,12 @@ def test_exact_block_memory_is_one_trial():
     import tracemalloc
 
     a = generate(EnsembleSpec("punctured", 128, inner="hadamard")).values
-    run(a, _exact_configs(1), [0])  # quotient plans are built once per process
+    run(a, _exact_config(), _keys(1))  # quotient plans are built once per process
     peaks = []
     for k in (1, 32):
         tracemalloc.start()
         try:
-            run(a, _exact_configs(k), list(range(k)))
+            run(a, _exact_config(), _keys(k))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -404,16 +419,16 @@ def _overflowing_punctured_hadamard(case):
 @pytest.mark.parametrize("case, where", [("scaled", (2, 0)), ("entries", (1, 5))])
 def test_exact_lockstep_divergence_matches_legacy(case, where):
     a = _overflowing_punctured_hadamard(case)
-    cfgs = _exact_configs(3, T=4)
+    cfg = _exact_config(T=4)
     with np.errstate(over="ignore", invalid="ignore"):
-        iters = _legacy_run_treelike(a, cfgs[0])[0]
+        iters = _legacy_run_treelike(a, cfg)
         bad = np.argwhere(~np.isfinite(iters))[0]  # the legacy first non-finite (t, i)
         assert (bad[0] + 1, bad[1]) == where
-        for res in run(a, cfgs, [0, 1, 2]) + [run(a, cfgs[:1], [0])[0]]:
+        for res in run(a, cfg, _keys(3)) + run(a, cfg, _keys(1)):
             assert isinstance(res, DivergenceError)
             assert (res.t, res.i) == where
         with pytest.raises(DivergenceError) as err:
-            run(a, cfgs[0])
+            run(a, cfg)
     assert (err.value.t, err.value.i) == where
 
 
@@ -434,8 +449,8 @@ def test_treelike_concurrent_trials_match_legacy():
             traces = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for m, tr in zip(mats, traces):
-        assert tr.iterates.tobytes() == _legacy_run_treelike(m, cfg)[0].tobytes()
+    for m, x in zip(mats, traces):
+        assert x.tobytes() == _legacy_run_treelike(m, cfg).tobytes()
 
 
 def test_treelike_program_runs_every_step_once_per_trial(monkeypatch):
@@ -448,7 +463,7 @@ def test_treelike_program_runs_every_step_once_per_trial(monkeypatch):
     # last use
     _assert_each_step_runs_once(seen, 1, [107])
     seen.update(checks=0, kernels=0, runs=[])
-    run(a, TrialBlock([cfg] * 3), [0, 1, 2])  # a block's rows are one trial
+    run(a, cfg, _keys(3))  # a block's rows are one trial
     _assert_each_step_runs_once(seen, 1, [107])
 
 
@@ -456,6 +471,12 @@ def test_treelike_program_runs_every_step_once_per_trial(monkeypatch):
 # byte oracle: the scalar-Onsager and block-GOE runners as they were before
 # trials ran in lockstep, one trial per call, copied literally
 # ---------------------------------------------------------------------------
+
+def _legacy_init_vector(cfg, n, stream):
+    if cfg.init == "gaussian":
+        return stream_rng(cfg.seed, stream).standard_normal(n)
+    return np.ones(n)
+
 
 def _check_finite(x, t):
     bad = np.flatnonzero(~np.isfinite(x))
@@ -473,25 +494,23 @@ def _legacy_run_oamp(a, cfg, stream=0):
         raise ValueError("config mode must be scalar_kappa")
     fs = cfg.nonlinearities
     kap = cfg.kappa
-    x = _init_vector(cfg, n, stream)
+    x = _legacy_init_vector(cfg, n, stream)
     fvec = [fs[0](x)]
     fpmean = [float(np.mean(fs[0].derivative()(x)))]
     iters = np.empty((cfg.T, n))
-    onsager = {}
     for t in range(1, cfg.T + 1):
         xt = a @ fvec[t - 1]
         for s in range(t):
             coef = kap[t - s]
             for r in range(s + 1, t):
                 coef *= fpmean[r]
-            onsager[(s, t)] = coef
             xt = xt - coef * fvec[s]
         _check_finite(xt, t)
         iters[t - 1] = xt
         if t < cfg.T:
             fvec.append(fs[t](xt))
             fpmean.append(float(np.mean(fs[t].derivative()(xt))))
-    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+    return iters
 
 
 def _legacy_run_punctured(a, cfg, stream=0):
@@ -503,18 +522,16 @@ def _legacy_run_punctured(a, cfg, stream=0):
         raise ValueError("config mode must be punctured_kappa")
     fs = cfg.nonlinearities
     kap = cfg.kappa
-    x = _init_vector(cfg, n, stream)
+    x = _legacy_init_vector(cfg, n, stream)
     fvec = [fs[0](x)]
     fpmean = [float(np.mean(fs[0].derivative()(x)))]
     iters = np.empty((cfg.T, n))
-    onsager = {}
     for t in range(1, cfg.T + 1):
         xt = a @ fvec[t - 1]
         for s in range(t):
             coef = kap[t - s]
             for r in range(s + 1, t):
                 coef *= fpmean[r]
-            onsager[(s, t)] = coef
             centered = fvec[s] - np.mean(fvec[s])
             xt = xt - coef * centered
         _check_finite(xt, t)
@@ -522,7 +539,7 @@ def _legacy_run_punctured(a, cfg, stream=0):
         if t < cfg.T:
             fvec.append(fs[t](xt))
             fpmean.append(float(np.mean(fs[t].derivative()(xt))))
-    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+    return iters
 
 
 def _legacy_run_block_goe(a, cfg, stream=0):
@@ -534,23 +551,21 @@ def _legacy_run_block_goe(a, cfg, stream=0):
         raise ValueError("config mode must be block_goe")
     fs = cfg.nonlinearities
     a2 = a * a
-    x = _init_vector(cfg, n, stream)
+    x = _legacy_init_vector(cfg, n, stream)
     fvec = [fs[0](x)]
     fprime = [fs[0].derivative()(x)]
     iters = np.empty((cfg.T, n))
-    onsager = {}
     for t in range(1, cfg.T + 1):
         xt = a @ fvec[t - 1]
         if t >= 2:
             b = a2 @ fprime[t - 1]
-            onsager[(t - 2, t)] = b
             xt = xt - b * fvec[t - 2]
         _check_finite(xt, t)
         iters[t - 1] = xt
         if t < cfg.T:
             fvec.append(fs[t](xt))
             fprime.append(fs[t].derivative()(xt))
-    return AMPTrace(x.copy(), iters, onsager, cfg.mode)
+    return iters
 
 
 LEGACY_RUNNERS = {"scalar_kappa": _legacy_run_oamp,
@@ -558,20 +573,10 @@ LEGACY_RUNNERS = {"scalar_kappa": _legacy_run_oamp,
                   "block_goe": _legacy_run_block_goe}
 
 
-def _assert_same_trace(new, old):
-    assert new.x0.tobytes() == old.x0.tobytes()
-    assert new.iterates.tobytes() == old.iterates.tobytes()
-    assert list(new.onsager) == list(old.onsager)
-    for key, coef in old.onsager.items():
-        assert type(new.onsager[key]) is type(coef), key
-        assert np.asarray(new.onsager[key]).tobytes() == np.asarray(coef).tobytes(), key
-
-
-def _block_configs(mode, init, k):
+def _block_config(mode, init):
     fs = ("identity", "cube_hermite", "square_centered", "relu_poly3")
     kappa = None if mode == "block_goe" else named_table("rom")
-    return [AMPConfig(nonlinearities=fs, T=4, mode=mode, kappa=kappa, init=init,
-                      seed=100 + 7 * j) for j in range(k)]
+    return AMPConfig(nonlinearities=fs, T=4, mode=mode, kappa=kappa, init=init)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 65, 256, 1000])
@@ -581,15 +586,15 @@ def test_lockstep_bytes_match_legacy_runners(n):
     for mode, init in (("scalar_kappa", "ones"), ("scalar_kappa", "gaussian"),
                        ("punctured_kappa", "gaussian"), ("block_goe", "ones"),
                        ("block_goe", "gaussian")):
+        cfg = _block_config(mode, init)
         for k in (1, 3, 10):
-            cfgs = _block_configs(mode, init, k)
-            streams = [5 + j for j in range(k)]
-            traces = run(a, cfgs, streams)
-            for cfg, stream, new in zip(cfgs, streams, traces):
-                _assert_same_trace(new, LEGACY_RUNNERS[mode](a, cfg, stream=stream))
-        # the single-trial runners are blocks of one
-        cfg = cfgs[0]
-        _assert_same_trace(run(a, cfg, stream=5), LEGACY_RUNNERS[mode](a, cfg, stream=5))
+            keys = [(100 + 7 * j, 5 + j) for j in range(k)]
+            for (seed, stream), new in zip(keys, run(a, cfg, keys)):
+                old = LEGACY_RUNNERS[mode](a, dataclasses.replace(cfg, seed=seed), stream)
+                assert new.tobytes() == old.tobytes()
+        # a run without keys is one trial, keyed (cfg.seed, 0)
+        cfg = dataclasses.replace(cfg, seed=100)
+        assert run(a, cfg).tobytes() == LEGACY_RUNNERS[mode](a, cfg).tobytes()
 
 
 def test_lockstep_divergence_matches_legacy_runners():
@@ -598,33 +603,28 @@ def test_lockstep_divergence_matches_legacy_runners():
     n, T = 6, 12
     a = np.eye(n) + 0.01 * _rand_sym(np.random.default_rng(3), n)
     kappa = CumulantTable((0.0, 0.001) + (0.0,) * (T - 2))
-    cfgs = [AMPConfig(nonlinearities=("identity",) + ("cube_hermite",) * (T - 1), T=T,
-                      mode="scalar_kappa", kappa=kappa, init="gaussian", seed=40 + j)
-            for j in range(12)]
+    cfg = AMPConfig(nonlinearities=("identity",) + ("cube_hermite",) * (T - 1), T=T,
+                    mode="scalar_kappa", kappa=kappa, init="gaussian")
+    keys = [(40 + j, j) for j in range(12)]
     with np.errstate(over="ignore", invalid="ignore"):
-        results = run(a, cfgs, list(range(12)))
+        results = run(a, cfg, keys)
         outcomes = set()
-        for j, (cfg, res) in enumerate(zip(cfgs, results)):
+        for (seed, stream), res in zip(keys, results):
             try:
-                old = _legacy_run_oamp(a, cfg, stream=j)
+                old = _legacy_run_oamp(a, dataclasses.replace(cfg, seed=seed), stream)
             except DivergenceError as exc:
                 assert isinstance(res, DivergenceError)
                 assert (res.t, res.i) == (exc.t, exc.i)
                 outcomes.add(exc.t)
             else:
-                _assert_same_trace(res, old)
+                assert res.tobytes() == old.tobytes()
                 outcomes.add(None)
     assert None in outcomes and len(outcomes) >= 3  # survivors and two divergence steps
 
 
-def test_trial_block_rejects_configs_that_differ_beyond_seed():
-    cfgs = _block_configs("scalar_kappa", "gaussian", 2)
-    with pytest.raises(ValueError, match="seed"):
-        TrialBlock([cfgs[0], _block_configs("scalar_kappa", "ones", 1)[0]])
-    with pytest.raises(ValueError, match="seed"):
-        TrialBlock([])
-    with pytest.raises(ValueError, match="streams"):
-        run(np.eye(4), cfgs, [0])
+def test_run_rejects_empty_keys():
+    with pytest.raises(ValueError, match="at least one key"):
+        run(np.eye(4), _block_config("scalar_kappa", "gaussian"), [])
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +632,7 @@ def test_trial_block_rejects_configs_that_differ_beyond_seed():
 # copied literally
 # ---------------------------------------------------------------------------
 
-def _legacy_empirical_state(trace, block_labels=None, max_power=6):
+def _legacy_empirical_state(iterates, block_labels=None, max_power=6):
     """Empirical moments of the iterates: pair moments <x_s x_t> and powers
     <x_t^k>, optionally conditioned on block labels."""
     def moments(xs):
@@ -642,7 +642,7 @@ def _legacy_empirical_state(trace, block_labels=None, max_power=6):
                 "power": {(t, k): float(np.mean(xs[t - 1] ** k))
                           for t in range(1, T + 1) for k in range(1, max_power + 1)}}
 
-    xs = list(trace.iterates)
+    xs = list(iterates)
     out = moments(xs)
     if block_labels is not None:
         labels = np.asarray(block_labels)
@@ -668,14 +668,13 @@ def test_empirical_state_bytes_match_legacy():
         it[rng.random((T, n)) < 0.1 * (case % 2)] = 0.0
         if case % 5 == 0:
             it = np.asfortranarray(it)
-        tr = AMPTrace(np.ones(n), it, {}, "x")
         labels = rng.integers(0, 1 + case % 4, n) if case % 3 else None
         for power in (6, 3):
-            assert (_exact_items(empirical_state(tr, labels, max_power=power)) == _exact_items(
-                _flatten(_legacy_empirical_state(tr, labels, max_power=power)))), case
+            assert (_exact_items(empirical_state(it, labels, max_power=power)) == _exact_items(
+                _flatten(_legacy_empirical_state(it, labels, max_power=power)))), case
     a = generate(EnsembleSpec("community", 64, seed=5, q=4, inner="rom")).values
-    tr = run(a, AMPConfig(nonlinearities=("identity", "cube_hermite") * 3, T=5,
-                          mode="exact_treelike"))
+    x = run(a, AMPConfig(nonlinearities=("identity", "cube_hermite") * 3, T=5,
+                         mode="exact_treelike"))
     labels = block_labels(64, 4)
-    assert (_exact_items(empirical_state(tr, labels))
-            == _exact_items(_flatten(_legacy_empirical_state(tr, labels))))
+    assert (_exact_items(empirical_state(x, labels))
+            == _exact_items(_flatten(_legacy_empirical_state(x, labels))))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -124,8 +125,7 @@ def test_compare_detects_onsager_ablation(tmp_path):
         a = generate(EnsembleSpec("goe", 512, seed=s)).values
         x1 = a @ np.ones(512)
         x2 = a @ x1  # no correction
-        tr = amp_mod.AMPTrace(np.ones(512), np.vstack([x1, x2]), {}, "ablated")
-        states.append(amp_mod.empirical_state(tr))
+        states.append(amp_mod.empirical_state(np.vstack([x1, x2])))
     _write_moments(tmp_path / "m.csv", aggregate_reports(states))
     cfg = _write_config(tmp_path)
     kernel = tmp_path / "k.json"
@@ -172,7 +172,8 @@ def test_se_divergence_exit_code(tmp_path, capsys):
     # cubic steps overflow the scalar-kappa recursion at T = 8
     cfg = _write_config(tmp_path, amp={
         "nonlinearities": ["identity"] + ["cube_hermite"] * 7, "T": 8,
-        "mode": "scalar_kappa", "kappa": named_table("rom", 16).to_json()})
+        "mode": "scalar_kappa",
+        "kappa": {"tag": "cumulants", "values": list(named_table("rom", 16).values)}})
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json"))
     assert code == 4
@@ -321,7 +322,7 @@ def test_amp_builds_deterministic_matrix_once_read_only(tmp_path, monkeypatch, c
         calls.append(spec.kind)
         return real_generate(spec, stream, out)
 
-    def writing_run(a, cfg, stream=0):  # in amp's work
+    def writing_run(a, cfg, keys=None):  # in amp's work
         a[0, 0] = 0.0
         raise AssertionError("the shared matrix accepted a write")
 
@@ -637,7 +638,7 @@ def test_amp_lockstep_threads_byte_identical(tmp_path, ensemble, amp):
 
 def test_amp_exact_lockstep_threads_match_legacy(tmp_path, monkeypatch):
     # 3 exact-mode trials on punctured Hadamard: one block of 3, blocks of 2 + 1,
-    # and three blocks of one, each trial with the legacy iterates and Onsager bytes
+    # and three blocks of one, each trial with the legacy iterates
     import trafficamp.amp as amp_mod
     from test_amp import _legacy_run_treelike
     from trafficamp.cli import _amp_config_from
@@ -649,12 +650,12 @@ def test_amp_exact_lockstep_threads_match_legacy(tmp_path, monkeypatch):
                                                 "cube_hermite"],
                              "T": 5, "mode": "exact_treelike", "init": "ones"})
     m = ensembles.generate(ensembles.EnsembleSpec.from_json(ensemble)).values
-    iters, onsager = _legacy_run_treelike(m, _amp_config_from(load_config(cfg), seed=0))
+    iters = _legacy_run_treelike(m, _amp_config_from(load_config(cfg)))
     traces, real_run = [], amp_mod.run
 
-    def recording_run(a, cfgs, streams):
-        assert isinstance(cfgs, amp_mod.TrialBlock)  # its T and mode are read by tracing
-        out = real_run(a, cfgs, streams)
+    def recording_run(a, cfg, keys):
+        assert isinstance(cfg, amp_mod.AMPConfig)  # its T and mode are read by tracing
+        out = real_run(a, cfg, keys)
         traces.extend(out)
         return out
 
@@ -667,10 +668,7 @@ def test_amp_exact_lockstep_threads_match_legacy(tmp_path, monkeypatch):
                        "--out", str(out)) == 0
         outputs.append(_outputs(out))
         assert len(traces) == 3
-        for tr in traces:
-            assert list(tr.onsager) == list(onsager)
-            for key, b in onsager.items():
-                assert tr.onsager[key].tobytes() == b.tobytes(), key
+        assert all(x.tobytes() == iters.tobytes() for x in traces)
         for trial in range(3):
             got = matrixio.read_matrix(str(out / ("trace_%03d.tamp" % trial)))
             assert got.tobytes() == iters.tobytes(), trial
@@ -707,8 +705,9 @@ def _check_tail_tile(tmp):
     assert outputs[0] == outputs[1]
     m = ensembles.generate(ensembles.EnsembleSpec.from_json(ensemble)).values
     for trial in range(3):
-        acfg = _amp_config_from(load_config(cfg), seed=1 + 1000003 * (trial + 1))
-        want = _legacy_run_punctured(m, acfg, stream=trial).iterates
+        acfg = dataclasses.replace(_amp_config_from(load_config(cfg)),
+                                   seed=1 + 1000003 * (trial + 1))
+        want = _legacy_run_punctured(m, acfg, stream=trial)
         got = matrixio.read_matrix(str(tmp / "t1" / ("trace_%03d.tamp" % trial)))
         assert got.tobytes() == want.tobytes(), trial
 
@@ -800,7 +799,8 @@ def _kernel_configs():
     for mode, init in (("scalar_kappa", "ones"), ("punctured_kappa", "gaussian")):
         cfgs.append({"ensemble": {"kind": "hadamard", "n": 64},
                      "amp": {"nonlinearities": fs, "T": 4, "mode": mode,
-                             "kappa": kappa.to_json(), "init": init}})
+                             "kappa": {"tag": kappa.tag, "values": list(kappa.values)},
+                             "init": init}})
     return cfgs
 
 
@@ -868,6 +868,10 @@ def test_amp_writes_moments_that_read_back_as_aggregated(tmp_path, monkeypatch, 
     ({"kappa": {"values": [0.0, 1.0]}}, "config key 'kappa' in section 'amp' has no key 'tag'"),
     ({"kappa": {"tag": "cumulants", "values": [0, 1, 0, 0], "valeus": [9]}},
      "config key 'kappa' in section 'amp' has unknown key 'valeus'"),
+    ({"mode": "exact_treelike", "kappa": "rom"}, "exact_treelike mode does not read kappa"),
+    ({"mode": "block_goe", "kappa": {"tag": "cumulants", "values": [0.0, 1.0]},
+      "ensemble": {"kind": "block_goe", "n": 32, "q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]}},
+     "block_goe mode does not read kappa"),
 ])
 def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
     base = {"nonlinearities": ["identity", "identity"], "T": 2,

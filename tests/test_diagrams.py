@@ -17,13 +17,9 @@ def test_classify_examples():
     tri = CATALOG["cycle3"]
     cls = classify(tri)
     assert cls.cactus and cls.two_edge_connected and cls.connected
-    assert classify(tri.with_roots((0,))).treelike
 
     theta = classify(CATALOG["theta"])
     assert theta.two_edge_connected and not theta.cactus
-
-    edge = classify(CATALOG["edge"].with_roots((0,)))
-    assert edge.gaussian_tree and edge.treelike
 
 
 def test_classify_flag_implications():
@@ -34,8 +30,6 @@ def test_classify_flag_implications():
                 assert cls.two_edge_connected
             if cls.two_edge_connected:
                 assert cls.connected
-            if cls.gaussian_tree:
-                assert cls.treelike
 
 
 def test_classify_stable_under_relabeling():
@@ -48,100 +42,18 @@ def test_classify_stable_under_relabeling():
         assert classify(d) == classify(d2)
 
 
-def test_treelike_needs_bridges_at_root():
-    # triangle - bridge - triangle: treelike iff rooted at a bridge endpoint
-    d = Diagram(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)))
-    assert classify(d.with_roots((2,))).treelike
-    assert classify(d.with_roots((3,))).treelike
-    assert not classify(d.with_roots((0,))).treelike
-
-
 # oracle: classify as it was when treelike came from max-flow over every
-# vertex pair, copied literally with its helpers
-
-def _legacy_edge_disjoint_path_bound(d, s, t, needed=3):
-    """Max-flow with unit edge capacities, stopped once `needed` paths are found."""
-    if s == t:
-        return 0
-    cap = {}
-    for u, v in d.edges:
-        if u != v:
-            cap[(u, v)] = cap.get((u, v), 0) + 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-    flow = 0
-    while flow < needed:
-        # BFS for an augmenting path
-        prev = {s: None}
-        queue = [s]
-        while queue and t not in prev:
-            v = queue.pop(0)
-            for (a, b), c in cap.items():
-                if a == v and c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if t not in prev:
-            break
-        v = t
-        while prev[v] is not None:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-            v = u
-        flow += 1
-    return flow
-
+# vertex pair, copied literally less the flags that the class no longer
+# carries (treelike, Gaussian tree, Eulerian) and their helpers
 
 def _legacy_classify(d):
-    """Structural flags of a diagram.
-
-    Treelike and gaussian_tree require a root; rootless diagrams get False.
-    """
+    """Structural flags of a diagram."""
     conn = is_connected(d)
     blocks = biconnected_blocks(d)
     brs = sorted(b[0] for b in blocks if len(b) == 1)
     two_ec = conn and not brs
     cactus = two_ec and all(_block_is_cycle(d, b) for b in blocks)
-    deg = d.degrees()
-    eulerian = conn and all(x % 2 == 0 for x in deg)
-
-    treelike = False
-    gaussian = False
-    if conn and d.roots:
-        root = d.roots[0]
-        treelike = not _legacy_has_three_paths(d) and not _legacy_has_stranded_bridge(
-            d, brs, root)
-        if treelike:
-            bdeg = sum(1 for ei in brs for u in d.edges[ei] if u == root)
-            gaussian = bdeg == 1
-    return DiagramClass(conn, two_ec, cactus, eulerian, treelike, gaussian)
-
-
-def _legacy_has_three_paths(d):
-    for s in range(d.vertex_count):
-        for t in range(s + 1, d.vertex_count):
-            if _legacy_edge_disjoint_path_bound(d, s, t, needed=3) >= 3:
-                return True
-    return False
-
-
-def _legacy_has_stranded_bridge(d, brs, root):
-    """True if some bridge has no all-bridge path to the root."""
-    if not brs:
-        return False
-    badj = {v: [] for v in range(d.vertex_count)}
-    for ei in brs:
-        u, v = d.edges[ei]
-        badj[u].append(v)
-        badj[v].append(u)
-    reach = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in badj[v]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return any(d.edges[ei][0] not in reach for ei in brs)
+    return DiagramClass(conn, two_ec, cactus)
 
 
 def test_classify_matches_legacy_enumerated():

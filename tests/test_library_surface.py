@@ -1,9 +1,10 @@
 """The library holds what the CLI runs, plus the references its tests compare
 against: every public module-level function or class of `src/trafficamp` is
 named somewhere in the package other than `__init__.py`, or is listed below.
-So is every public method or property of a public class, as an attribute
-(`obj.member`, and a classmethod as `Class.member`), and every optional parameter of a public function is passed by
-some package call, or is listed.  Every function whose spans benchmark/tracer.py
+So is every public method, property or dataclass field of a public class, as
+an attribute (`obj.member`, and a classmethod as `Class.member`), and every
+optional parameter of a public function is passed by some package call, or is
+listed.  Every function whose spans benchmark/tracer.py
 reads by name is a public function of its layer, or is listed."""
 
 import ast
@@ -81,15 +82,18 @@ def _public_and_referenced():
 
 
 def _members():
-    """(Class.member, the read that uses it) per public method or property of a
-    public class: `Class.member` for a classmethod, `member` for any other."""
+    """(Class.member, the read that uses it) per public method, property or
+    dataclass field of a public class: `Class.member` for a classmethod, `member`
+    for any other."""
     for _, tree in _trees():
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
                 for node in cls.body:
                     names = ([node.name] if isinstance(node, ast.FunctionDef) else
                              [t.id for t in node.targets if isinstance(t, ast.Name)]
-                             if isinstance(node, ast.Assign) else [])
+                             if isinstance(node, ast.Assign) else
+                             [node.target.id] if isinstance(node, ast.AnnAssign)
+                             and isinstance(node.target, ast.Name) else [])
                     classmethod = isinstance(node, ast.FunctionDef) and any(
                         getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
                     for name in names:
@@ -139,8 +143,8 @@ def test_every_allowed_name_exists_and_is_otherwise_unused():
 
 
 def test_every_public_member_is_used_by_the_package_or_allowed():
-    # a member counts as used only when read as an attribute: a variable `x` or a
-    # parameter `gamma` elsewhere does not reach AMPTrace.x or SEKernel.gamma; and
+    # a member counts as used only when read as an attribute: a variable `cactus`
+    # or `gammas` elsewhere does not reach DiagramClass.cactus or SEKernel.gammas; and
     # a classmethod only when read off its class: EnsembleSpec.from_json being
     # read does not reach another class's from_json
     _, _, referenced = _public_and_referenced()

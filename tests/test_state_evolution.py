@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficamp.amp import AMPTrace, empirical_state
+from trafficamp.amp import empirical_state
 from trafficamp.cli import _cell
 from trafficamp.ensembles import community_kappa_table
 from trafficamp.freeprob import CumulantTable, named_table
@@ -126,8 +126,7 @@ def test_compare_calibration():
     states = []
     for _ in range(20):
         x = chol @ rng.standard_normal((3, 50000))
-        tr = AMPTrace(np.ones(50000), x, {}, "synthetic")
-        states.append(empirical_state(tr, max_power=4))
+        states.append(empirical_state(x, max_power=4))
     rep = aggregate_reports(states)
     kern = SEKernel((gam,), (1.0,), "orthogonal", 3)
     rows, ok = compare_empirical(kern, rep, threshold=4.0)
@@ -155,8 +154,7 @@ def test_aggregate_reports_block():
     states = []
     for _ in range(4):
         x = rng.standard_normal((2, 100))
-        tr = AMPTrace(np.ones(100), x, {}, "synthetic")
-        states.append(empirical_state(tr, block_labels=[0] * 50 + [1] * 50,
+        states.append(empirical_state(x, block_labels=[0] * 50 + [1] * 50,
                                       max_power=2))
     rep = aggregate_reports(states)
     assert {group for group, _, _, _ in rep} == {"all", "block0", "block1"}
@@ -487,8 +485,7 @@ def _synthetic_states(T, labels, seed, trials=5, n=400, state=empirical_state):
     states = []
     for _ in range(trials):
         x = np.cumsum(rng.standard_normal((T, n)), axis=0) * 0.7
-        states.append(state(AMPTrace(np.ones(n), x, {}, "synthetic"),
-                            block_labels=labels, max_power=4))
+        states.append(state(x, block_labels=labels, max_power=4))
     return states
 
 
