@@ -101,23 +101,37 @@ def _window_terms(w):
 
 
 @functools.lru_cache(maxsize=None)
-def _windows_program(windows, n):
+def _windows_program(windows, n, same):
     """The compiled program of onsager_b over the (s, t) windows, in order, on
     one n x n matrix, and the output index of each window.  A weight is the
-    product of f'_r over the absolute steps r its vertex covers, in order."""
+    product of f'_r over the absolute steps r its vertex covers, in order, with
+    step r read as step same[r]: steps of equal weights share every value built
+    from them."""
     outputs = tuple((True, tuple(
         (mu, q, verts, graphpoly._edge_keys(q)
-         + tuple(("weight",) + tuple(s + p for p in ps) for ps in positions))
+         + tuple(("weight",) + tuple(same[s + p] for p in ps) for ps in positions))
         for mu, q, verts, positions in _window_terms(t - s))) for s, t in windows)
     return graphpoly._compile(outputs, n), {win: k for k, win in enumerate(windows)}
 
 
-def _exact_program(n, T, threads=1):
-    """The windows program of an exact T-step trial at size n, and its window
-    index.  Raises BudgetError when `threads` trials at once, each the program's
-    peak bytes plus its 8 n^2-byte matrix, would exceed _MEMORY_BOUND."""
+def _same_weights(cfg):
+    """same[r]: the first step whose f' is the same constant as f'_r, or r when
+    f_r is nonlinear.  A constant f' evaluates to exactly its coefficient at
+    every finite x (0 * x + c), so those steps' weight vectors are bitwise equal."""
+    first, same = {}, []
+    for r, f in enumerate(cfg.nonlinearities[:cfg.T]):
+        fp = f.derivative().coeffs
+        same.append(first.setdefault(fp, r) if len(fp) == 1 else r)
+    return tuple(same)
+
+
+def _exact_program(n, cfg, threads=1):
+    """The windows program of cfg's exact trial at size n, and its window index.
+    Raises BudgetError when `threads` trials at once, each the program's peak
+    bytes plus its 8 n^2-byte matrix, would exceed _MEMORY_BOUND."""
+    T = cfg.T
     prog, index = _windows_program(tuple((s, t) for t in range(1, T + 1)
-                                         for s in range(t - 1)), n)
+                                         for s in range(t - 1)), n, _same_weights(cfg))
     need = threads * (prog.peak + 8 * n * n)
     if need > _MEMORY_BOUND:
         raise graphpoly.BudgetError("exact mode at n=%d, T=%d on %d thread(s) needs %.3g bytes, "
@@ -148,7 +162,7 @@ def onsager_b(a, fprime_vectors, s, t, _trial=None):
         a = graphpoly._as_matrix(a)
         fprime_vectors = {r: np.asarray(fprime_vectors[r], dtype=np.float64)
                           for r in range(s + 1, t)}
-        prog, index = _windows_program(((s, t),), len(a))
+        prog, index = _windows_program(((s, t),), len(a), tuple(range(t)))
         _trial = prog, index, [None] * prog.size
     prog, index, slots = _trial
     return graphpoly._execute(prog, index[(s, t)], slots, a, fprime_vectors)
@@ -200,7 +214,7 @@ def _memory_term(a, cfg):
     the row means of f'_s(x_s)."""
     if cfg.mode == "exact_treelike":
         a = graphpoly._as_matrix(a)
-        prog, index = _exact_program(len(a), cfg.T)
+        prog, index = _exact_program(len(a), cfg)
         # x_0 = 1 on one matrix makes every row the same trial: one run of the
         # program and one f'_0, f'_1, ... history, from row 0
         trial, hist = (prog, index, [None] * prog.size), []

@@ -172,18 +172,24 @@ def _setup(args):
     return cfg, master_seed, int(cfg.get("trials", 1)), outdir
 
 
+def _blocks(spec, trials, threads):
+    """The trial blocks of _trials: min(32, ceil(trials / threads)) trials each on
+    a deterministic kind's shared matrix, one trial each otherwise."""
+    size = min(32, -(-trials // threads)) if _is_deterministic(spec) else 1
+    return [range(b, min(b + size, trials)) for b in range(0, trials, size)]
+
+
 def _trials(spec, master_seed, trials, threads, work):
     """One result per trial: work(m, block) gives those of the trials in `block`,
-    a range, on their matrix m.  A deterministic kind is built once and shared
-    read-only (a work that writes into it raises), its trials in blocks of
-    min(32, ceil(trials / threads)); any other trial is a block of one, generated
-    over its worker thread's buffer.  Blocks run on `threads` worker threads."""
+    a range from _blocks, on their matrix m.  A deterministic kind is built once
+    and shared read-only (a work that writes into it raises); any other trial is
+    generated over its worker thread's buffer.  Blocks run on `threads` worker
+    threads."""
     fixed = None
     if _is_deterministic(spec):
         fixed = ensembles.generate(spec).values
         fixed.flags.writeable = False
-    size = min(32, -(-trials // threads)) if fixed is not None else 1
-    blocks = [range(b, min(b + size, trials)) for b in range(0, trials, size)]
+    blocks = _blocks(spec, trials, threads)
     local = threading.local()  # one n x n buffer per worker thread
 
     def one(block):
@@ -378,8 +384,10 @@ def cmd_amp(args):
     cfg, master_seed, trials, outdir = _setup(args)
     acfg = _amp_config_from(cfg)  # checked before any matrix is built
     spec = _ensemble_from_config(cfg)
-    if acfg.mode == "exact_treelike":  # the memory bound, before any matrix is built
-        amp_mod._exact_program(spec.n, acfg.T, args.threads)
+    if acfg.mode == "exact_treelike":  # the memory bound, before any matrix is built,
+        # for the blocks that can run at once
+        amp_mod._exact_program(spec.n, acfg,
+                               min(args.threads, len(_blocks(spec, trials, args.threads))))
     labels = _block_label_vector(spec)
 
     def work(m, block):  # in lockstep; trial t is keyed (its seed, stream t)

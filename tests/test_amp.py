@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from trafficamp import graphpoly as gp
 from trafficamp.amp import (AMPConfig, DivergenceError, empirical_state,
                             onsager_b, onsager_b_brute, run)
 from trafficamp.ensembles import (EnsembleSpec, block_labels, generate,
@@ -12,7 +13,7 @@ from trafficamp.gaussian import Polynomial
 from trafficamp.graphpoly import BudgetError
 
 from test_graphpoly import (_assert_each_step_runs_once, _count_engine_work,
-                            _legacy_eval_w)
+                            _legacy_eval_w, _steps)
 
 
 def _rand_sym(rng, n):
@@ -205,7 +206,7 @@ def test_exact_mode_budget_guard(monkeypatch):
         onsager_b(a, [None] * 9, 0, 8)
     # a library run checks its program's peak and matrix against the memory bound
     cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
-    need = amp._exact_program(32, 5)[0].peak + 8 * 32 ** 2
+    need = amp._exact_program(32, cfg)[0].peak + 8 * 32 ** 2
     monkeypatch.setattr(amp, "_MEMORY_BOUND", need)
     assert run(a, cfg).shape == (5, 32)
     monkeypatch.setattr(amp, "_MEMORY_BOUND", need // 2)
@@ -225,8 +226,8 @@ def _legacy_onsager_b(a, fprime_vectors, s, t, budget=None):
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     w = t - s
-    if not 1 <= w <= 5:
-        raise ValueError("window %d outside 1..5" % w)
+    if not 1 <= w <= 7:  # windows 6 and 7 run on this code as written
+        raise ValueError("window %d outside 1..7" % w)
     if w == 1:
         return np.diag(a).copy()
     cyc = cycle_diagram(w, rooted=True)
@@ -341,8 +342,13 @@ def test_exact_mode_caps():
     assert run(np.eye(257), cfg).shape == (1, 257)
 
 
-@pytest.mark.parametrize("T", [5, 7])
-def test_exact_trial_peak_is_the_program_estimate(T):
+_MIXED = ("identity", "cube_hermite", "square_centered", "identity", "cube_hermite",
+          "identity", "identity")
+
+
+@pytest.mark.parametrize("fs", [_MIXED[:5], _MIXED, ("identity",) * 7],
+                         ids=["5", "7", "7-identity"])
+def test_exact_trial_peak_is_the_program_estimate(fs):
     # the traced peak of one trial lies between the program's slot-liveness
     # estimate and that plus two n x n float64 arrays (kernel temporaries)
     import tracemalloc
@@ -350,9 +356,7 @@ def test_exact_trial_peak_is_the_program_estimate(T):
     from trafficamp import amp
     n = 128
     a = generate(EnsembleSpec("community", n, seed=3, q=4, inner="rom")).values
-    cfg = AMPConfig(nonlinearities=("identity", "cube_hermite", "square_centered",
-                                    "identity", "cube_hermite", "identity", "identity")[:T],
-                    T=T, mode="exact_treelike")
+    cfg = AMPConfig(nonlinearities=fs, T=len(fs), mode="exact_treelike")
     run(a, cfg)  # the program is compiled once per process
     tracemalloc.start()
     try:
@@ -360,7 +364,7 @@ def test_exact_trial_peak_is_the_program_estimate(T):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = amp._exact_program(n, T)[0].peak
+    estimate = amp._exact_program(n, cfg)[0].peak
     assert estimate <= peak <= estimate + 2 * 8 * n * n, (peak / (8 * n * n),
                                                            estimate / (8 * n * n))
 
@@ -368,7 +372,9 @@ def test_exact_trial_peak_is_the_program_estimate(T):
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
 def test_every_exact_window_meets_the_default_budget(n):
     from trafficamp import amp, graphpoly
-    prog = amp._exact_program(n, amp.EXACT_WINDOW_CAP)[0]
+    cfg = AMPConfig(nonlinearities=("cube_hermite",) * amp.EXACT_WINDOW_CAP,
+                    T=amp.EXACT_WINDOW_CAP, mode="exact_treelike")
+    prog = amp._exact_program(n, cfg)[0]
     worst = max(costs[-1] for window in prog.costs for costs in window)
     assert worst <= graphpoly._default_budget(n), worst / n ** 3
 
@@ -453,18 +459,83 @@ def test_treelike_concurrent_trials_match_legacy():
         assert x.tobytes() == _legacy_run_treelike(m, cfg).tobytes()
 
 
-def test_treelike_program_runs_every_step_once_per_trial(monkeypatch):
+def _assert_trial_runs_every_step_once(monkeypatch, cfg, steps):
     a = generate(EnsembleSpec("goe", 32, seed=9)).values
-    cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
     seen = _count_engine_work(monkeypatch)
     run(a, cfg)
     # one symmetry check and one program run per trial; its 10 windows of width
-    # >= 2 run in order and make 107 kernel calls, each result freed after its
-    # last use
-    _assert_each_step_runs_once(seen, 1, [107])
+    # >= 2 run in order and make `steps` kernel calls, each result freed after
+    # its last use
+    _assert_each_step_runs_once(seen, 1, [steps])
     seen.update(checks=0, kernels=0, runs=[])
     run(a, cfg, _keys(3))  # a block's rows are one trial
-    _assert_each_step_runs_once(seen, 1, [107])
+    _assert_each_step_runs_once(seen, 1, [steps])
+
+
+def test_treelike_program_runs_every_step_once_per_trial(monkeypatch):
+    _assert_trial_runs_every_step_once(monkeypatch, _exact_config(), 107)
+
+
+def test_treelike_program_shares_the_steps_of_equal_weights(monkeypatch):
+    # the identity steps have one weight, so their windows share kernel steps
+    cfg = AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike")
+    _assert_trial_runs_every_step_once(monkeypatch, cfg, 68)
+
+
+def _gemms(prog):
+    """The kernel calls of prog that multiply two n x n matrices."""
+    def gemm(kernel):
+        lhs, out = kernel.split("->")
+        ins = lhs.split(",")
+        return (len(ins) == 2 and all(len(i) == 2 for i in ins) and len(out) == 2
+                and bool(set(lhs) - {","} - set(out)))
+    return sum(ins[0] == gp._KERNEL and gemm(ins[2]) for code in prog.code for ins in code)
+
+
+@pytest.mark.parametrize("fs, same, steps, gemms", [
+    (("identity",) * 5, (0,) * 5, 68, 10),
+    (_exact_config().nonlinearities, (0, 1, 2, 0, 4), 107, 15),
+    (("cube_hermite",) * 5, (0, 1, 2, 3, 4), 107, 15),
+    (("identity", [0.5, 2], [0, 2], [1, 2], [0, 2]), (0, 1, 1, 1, 1), 68, 10),
+    (("identity", [0.5, 2], "cube_hermite", [0, 2], [3.0]), (0, 1, 2, 1, 4), 103, 14),
+    (("identity",) * 7, (0,) * 7, 720, 140),
+])
+def test_equal_weights_share_their_kernel_steps(fs, same, steps, gemms):
+    # a step whose f' is a constant reads the weight of the first step with the
+    # same constant; a nonlinear step keeps its own
+    from trafficamp import amp
+    cfg = AMPConfig(nonlinearities=fs, T=len(fs), mode="exact_treelike")
+    assert amp._same_weights(cfg) == same
+    prog = amp._exact_program(256, cfg)[0]
+    assert (_steps(prog), _gemms(prog)) == (steps, gemms)
+
+
+_SHARED_WEIGHTS = [
+    ("identity",) * 5,
+    ("identity",) * 7,
+    ("identity", [0.5, 2], [0, 2], [1, 2], [0, 2]),
+    ("identity", [0.5, 2], [0, 2], "identity", [1, 2]),
+    ("identity", [0.5], "identity", [2.0], [0.5]),
+    ("identity", "cube_hermite", "identity", "square_centered", "identity", "identity",
+     "cube_hermite"),
+]
+
+
+@pytest.mark.parametrize("kind", ["goe", "community", "hadamard"])
+def test_shared_weights_bytes_match_legacy(kind):
+    # the legacy runner keys no value by its weight, so it is the oracle for a
+    # program whose equal weights share kernel steps
+    n = 32
+    spec = {"goe": EnsembleSpec("goe", n, seed=11),
+            "community": EnsembleSpec("community", n, seed=11, q=4, inner="rom"),
+            "hadamard": EnsembleSpec("punctured", n, inner="hadamard")}[kind]
+    a = generate(spec).values
+    for fs in _SHARED_WEIGHTS:
+        cfg = AMPConfig(nonlinearities=fs, T=len(fs), mode="exact_treelike")
+        iters = _legacy_run_treelike(a, cfg).tobytes()
+        assert run(a, cfg).tobytes() == iters, fs
+        for new in run(a, cfg, _keys(3)):
+            assert new.tobytes() == iters, fs
 
 
 # ---------------------------------------------------------------------------

@@ -567,9 +567,10 @@ def test_amp_over_the_memory_bound_exits_3_before_building_a_matrix(tmp_path, mo
                                                                    capsys):
     # the bound holds the program peak plus the matrix of every trial run at once
     import trafficamp.amp as amp_mod
+    from trafficamp.cli import _amp_config_from
     calls = _record_generated_kinds(monkeypatch)
     cfg = _treelike_config(tmp_path)
-    need = amp_mod._exact_program(64, 5)[0].peak + 8 * 64 ** 2
+    need = amp_mod._exact_program(64, _amp_config_from(load_config(cfg)))[0].peak + 8 * 64 ** 2
     monkeypatch.setattr(amp_mod, "_MEMORY_BOUND", need + need // 2)
     assert run_cli("--threads", "2", "amp", "--config", cfg) == 3
     err = capsys.readouterr().err
@@ -577,6 +578,31 @@ def test_amp_over_the_memory_bound_exits_3_before_building_a_matrix(tmp_path, mo
     assert calls == []
     assert run_cli("--threads", "1", "amp", "--config", cfg, "--no-save-traces") == 0
     assert calls == ["community"] * 4
+
+
+@pytest.mark.parametrize("ensemble, trials, threads, workers", [
+    ({"kind": "community", "n": 64, "q": 4, "inner": "rom"}, 1, 2, 1),
+    ({"kind": "community", "n": 64, "q": 4, "inner": "rom"}, 2, 3, 2),
+    ({"kind": "punctured", "inner": "hadamard", "n": 64}, 4, 2, 2),
+    ({"kind": "punctured", "inner": "hadamard", "n": 64}, 5, 4, 3),  # blocks of 2
+    ({"kind": "punctured", "inner": "hadamard", "n": 64}, 40, 1, 1),
+])
+def test_amp_memory_bound_counts_only_the_blocks_that_run(tmp_path, monkeypatch, capsys,
+                                                          ensemble, trials, threads, workers):
+    # `threads` workers run at most one block each, so the bound holds the program
+    # peak and matrix of min(threads, blocks) trials, not of `threads`
+    import trafficamp.amp as amp_mod
+    from trafficamp.cli import _amp_config_from
+    cfg = _write_config(tmp_path, ensemble=ensemble, trials=trials,
+                        amp={"nonlinearities": ["identity"] * 5, "T": 5,
+                             "mode": "exact_treelike", "init": "ones"})
+    need = amp_mod._exact_program(64, _amp_config_from(load_config(cfg)))[0].peak + 8 * 64 ** 2
+    monkeypatch.setattr(amp_mod, "_MEMORY_BOUND", workers * need)
+    args = ("--threads", str(threads), "amp", "--config", cfg, "--no-save-traces")
+    assert run_cli(*args) == 0
+    monkeypatch.setattr(amp_mod, "_MEMORY_BOUND", workers * need - 1)
+    assert run_cli(*args) == 3
+    assert "on %d thread(s) needs" % workers in capsys.readouterr().err
 
 
 def _treelike_config(tmp_path, **amp):

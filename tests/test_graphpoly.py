@@ -660,9 +660,13 @@ def test_program_runs_each_step_once_and_frees_it(monkeypatch):
     # a memo engine held at most 11 kernel results at once on this catalog
     assert seen["peak"] <= 11
     seen.update(checks=0, kernels=0, peak=0, runs=[])
-    _exact_trial(a)
+    _exact_trial(a, ("identity", "cube_hermite", "square_centered", "identity", "cube_hermite"))
     _assert_each_step_runs_once(seen, 1, [107])
     assert seen["peak"] <= 30  # 30 for a memo engine on this trial
+    seen.update(checks=0, kernels=0, peak=0, runs=[])
+    _exact_trial(a)  # the identity steps share one weight
+    _assert_each_step_runs_once(seen, 1, [68])
+    assert seen["peak"] <= 24
 
 
 def test_pure_products_respelled_keep_their_bytes():
@@ -695,8 +699,8 @@ _ENGINE_REQUESTS = [(CATALOG[nm], basis) for nm in
                     for basis in "wz"]
 
 
-def _exact_trial(a):
-    run(a, AMPConfig(nonlinearities=("identity",) * 5, T=5, mode="exact_treelike"))
+def _exact_trial(a, fs=("identity",) * 5):
+    run(a, AMPConfig(nonlinearities=fs, T=5, mode="exact_treelike"))
 
 
 def test_built_plans_are_not_planned_again(monkeypatch):
