@@ -50,8 +50,9 @@ class EnsembleSpec:
         if self.kind == "hadamard" and self.n & (self.n - 1):
             raise ValueError("hadamard needs n a power of 2")
         if self.kind in ("block_goe", "community"):
-            if not self.q or self.n % self.q:
-                raise ValueError("block kinds need q dividing n")
+            if self.q is None or self.q < 1 or self.n % self.q:
+                raise ValueError("ensemble field 'q' must be a positive divisor of n, "
+                                 "not %r" % self.q)
         if self.kind == "community" and self.inner not in (None, "rom", "goe"):
             raise ValueError("ensemble field 'inner' must be 'rom' or 'goe', not %r" % self.inner)
         if self.entry_law not in ("normal", "rademacher"):

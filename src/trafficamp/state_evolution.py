@@ -1,13 +1,16 @@
 """Closed-form covariance recursions predicting AMP asymptotic states.
 
-Each variant builds a symmetric T x T kernel whose (s, t) entry is the
-limiting value of <x_s x_t>, with all Gaussian expectations evaluated exactly
-through the matching calculus in :mod:`trafficamp.gaussian`.  The variants run
-one column-by-column recursion and differ only in the entries of a column.
+One recursion, `_se_blocks`, builds a symmetric T x T kernel per latent block
+whose (s, t) entry is the limit of <x_s x_t> in that block: a weighted sum of
+the blocks' pair moments, plus a free-cumulant double sum for a block with a
+cumulant table, all Gaussian expectations exact through :mod:`trafficamp.gaussian`.
+The public variants se_orthogonal, se_punctured (centered), se_block_goe and
+se_community are presets of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +91,13 @@ def _law(gamma, T):
 
 def _pair_expectation(law, fa, a, fb, b):
     """E[fa(X_a) fb(X_b)] under the law; coordinates may coincide."""
-    if a == b:
-        prod = _poly_mul(fa, fb)
-        return poly_expectation({a: prod}, law)
-    return poly_expectation({a: fa, b: fb}, law)
-
-
-def _poly_mul(p, q):
-    out = [0.0] * (p.degree + q.degree + 1)
-    for i, c in enumerate(p.coeffs):
-        for j, d in enumerate(q.coeffs):
-            out[i + j] += c * d
-    return Polynomial(tuple(out))
+    if a != b:
+        return poly_expectation({a: fa, b: fb}, law)
+    prod = [0.0] * (fa.degree + fb.degree + 1)
+    for i, c in enumerate(fa.coeffs):
+        for j, d in enumerate(fb.coeffs):
+            prod[i + j] += c * d
+    return poly_expectation({a: Polynomial(tuple(prod))}, law)
 
 
 def _kappa_sum(kappa, fprime_mean, s, t, pair, skip=None):
@@ -124,62 +122,68 @@ def _kappa_sum(kappa, fprime_mean, s, t, pair, skip=None):
     return total
 
 
-def _kernels(T, weights, variant, column):
-    """The SEKernel of one T x T kernel per mixture weight, filled column by
-    column.  column(t, laws) yields, for s = 1..t, the (s, t) entries of all
-    kernels; laws[i] is the law of kernel i with columns 1..t-1 filled, the
-    only entries that column t reads."""
-    gammas = [np.zeros((T, T)) for _ in weights]
+def _se_blocks(fs, T, weights, coef, tables, variant, centered=False):
+    """The SEKernel of one T x T kernel per latent block r, with mixture weight
+    weights[r], filled column by column: Gamma_r[s,t] sums coef[r][c] times
+    E_c[F_{s-1} F_{t-1}] over blocks c, plus, when tables[r] is not None, its
+    _kappa_sum under law r without the (s-1, t-1) term.  E_c is under kernel c
+    with columns 1..t-1 filled, all that column t reads; F_t = f_t(X_t), or when
+    centered f_t(X_t) - E f_t(X_t) with F_0 = 1.  Zero coefficients are not
+    evaluated."""
+    blocks = range(len(weights))
+    used = [any(row[c] != 0.0 for row in coef) for c in blocks]
+    gammas = [np.zeros((T, T)) for _ in blocks]
+    fprime_mean, fmean = [{} for _ in blocks], [{} for _ in blocks]
+
+    def pair(c, sp, tp):  # E_c[F_sp F_tp] under the laws of the current column
+        if centered and 0 in (sp, tp):
+            return float(sp == tp)  # E[Fbar_t] = 0 by centering
+        raw = _pair_expectation(laws[c], fs[sp], sp, fs[tp], tp)
+        return raw - fmean[c][sp] * fmean[c][tp] if centered else raw
+
     for t in range(1, T + 1):
         laws = [_law(g, T) for g in gammas]
-        for s, entries in enumerate(column(t, laws), 1):
-            for g, x in zip(gammas, entries):
-                g[s - 1, t - 1] = g[t - 1, s - 1] = _finite(x, t)
+        for c in blocks if t >= 2 else ():
+            if tables[c] is not None:
+                fprime_mean[c][t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()},
+                                                         laws[c])
+            if centered:
+                fmean[c][t - 1] = poly_expectation({t - 1: fs[t - 1]}, laws[c])
+        for s in range(1, t + 1):
+            e = [pair(c, s - 1, t - 1) if used[c] else None for c in blocks]
+            for r in blocks:
+                x = sum(coef[r][c] * e[c] for c in blocks if coef[r][c] != 0.0)
+                if tables[r] is not None:
+                    x += _kappa_sum(tables[r], fprime_mean[r], s, t,
+                                    functools.partial(pair, r), skip=(s - 1, t - 1))
+                gammas[r][s - 1, t - 1] = gammas[r][t - 1, s - 1] = _finite(x, t)
     return SEKernel(tuple(gammas), weights, variant, T)
 
 
-def se_orthogonal(fs, kappa, T):
-    """Kernel for the scalar-kappa iteration on factorizing-cactus matrices.
+def _check(fs, T, kappa=None):
+    if len(fs) < T:
+        raise ValueError("need f_0..f_{T-1}")
+    if kappa is not None and len(kappa) < 2 * T:
+        raise ValueError("kappa table must cover order 2T")
 
-    Gamma[s,t] sums kappa_{s-s'+t-t'} times interior mean-derivative products
-    times E[f_{s'}(X_{s'}) f_{t'}(X_{t'})], all under the partially built
-    kernel with X_0 = 1.
-    """
-    return _se_scalar([named_polynomial(f) for f in fs], kappa, T, "orthogonal")
+
+def se_orthogonal(fs, kappa, T):
+    """Kernel for the scalar-kappa iteration on factorizing-cactus matrices: the
+    kappa double sum over (s', t') under the partially built kernel with X_0 = 1,
+    as one block whose coefficient kappa_2 carries its (s-1, t-1) term."""
+    fs = [named_polynomial(f) for f in fs]
+    _check(fs, T, kappa)
+    return _se_blocks(fs, T, (1.0,), [[kappa[2]]], (kappa,), "orthogonal")
 
 
 def se_punctured(fs, kappa, T):
-    """Punctured variant: same recursion with centered factors
+    """Punctured variant: se_orthogonal with centered factors
     Fbar_t = f_t(X_t) - E f_t(X_t) and Fbar_0 = 1."""
     fs = [named_polynomial(f) for f in fs]
     if fs[0].coeffs != (0.0, 1.0):
         raise ValueError("punctured state evolution requires f_0(x) = x")
-    return _se_scalar(fs, kappa, T, "punctured")
-
-
-def _se_scalar(fs, kappa, T, variant):
-    if len(fs) < T:
-        raise ValueError("need f_0..f_{T-1}")
-    if len(kappa) < 2 * T:
-        raise ValueError("kappa table must cover order 2T")
-    centered = variant == "punctured"
-    fprime_mean, fmean = {}, {}
-
-    def column(t, laws):
-        lw = laws[0]
-        if t - 1 >= 1:
-            fprime_mean[t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()}, lw)
-            if centered:
-                fmean[t - 1] = poly_expectation({t - 1: fs[t - 1]}, lw)
-
-        def pair(sp, tp):  # E[Fbar_sp Fbar_tp] when centered, with Fbar_0 = 1
-            if centered and 0 in (sp, tp):
-                return float(sp == tp)  # E[Fbar_t] = 0 by centering
-            raw = _pair_expectation(lw, fs[sp], sp, fs[tp], tp)
-            return raw - fmean[sp] * fmean[tp] if centered else raw
-        return ((_kappa_sum(kappa, fprime_mean, s, t, pair),) for s in range(1, t + 1))
-
-    return _kernels(T, (1.0,), variant, column)
+    _check(fs, T, kappa)
+    return _se_blocks(fs, T, (1.0,), [[kappa[2]]], (kappa,), "punctured", centered=True)
 
 
 def se_block_goe(fs, sigma, q, T):
@@ -197,46 +201,21 @@ def se_block_goe(fs, sigma, q, T):
         raise ValueError("sigma must be symmetric q x q")
     if np.any(sigma < 0):
         raise ValueError("sigma entries must be nonnegative")
-    if len(fs) < T:
-        raise ValueError("need f_0..f_{T-1}")
-
-    def column(t, laws):
-        for s in range(1, t + 1):
-            e = [_pair_expectation(lw, fs[s - 1], s - 1, fs[t - 1], t - 1) for lw in laws]
-            yield [sum(sigma[r, c] / q * e[c] for c in range(q) if sigma[r, c] != 0.0)
-                   for r in range(q)]
-
-    return _kernels(T, (1.0 / q,) * q, "block_goe", column)
+    _check(fs, T)
+    return _se_blocks(fs, T, (1.0 / q,) * q, sigma / q, (None,) * q, "block_goe")
 
 
 def se_community(fs, kappa_inner, q, T):
-    """Kernels for the community model: Gamma_0 (outside) takes mixture pair
-    moments; Gamma_1 (inside) adds the inner-cumulant double sum excluding
-    the (s-1, t-1) term."""
+    """Kernels for the community model: Gamma_0 (outside) and Gamma_1 (inside)
+    both take the mixture pair moments, and Gamma_1 adds the inner-cumulant
+    double sum."""
     fs = [named_polynomial(f) for f in fs]
-    if len(fs) < T:
-        raise ValueError("need f_0..f_{T-1}")
+    _check(fs, T)
     if abs(kappa_inner[2] - 1.0 / q) > 1e-12:
         raise ValueError("community model requires inner kappa_2 = 1/q")
-    if len(kappa_inner) < 2 * T:
-        raise ValueError("kappa table must cover order 2T")
-    w0, w1 = 1.0 - 1.0 / q, 1.0 / q
-    fprime_mean1 = {}
-
-    def column(t, laws):
-        lw0, lw1 = laws
-        if t - 1 >= 1:
-            fprime_mean1[t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()}, lw1)
-
-        def pair1(sp, tp):
-            return _pair_expectation(lw1, fs[sp], sp, fs[tp], tp)
-        for s in range(1, t + 1):
-            mix = (w0 * _pair_expectation(lw0, fs[s - 1], s - 1, fs[t - 1], t - 1)
-                   + w1 * pair1(s - 1, t - 1))
-            yield mix, mix + _kappa_sum(kappa_inner, fprime_mean1, s, t, pair1,
-                                        skip=(s - 1, t - 1))
-
-    return _kernels(T, (w0, w1), "community", column)
+    _check(fs, T, kappa_inner)
+    w = (1.0 - 1.0 / q, 1.0 / q)
+    return _se_blocks(fs, T, w, (w, w), (None, kappa_inner), "community")
 
 
 # ---------------------------------------------------------------------------

@@ -914,6 +914,16 @@ def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message)
     assert errors[0] == errors[1]
 
 
+def test_se_on_a_one_entry_kappa_table_is_a_usage_error(tmp_path, capsys):
+    # the table's length is checked before kappa_2 is read: exit 2, not an IndexError
+    cfg = _write_config(tmp_path, amp={
+        "nonlinearities": ["identity"], "T": 1, "mode": "scalar_kappa", "init": "ones",
+        "kappa": {"tag": "cumulants", "values": [0.0]}})
+    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 2
+    assert "kappa table must cover order 2T" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_se_reads_no_memory_bound(tmp_path):
     # the SE kernel depends on neither n nor the host: an exact config at any n
     cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 2048}, amp={
@@ -1041,6 +1051,32 @@ def test_ensemble_fields_the_kind_does_not_read_are_usage_errors(tmp_path, capsy
                  ["traffic"]):
         assert run_cli(*argv, "--config", cfg) == 2, argv
         assert "ensemble field %r" % field in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("ensemble, mode", [
+    ({"kind": "community", "n": 8, "q": -2}, "exact_treelike"),
+    ({"kind": "block_goe", "n": 8, "q": -2, "sigma": [1.0, 0.5, 0.5, 1.0]}, "block_goe"),
+    ({"kind": "block_goe", "n": 8, "q": -2, "sigma": [1.0, 0.5, 0.5, 1.0]},
+     "exact_treelike"),
+    ({"kind": "community", "n": 8, "q": 0}, "exact_treelike"),
+    ({"kind": "community", "n": 8, "q": 3}, "exact_treelike"),
+])
+def test_block_kinds_need_a_positive_q_dividing_n(tmp_path, monkeypatch, capsys,
+                                                  ensemble, mode):
+    calls = _record_generated_kinds(monkeypatch)
+    message = "ensemble field 'q' must be a positive divisor of n, not %d" % ensemble["q"]
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp={
+        "nonlinearities": ["identity"] * 2, "T": 2, "mode": mode})
+    for argv in (["amp", "--no-save-traces"], ["se", "--out", str(tmp_path / "k.json")]):
+        assert run_cli(*argv, "--config", cfg) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    gen = ["gen", "--kind", ensemble["kind"], "--n", "8", "--q", str(ensemble["q"]),
+           "--out", str(tmp_path / "m.tamp")]
+    if "sigma" in ensemble:
+        gen += ["--sigma", ",".join(map(str, ensemble["sigma"]))]
+    assert run_cli(*gen) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "m.tamp").exists()
 
 
 @pytest.mark.parametrize("sigma", [None, [1.0], [1.0, 0.5, 0.5, 1.0, 0.0]])

@@ -5,7 +5,8 @@ So is every public method, property or dataclass field of a public class, as
 an attribute (`obj.member`, and a classmethod as `Class.member`), and every
 optional parameter of a public function is passed by some package call, or is
 listed.  Every function whose spans benchmark/tracer.py
-reads by name is a public function of its layer, or is listed."""
+reads by name is a public function of its layer, or is listed, and the SE
+kernel functions it reads reach no other public state_evolution function."""
 
 import ast
 import pathlib
@@ -176,12 +177,18 @@ def test_every_optional_parameter_is_passed_by_the_package_or_allowed():
     assert sorted(p for p in ALLOWED_PARAMS if p not in unpassed) == []
 
 
+def _tracer():
+    """benchmark/tracer.py's tree, and the value node of each of its top-level
+    assignments by name."""
+    tree = ast.parse((ROOT / "benchmark" / "tracer.py").read_text())
+    return tree, {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)}
+
+
 def _traced_names():
     """The "<layer>.<function>" strings of benchmark/tracer.py that are not the
     names of its PER_LAYER metrics: the spans that its metrics read."""
-    tree = ast.parse((ROOT / "benchmark" / "tracer.py").read_text())
-    values = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
-              for t in node.targets if isinstance(t, ast.Name)}
+    tree, values = _tracer()
     layers = ast.literal_eval(values["LAYERS"])
     metrics = {name for name, _, _ in ast.literal_eval(values["PER_LAYER"])}
     return {node.value for node in ast.walk(tree)
@@ -197,3 +204,26 @@ def test_every_function_the_tracer_reads_is_a_public_function_of_its_layer():
     traced = _traced_names()
     assert "amp.empirical_state" in traced and "cli.write_csv" in traced
     assert sorted(name for name in traced if name not in functions) == sorted(ALLOWED_TRACED)
+
+
+def test_the_se_kernel_spans_reach_no_other_state_evolution_span():
+    # the tracer sums state_evolution.se.self_s over the spans of SE_KERNELS by
+    # name; a public function that one of them reaches, directly or through
+    # private functions, would get a span of its own and take its time out of
+    # that metric, as a public recursion behind the presets would
+    kernels = ast.literal_eval(_tracer()[1]["SE_KERNELS"])
+    tree = dict(_trees())["state_evolution"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert kernels and all(name.startswith("state_evolution.") for name in kernels)
+    for kernel in kernels:
+        root = kernel.split(".", 1)[1]
+        assert root in functions and not root.startswith("_"), kernel
+        reached, todo = set(), [root]
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                name = getattr(node, "id", None)
+                if name in functions and name != root and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+        assert sorted(n for n in reached if not n.startswith("_")) == [], kernel
+        assert "_se_blocks" in reached, kernel

@@ -186,8 +186,10 @@ def test_se_divergence_in_other_variants(variant, t):
 
 # ---------------------------------------------------------------------------
 # byte oracles: the four recursions, the comparison and the aggregation as
-# they were before every variant ran through _kernels and every report group
-# through one loop
+# they were before every variant became a preset of the one latent-block
+# recursion _se_blocks and every report group ran through one loop; the
+# public presets are compared against them, failing inputs included (the same
+# error type and message, from checks made in the same order)
 # ---------------------------------------------------------------------------
 
 def _legacy_se_orthogonal(fs, kappa, T):
@@ -432,14 +434,28 @@ TABLES = [named_table("goe", 10), named_table("rom", 10), _random_table(0),
           _random_table(1), _random_table(2)]
 
 
+def _short_fs(fs, T):
+    """fs, and from T = 2 on fs without f_{T-1}, too short for T steps."""
+    return [fs] + ([fs[:T - 1]] if T > 1 else [])
+
+
 @pytest.mark.parametrize("fs", FS_GRID)
 def test_scalar_kernels_match_legacy_bytes(fs):
     for T in range(1, 6):
-        for kappa in TABLES:
-            for new, old in ((se_orthogonal, _legacy_se_orthogonal),
-                             (se_punctured, _legacy_se_punctured)):
-                want = _kernel_bytes(old, fs, kappa, T)
-                assert _kernel_bytes(new, fs, kappa, T) == want, (new.__name__, T)
+        # two tables too short for T steps: 2T - 1 orders, and one entry
+        short = [named_table("rom", 2 * T - 1), CumulantTable((1.0,), "cumulants")]
+        for kappa in TABLES + short:
+            for fs_t in _short_fs(fs, T):
+                for new, old in ((se_orthogonal, _legacy_se_orthogonal),
+                                 (se_punctured, _legacy_se_punctured)):
+                    want = _kernel_bytes(old, fs_t, kappa, T)
+                    assert _kernel_bytes(new, fs_t, kappa, T) == want, (new.__name__, T)
+    # f_0 = x against f_0 != x for the punctured check, before the length checks
+    for f0 in ("identity", "cube_hermite", [0.0, 1.0, 0.0], [0.1, 1.0]):
+        for kappa in (named_table("rom", 10), CumulantTable((1.0,), "cumulants")):
+            args = ([f0] + fs[1:2], kappa, 3)
+            assert (_kernel_bytes(se_punctured, *args)
+                    == _kernel_bytes(_legacy_se_punctured, *args)), f0
 
 
 def _block_sigmas():
@@ -452,12 +468,18 @@ def _block_sigmas():
             (3, np.diag([0.5, 0.0, 2.0]))]
 
 
+# sigmas each preset check rejects: not symmetric, a negative entry, the wrong shape
+BAD_SIGMAS = [(2, [[1.0, 0.5], [0.4, 1.0]]), (2, [[1.0, -0.5], [-0.5, 1.0]]),
+              (2, [[1.0]]), (3, np.eye(2)), (1, [[-1.0]]), (2, [1.0, 0.5, 0.5, 1.0])]
+
+
 @pytest.mark.parametrize("fs", FS_GRID)
 def test_block_goe_kernels_match_legacy_bytes(fs):
-    for q, sigma in _block_sigmas():
+    for q, sigma in _block_sigmas() + BAD_SIGMAS:
         for T in range(1, 6):
-            assert (_kernel_bytes(se_block_goe, fs, sigma, q, T)
-                    == _kernel_bytes(_legacy_se_block_goe, fs, sigma, q, T)), (q, T)
+            for fs_t in _short_fs(fs, T):
+                assert (_kernel_bytes(se_block_goe, fs_t, sigma, q, T)
+                        == _kernel_bytes(_legacy_se_block_goe, fs_t, sigma, q, T)), (q, T)
 
 
 @pytest.mark.parametrize("fs", FS_GRID)
@@ -465,9 +487,15 @@ def test_community_kernels_match_legacy_bytes(fs):
     for q in (2, 4):
         for inner in ("rom", "goe"):
             for T in range(1, 6):
-                kin = community_kappa_table(q, inner, length=max(8, 2 * T))
-                assert (_kernel_bytes(se_community, fs, kin, q, T)
-                        == _kernel_bytes(_legacy_se_community, fs, kin, q, T)), (q, T)
+                # kappa_2 = 1/q, and 1/q' for another q'; from T = 2 on, each
+                # also with 2T - 1 orders, too few
+                lengths = [max(8, 2 * T)] + ([2 * T - 1] if T > 1 else [])
+                tables = [community_kappa_table(p, inner, length=k)
+                          for k in lengths for p in (q, 6 - q)]
+                for kin in tables:
+                    for fs_t in _short_fs(fs, T):
+                        assert (_kernel_bytes(se_community, fs_t, kin, q, T)
+                                == _kernel_bytes(_legacy_se_community, fs_t, kin, q, T)), (q, T)
 
 
 def _flatten(nested):
