@@ -119,10 +119,12 @@ def _ensemble_from_config(cfg, n=None):
 
 
 def _amp_config_from(cfg):
+    """The AMPConfig of cfg's amp section, whose kappa table, if any, reaches order
+    2T, all that its SE kernel reads.  A named table is built to max(8, 2T)."""
     a = dict(cfg["amp"])
     kappa = a.get("kappa")
-    if isinstance(kappa, str):
-        kappa = named_table(kappa)
+    if isinstance(kappa, str):  # of order at most 2 len(fs): a T past len(fs) is rejected
+        kappa = named_table(kappa, max(8, 2 * min(len(a["nonlinearities"]), int(a["T"]))))
     elif kappa is not None:
         for key in kappa:
             if key not in ("tag", "values"):
@@ -131,9 +133,12 @@ def _amp_config_from(cfg):
             kappa = CumulantTable.from_json(kappa)
         except KeyError as exc:
             raise ValueError("config key 'kappa' in section 'amp' has no key %s" % exc)
-    return amp_mod.AMPConfig(
+    acfg = amp_mod.AMPConfig(
         nonlinearities=tuple(a["nonlinearities"]), T=int(a["T"]),
         mode=a.get("mode", "scalar_kappa"), kappa=kappa, init=a.get("init", "ones"))
+    if kappa is not None and len(kappa) < 2 * acfg.T:
+        raise ValueError("kappa table must cover order 2T")
+    return acfg
 
 
 def _law(spec):
@@ -445,14 +450,12 @@ def build_kernel(cfg):
     `amp` reads, so `se` rejects every config that `amp` rejects."""
     acfg, spec = _amp_config_from(cfg), _ensemble_from_config(cfg)
     fs, T = acfg.nonlinearities, acfg.T
-    if acfg.init != "ones" and acfg.mode != "punctured_kappa":  # the others start at x_0 = 1
-        raise ValueError("no SE preset for init %r in %s mode" % (acfg.init, acfg.mode))
     if acfg.mode == "scalar_kappa":
-        return se_mod.se_orthogonal(fs, acfg.kappa, T)
+        return se_mod.se_orthogonal(fs, acfg.kappa, T, acfg.init)
     if acfg.mode == "punctured_kappa":
         return se_mod.se_punctured(fs, acfg.kappa, T)
     if spec.kind == "block_goe":  # block_goe or exact_treelike mode
-        return se_mod.se_block_goe(fs, spec.sigma_matrix(), spec.q, T)
+        return se_mod.se_block_goe(fs, spec.sigma_matrix(), spec.q, T, acfg.init)
     if acfg.mode == "block_goe":
         raise ValueError("no SE preset for block_goe mode on %r" % spec.kind)
     if spec.kind == "community":  # exact_treelike from here on

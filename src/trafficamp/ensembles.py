@@ -8,7 +8,6 @@ regardless of generation order or thread count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -90,8 +89,6 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         return cls(kind=obj["kind"], n=int(obj["n"]), seed=int(obj.get("seed", 0)),
                    entry_law=obj.get("entry_law", "normal"),
                    inner=obj.get("inner"), q=obj.get("q"),

@@ -4,7 +4,8 @@ One recursion, `_se_blocks`, builds a symmetric T x T kernel per latent block
 whose (s, t) entry is the limit of <x_s x_t> in that block: a weighted sum of
 the blocks' pair moments, plus a free-cumulant double sum for a block with a
 cumulant table, all Gaussian expectations exact through :mod:`trafficamp.gaussian`.
-The public variants se_orthogonal, se_punctured (centered), se_block_goe and
+Its one law, `_law`, takes the AMP start X_0: 1, or N(0, 1) independent of the
+iterates.  se_orthogonal, se_punctured (centered), se_block_goe and
 se_community are presets of it.
 """
 
@@ -79,14 +80,14 @@ class SEKernel:
         return cls(gammas, tuple(obj["weights"]), obj["variant"], T)
 
 
-def _law(gamma, T):
-    """Gaussian law on coordinates 0..T: X_0 = 1 deterministic, X_1..X_T
+def _law(gamma, T, init="ones"):
+    """Gaussian law on coordinates 0..T: the start X_0, which is 1 for init
+    "ones" and N(0, 1) independent of the rest for init "gaussian", and X_1..X_T
     centered with the given covariance (entries beyond the filled block 0)."""
+    ones = {"ones": True, "gaussian": False}[init]
     cov = np.zeros((T + 1, T + 1))
-    cov[1:, 1:] = gamma
-    mean = np.zeros(T + 1)
-    mean[0] = 1.0
-    return GaussianLaw(cov, mean=mean, deterministic=[True] + [False] * T)
+    cov[0, 0], cov[1:, 1:] = float(not ones), gamma
+    return GaussianLaw(cov, mean=[float(ones)] + [0.0] * T, deterministic=[ones] + [False] * T)
 
 
 def _pair_expectation(law, fa, a, fb, b):
@@ -122,29 +123,27 @@ def _kappa_sum(kappa, fprime_mean, s, t, pair, skip=None):
     return total
 
 
-def _se_blocks(fs, T, weights, coef, tables, variant, centered=False):
+def _se_blocks(fs, T, weights, coef, tables, variant, init, centered=False):
     """The SEKernel of one T x T kernel per latent block r, with mixture weight
     weights[r], filled column by column: Gamma_r[s,t] sums coef[r][c] times
     E_c[F_{s-1} F_{t-1}] over blocks c, plus, when tables[r] is not None, its
     _kappa_sum under law r without the (s-1, t-1) term.  E_c is under kernel c
-    with columns 1..t-1 filled, all that column t reads; F_t = f_t(X_t), or when
-    centered f_t(X_t) - E f_t(X_t) with F_0 = 1.  Zero coefficients are not
-    evaluated."""
+    with columns 1..t-1 filled, all that column t reads, and the start `init`;
+    F_t = f_t(X_t), or when centered f_t(X_t) - E f_t(X_t).  Zero coefficients
+    are not evaluated."""
     blocks = range(len(weights))
     used = [any(row[c] != 0.0 for row in coef) for c in blocks]
     gammas = [np.zeros((T, T)) for _ in blocks]
     fprime_mean, fmean = [{} for _ in blocks], [{} for _ in blocks]
 
     def pair(c, sp, tp):  # E_c[F_sp F_tp] under the laws of the current column
-        if centered and 0 in (sp, tp):
-            return float(sp == tp)  # E[Fbar_t] = 0 by centering
         raw = _pair_expectation(laws[c], fs[sp], sp, fs[tp], tp)
         return raw - fmean[c][sp] * fmean[c][tp] if centered else raw
 
     for t in range(1, T + 1):
-        laws = [_law(g, T) for g in gammas]
-        for c in blocks if t >= 2 else ():
-            if tables[c] is not None:
+        laws = [_law(g, T, init) for g in gammas]
+        for c in blocks:
+            if tables[c] is not None and t >= 2:
                 fprime_mean[c][t - 1] = poly_expectation({t - 1: fs[t - 1].derivative()},
                                                          laws[c])
             if centered:
@@ -167,26 +166,27 @@ def _check(fs, T, kappa=None):
         raise ValueError("kappa table must cover order 2T")
 
 
-def se_orthogonal(fs, kappa, T):
+def se_orthogonal(fs, kappa, T, init="ones"):
     """Kernel for the scalar-kappa iteration on factorizing-cactus matrices: the
-    kappa double sum over (s', t') under the partially built kernel with X_0 = 1,
-    as one block whose coefficient kappa_2 carries its (s-1, t-1) term."""
+    kappa double sum over (s', t') under the partially built kernel with the
+    start X_0 of `init`, as one block whose coefficient kappa_2 carries its
+    (s-1, t-1) term."""
     fs = [named_polynomial(f) for f in fs]
     _check(fs, T, kappa)
-    return _se_blocks(fs, T, (1.0,), [[kappa[2]]], (kappa,), "orthogonal")
+    return _se_blocks(fs, T, (1.0,), [[kappa[2]]], (kappa,), "orthogonal", init)
 
 
 def se_punctured(fs, kappa, T):
-    """Punctured variant: se_orthogonal with centered factors
-    Fbar_t = f_t(X_t) - E f_t(X_t) and Fbar_0 = 1."""
+    """Punctured variant: se_orthogonal from the Gaussian start with centered
+    factors Fbar_t = f_t(X_t) - E f_t(X_t); f_0(x) = x makes Fbar_0 = X_0."""
     fs = [named_polynomial(f) for f in fs]
     if fs[0].coeffs != (0.0, 1.0):
         raise ValueError("punctured state evolution requires f_0(x) = x")
     _check(fs, T, kappa)
-    return _se_blocks(fs, T, (1.0,), [[kappa[2]]], (kappa,), "punctured", centered=True)
+    return _se_blocks(fs, T, (1.0,), [[kappa[2]]], (kappa,), "punctured", "gaussian", True)
 
 
-def se_block_goe(fs, sigma, q, T):
+def se_block_goe(fs, sigma, q, T, init="ones"):
     """Kernel family for the block GOE model, one kernel per block row, with
     uniform mixture weights.
 
@@ -202,7 +202,7 @@ def se_block_goe(fs, sigma, q, T):
     if np.any(sigma < 0):
         raise ValueError("sigma entries must be nonnegative")
     _check(fs, T)
-    return _se_blocks(fs, T, (1.0 / q,) * q, sigma / q, (None,) * q, "block_goe")
+    return _se_blocks(fs, T, (1.0 / q,) * q, sigma / q, (None,) * q, "block_goe", init)
 
 
 def se_community(fs, kappa_inner, q, T):
@@ -215,7 +215,7 @@ def se_community(fs, kappa_inner, q, T):
         raise ValueError("community model requires inner kappa_2 = 1/q")
     _check(fs, T, kappa_inner)
     w = (1.0 - 1.0 / q, 1.0 / q)
-    return _se_blocks(fs, T, w, (w, w), (None, kappa_inner), "community")
+    return _se_blocks(fs, T, w, (w, w), (None, kappa_inner), "community", "ones")
 
 
 # ---------------------------------------------------------------------------

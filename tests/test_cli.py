@@ -898,6 +898,9 @@ def test_amp_writes_moments_that_read_back_as_aggregated(tmp_path, monkeypatch, 
     ({"mode": "block_goe", "kappa": {"tag": "cumulants", "values": [0.0, 1.0]},
       "ensemble": {"kind": "block_goe", "n": 32, "q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]}},
      "block_goe mode does not read kappa"),
+    ({"kappa": {"tag": "cumulants", "values": [0.0, 1.0, 0.0]}},
+     "kappa table must cover order 2T"),
+    ({"T": 10 ** 9}, "need f_0..f_{T-1}"),  # before any table of order 2T is built
 ])
 def test_se_and_amp_reject_the_same_amp_sections(tmp_path, capsys, amp, message):
     base = {"nonlinearities": ["identity", "identity"], "T": 2,
@@ -931,19 +934,77 @@ def test_se_reads_no_memory_bound(tmp_path):
     assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0
 
 
-@pytest.mark.parametrize("ensemble, amp", [
-    ({"kind": "goe", "n": 64}, {"mode": "scalar_kappa", "kappa": "goe"}),
+@pytest.mark.parametrize("ensemble, amp, gamma", [
+    ({"kind": "goe", "n": 64}, {"mode": "scalar_kappa", "kappa": "goe"}, [2.0, 0.0, 0.0, 2.0]),
     ({"kind": "block_goe", "n": 64, "q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]},
-     {"mode": "block_goe"})], ids=["scalar_kappa", "block_goe"])
-def test_se_rejects_gaussian_init_outside_punctured_mode(tmp_path, capsys, ensemble, amp):
-    # every SE variant but the punctured one starts from x_0 = 1; `amp` runs the config
+     {"mode": "block_goe"}, [1.5, 0.0, 0.0, 1.125])], ids=["scalar_kappa", "block_goe"])
+def test_se_predicts_a_gaussian_start_outside_punctured_mode(tmp_path, ensemble, amp, gamma):
+    # f_0 = x^2 - 1 from X_0 ~ N(0, 1) gives E f_0^2 = 2; from x_0 = 1 it is 0
     cfg = _write_config(tmp_path, ensemble=ensemble, amp=dict(
         amp, nonlinearities=["square_centered", "identity"], T=2, init="gaussian"))
-    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 2
-    assert ("no SE preset for init 'gaussian' in %s mode" % amp["mode"]
-            in capsys.readouterr().err)
-    assert not (tmp_path / "k.json").exists()
     assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0
+    kernel = json.loads((tmp_path / "k.json").read_text())
+    assert kernel["gammas"] == [gamma] * len(kernel["weights"])
+
+
+@pytest.mark.parametrize("mode", ["scalar_kappa", "punctured_kappa", "block_goe"])
+@pytest.mark.parametrize("init", ["ones", "gaussian"])
+def test_se_predicts_every_scalar_and_block_config_that_amp_runs(tmp_path, mode, init):
+    # every kind in the scalar modes, which read no kind; block_goe mode's SE
+    # preset is for the block_goe kind
+    kinds = ["block_goe"] if mode == "block_goe" else ensembles.KINDS
+    ran = []
+    for kind in kinds:
+        cfg = _write_config(
+            tmp_path, ensemble={"kind": kind, "n": 64, **KIND_FIELDS.get(kind, {})},
+            amp={"nonlinearities": ["identity", "square_centered", "cube_hermite"], "T": 3,
+                 "mode": mode, "init": init, **({} if mode == "block_goe" else {"kappa": "rom"})},
+            trials=2)
+        if run_cli("amp", "--config", cfg, "--no-save-traces") == 0:
+            ran.append(kind)
+            assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0, kind
+    # AMPConfig rejects only a punctured run from x_0 = 1
+    assert ran == ([] if (mode, init) == ("punctured_kappa", "ones") else list(kinds))
+
+
+@pytest.mark.parametrize("kappa", ["goe", "rom"])
+def test_named_kappa_tables_reach_order_2T(tmp_path, kappa):
+    # a named table is built to order 2T when that is past its default 8
+    cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 64}, trials=2, amp={
+        "nonlinearities": ["identity"] * 5, "T": 5, "mode": "scalar_kappa", "kappa": kappa,
+        "init": "ones"})
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 0
+
+
+@pytest.mark.parametrize("ensemble, amp, seed", [
+    ({"kind": "goe", "n": 1024},
+     {"nonlinearities": [[0.0, 1.0, 0.3], "relu_poly3", [0.0, 0.7, 0.2], [0.0, 0.5, 0.0, 0.1]],
+      "T": 4, "mode": "scalar_kappa", "kappa": "goe"}, 11),
+    ({"kind": "block_goe", "n": 2048, "q": 2, "sigma": [1.0, 0.5, 0.5, 1.0]},
+     {"nonlinearities": ["square_centered", "identity", "square_centered"], "T": 3,
+      "mode": "block_goe"}, 14)], ids=["goe", "block_goe"])
+def test_gaussian_start_passes_compare_and_fails_against_the_ones_kernel(
+        tmp_path, capsys, ensemble, amp, seed):
+    # amp -> se -> compare from x_0 ~ N(0, 1); the kernel from x_0 = 1 is the
+    # negative control on the same moments
+    cfg = _write_config(tmp_path, ensemble=ensemble, amp=dict(amp, init="gaussian"),
+                        trials=20, master_seed=seed)
+    moments = str(tmp_path / "out" / "moments.csv")
+    assert run_cli("--threads", "2", "amp", "--config", cfg, "--no-save-traces") == 0
+    verdicts = []
+    for init, code in (("gaussian", 0), ("ones", 1)):
+        sub = tmp_path / init
+        sub.mkdir()
+        kcfg = _write_config(sub, ensemble=ensemble, amp=dict(amp, init=init))
+        assert run_cli("se", "--config", kcfg, "--out", str(sub / "kernel.json")) == 0
+        capsys.readouterr()
+        assert run_cli("compare", "--kernel", str(sub / "kernel.json"), "--threshold", "4",
+                       "--moments", moments, "--out", str(sub / "verdict.csv")) == code
+        verdicts.append(capsys.readouterr().out)
+    assert "; PASS (worst z" in verdicts[0]
+    assert "; FAIL (worst z" in verdicts[1]
 
 
 @pytest.mark.parametrize("command", ["traffic", "cactus-audit"])

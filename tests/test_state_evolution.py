@@ -149,6 +149,18 @@ def test_recursion_well_founded():
     assert np.allclose(p4.gammas[0][:3, :3], p3.gammas[0], atol=1e-12)
 
 
+def test_gaussian_start_closed_forms():
+    # f_0 = x^2 - 1 from X_0 ~ N(0, 1): E f_0^2 = 2 and E f_0 = 0, so the second
+    # column reads only f_1 = x; from X_0 = 1, f_0 = 0 and every entry is 0
+    fs, sigma = ["square_centered", "identity"], [[1.0, 0.5], [0.5, 1.0]]
+    goe = se_orthogonal(fs, named_table("goe"), 2, "gaussian")
+    assert goe.gammas[0].tolist() == [[2.0, 0.0], [0.0, 2.0]]
+    assert [g.tolist() for g in se_block_goe(fs, sigma, 2, 2, "gaussian").gammas] == (
+        [[[1.5, 0.0], [0.0, 1.125]]] * 2)
+    assert not se_orthogonal(fs, named_table("goe"), 2).gammas[0].any()
+    assert not any(g.any() for g in se_block_goe(fs, sigma, 2, 2).gammas)
+
+
 def test_aggregate_reports_block():
     rng = np.random.default_rng(1)
     states = []
