@@ -249,18 +249,10 @@ def _analytic_targets(spec, d):
     law = _law(spec)[2]
     if law is None:
         return None, None
-    kappa, moments = (named_table(name) for name in law)
+    kappa, moments = (named_table(name, max(1, d.edge_count)) for name in law)
     cls = classify(d)
-    if cls.cactus:
-        try:
-            w = freeprob.diagonal_from_spectral(d, moments)
-            z = cactus_traffic_value(d, kappa)
-            return w, z
-        except IndexError:
-            return None, None
-    if cls.two_edge_connected:
-        return None, 0.0
-    return None, None
+    return (freeprob.diagonal_from_spectral(d, moments) if cls.cactus else None,
+            cactus_traffic_value(d, kappa) if cls.two_edge_connected else None)
 
 
 def _sweep(args, requests):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import diagrams
 from .diagrams import DiagramError, classify, cycles_of_cactus
 
 NC_CAP = 12
@@ -69,54 +68,25 @@ def _crosses(blocks):
     return False
 
 
-def _nc_blocks(elements):
-    """Non-crossing partitions of a sorted element tuple, as block lists."""
-    if not elements:
-        yield []
-        return
-    first, rest = elements[0], elements[1:]
-    m = len(rest)
-    for picks in _increasing_subsets(rest):
-        block = (first,) + picks
-        # remaining elements split into segments between consecutive block members
-        bounds = list(block) + [float("inf")]
-        segments = [[] for _ in range(len(block))]
-        for x in rest:
-            if x in picks:
-                continue
-            for si in range(len(block)):
-                if bounds[si] < x < bounds[si + 1]:
-                    segments[si].append(x)
-                    break
-        partials = [list(_nc_blocks(tuple(seg))) for seg in segments]
-        for combo in _product_lists(partials):
-            out = [list(block)]
-            for sub in combo:
-                out.extend(sub)
-            yield out
-
-
-def _increasing_subsets(rest):
-    n = len(rest)
-    for mask in range(1 << n):
-        yield tuple(rest[i] for i in range(n) if mask >> i & 1)
-
-
-def _product_lists(lists):
-    if not lists:
-        yield []
-        return
-    for head in lists[0]:
-        for tail in _product_lists(lists[1:]):
-            yield [head] + tail
-
-
 def enumerate_nc(k):
-    """All non-crossing partitions of {1..k}; Catalan(k) of them."""
+    """All non-crossing partitions of {1..k}; Catalan(k) of them.
+
+    Built by insertion: for x = 1..k, x starts a singleton or joins a block b
+    of a non-crossing partition of 1..x-1, the latter only when no block c
+    straddles max(b) (c[0] < b[-1] < c[-1]).  Each partition arises once.
+    """
     if not 1 <= k <= NC_CAP:
         raise ValueError("k must be in 1..%d" % NC_CAP)
-    return [NCPartition(tuple(tuple(b) for b in blocks))
-            for blocks in _nc_blocks(tuple(range(1, k + 1)))]
+    parts = [()]
+    for x in range(1, k + 1):
+        grown = []
+        for blocks in parts:
+            grown.append(blocks + ((x,),))
+            for i, b in enumerate(blocks):
+                if not any(c[0] < b[-1] < c[-1] for c in blocks):
+                    grown.append(blocks[:i] + (b + (x,),) + blocks[i + 1:])
+        parts = grown
+    return [NCPartition(blocks) for blocks in parts]
 
 
 def kreweras(p):
@@ -276,38 +246,15 @@ def cactus_traffic_value(d, t):
 
 
 def diagonal_from_spectral(d, moments):
-    """Limiting w-value of a cactus from spectral moments: prod of m over cycles.
-
-    Also recomputed through the z-route (per-cycle non-crossing contractions
-    of analytic z-values); the two are asserted equal.
-    """
+    """Limiting w-value of a cactus from spectral moments: prod of m over cycles."""
     if moments.tag != "moments":
         raise ValueError("diagonal_from_spectral needs a moment table")
     if not classify(d).cactus:
         raise DiagramError("diagram must be a cactus")
-    cycles = cycles_of_cactus(d)
-    direct = 1.0
-    for length in cycles:
-        direct *= moments[length]
-
-    # kappa_k depends on m_1..m_k only: convert up to the longest cycle
-    kappa = moments_to_cumulants(
-        CumulantTable(moments.values[:max(cycles, default=1)], "moments"))
-    via_z = 1.0
-    for length in cycles:
-        cyc = diagrams.cycle_diagram(length)
-        total = 0.0
-        for p in enumerate_nc(length):
-            blocks = [[x - 1 for x in b] for b in p.blocks]
-            q = diagrams.quotient(cyc, blocks)
-            prod = 1.0
-            for piece in cycles_of_cactus(q):
-                prod *= kappa[piece]
-            total += prod
-        via_z *= total
-    if abs(direct - via_z) > 1e-9 * max(1.0, abs(direct)):
-        raise AssertionError("w-route %g and z-route %g disagree" % (direct, via_z))
-    return direct
+    out = 1.0
+    for length in cycles_of_cactus(d):
+        out *= moments[length]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def se_community(fs, kappa_inner, q, T):
     double sum."""
     fs = [named_polynomial(f) for f in fs]
     _check(fs, T)
-    if abs(kappa_inner[2] - 1.0 / q) > 1e-12:
+    if len(kappa_inner) > 1 and abs(kappa_inner[2] - 1.0 / q) > 1e-12:
         raise ValueError("community model requires inner kappa_2 = 1/q")
     _check(fs, T, kappa_inner)
     w = (1.0 - 1.0 / q, 1.0 / q)

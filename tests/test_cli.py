@@ -12,9 +12,10 @@ import pytest
 
 from trafficamp import ensembles, graphpoly, matrixio
 from trafficamp import state_evolution as se_mod
-from trafficamp.cli import (CONFIG_KEYS, _audit_request, _orthogonality_error,
-                            build_kernel, load_config, main, read_moments_csv, write_csv)
-from trafficamp.diagrams import named_diagram, z_to_w_coefficients
+from trafficamp.cli import (CONFIG_KEYS, _analytic_targets, _audit_request,
+                            _orthogonality_error, build_kernel, load_config, main,
+                            read_moments_csv, write_csv)
+from trafficamp.diagrams import cycle_diagram, named_diagram, z_to_w_coefficients
 from trafficamp.freeprob import CumulantTable, named_table
 from trafficamp.gaussian import named_polynomial
 from trafficamp.state_evolution import aggregate_reports
@@ -1079,6 +1080,14 @@ def test_kinds_that_generate_the_same_matrices_get_the_same_limit_law(tmp_path, 
     rows = list(csv.DictReader(outputs[0][0].splitlines()))
     assert [r["target"] for r in rows if r["diagram"] == "cycle4"] == ["1.0", "-1.0"]
     assert outputs[0][1] == (0 if ensemble["kind"] == "rom" else 2)
+
+
+def test_cactus_targets_cover_cycles_longer_than_eight():
+    # a 10-cycle's targets are m_10 and kappa_10 of the limit law: Cat(5) and 0
+    # for the semicircle, 1 and (-1)^4 Cat(4) for the Rademacher law
+    ten = cycle_diagram(10)
+    assert _analytic_targets(ensembles.EnsembleSpec("goe", 64), ten) == (42.0, 0.0)
+    assert _analytic_targets(ensembles.EnsembleSpec("rom", 64), ten) == (1.0, 14.0)
 
 
 def test_gen_and_configs_reject_haar_orthogonal(tmp_path, monkeypatch, capsys):

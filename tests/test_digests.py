@@ -63,6 +63,13 @@ def test_check_names_the_first_differing_cell_and_key(tmp_path):
     csv.write_text("# config-hash: abc\nn,diagram,mean\n64,cycle2,1.0\n64,cycle4,2.5\n")
     assert (digests.first_difference(str(csv), old, digests.cells(str(csv)))
             == "line 4, column mean ('2.5' here)")
+    # a quoted cell holding commas, as an inline diagram literal is written
+    literal = '"diagram{v=2; roots=[]; edges=[(0,1),(0,1)]}"'
+    csv.write_text("# config-hash: abc\nn,diagram,mean\n64,%s,1.0\n" % literal)
+    old = digests.cells(str(csv))
+    csv.write_text("# config-hash: abc\nn,diagram,mean\n64,%s,1.5\n" % literal)
+    assert (digests.first_difference(str(csv), old, digests.cells(str(csv)))
+            == "line 3, column mean ('1.5' here)")
     js = tmp_path / "k.json"
     js.write_text(json.dumps({"T": 2, "gamma": [[1.0, 0.5], [0.5, 1.0]], "moments": [
         {"group": "all", "mean": 1.0}]}))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from trafficamp.diagrams import (CATALOG, Diagram, cycle_diagram,
-                                 enumerate_two_edge_connected)
+from trafficamp.diagrams import (CATALOG, Diagram, classify, cycle_diagram,
+                                 cycles_of_cactus, enumerate_two_edge_connected,
+                                 quotient)
 from trafficamp.freeprob import (CumulantTable, NCPartition,
                                  cactus_traffic_value, catalan,
                                  cumulants_to_moments, diagonal_from_spectral,
@@ -103,6 +104,35 @@ def test_diagonal_from_spectral():
 MOMS = CumulantTable((0.5, 1.5, 0.25, 2.0, 1.0, 3.0, 0.5, 4.0), "moments")
 
 
+def _z_route(d, moments):
+    """A cactus's w-value through its cycles' non-crossing quotients: per cycle,
+    the sum over NC(length) of the quotient's analytic z-value, a product of
+    the free cumulants over the quotient's cycles."""
+    cycles = cycles_of_cactus(d)
+    kappa = moments_to_cumulants(
+        CumulantTable(moments.values[:max(cycles, default=1)], "moments"))
+    out = 1.0
+    for length in cycles:
+        total = 0.0
+        for p in enumerate_nc(length):
+            q = quotient(cycle_diagram(length), [[x - 1 for x in b] for b in p.blocks])
+            prod = 1.0
+            for piece in cycles_of_cactus(q):
+                prod *= kappa[piece]
+            total += prod
+        out *= total
+    return out
+
+
+def test_diagonal_from_spectral_matches_the_z_route_on_every_cactus():
+    cactuses = [d for d in enumerate_two_edge_connected(8) if classify(d).cactus]
+    assert len(cactuses) == 198
+    for moments in (named_table("semicircle"), named_table("rademacher"), MOMS):
+        for d in cactuses:
+            w = diagonal_from_spectral(d, moments)
+            assert abs(w - _z_route(d, moments)) <= 1e-9 * max(1.0, abs(w)), d
+
+
 def test_weingarten_cycles_equal_cumulants():
     kap = moments_to_cumulants(MOMS)
     for length in range(1, 7):
@@ -188,11 +218,16 @@ def test_crosses_matches_quartic_scan():
     from trafficamp.freeprob import _crosses
     crossing = 0
     for k in range(1, 9):
+        nc = set()
         for part in set_partitions(range(1, k + 1)):
             blocks = tuple(tuple(b) for b in part)
             old = _quartic_crosses(blocks)
             assert _crosses(blocks) == old, blocks
             crossing += old
+            if not old:
+                nc.add(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+        listed = [p.blocks for p in enumerate_nc(k)]
+        assert len(set(listed)) == len(listed) and set(listed) == nc
     # Bell(k) partitions, Catalan(k) of them non-crossing, for k = 1..8
     bell = (1, 2, 5, 15, 52, 203, 877, 4140)
     assert crossing == sum(bell) - sum(catalan(k) for k in range(1, 9))

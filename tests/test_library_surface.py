@@ -24,6 +24,7 @@ ALLOWED = {
     "enumerate_two_edge_connected": "the diagrams of acceptance criterion 3",
     "enumerate_connected_multigraphs": "the diagrams of acceptance criterion 1",
     "cumulants_to_moments": "the forward transform of acceptance criterion 2",
+    "moments_to_cumulants": "the inverse transform of acceptance criterion 2",
     "eval_z": "public single-call API for one z-basis value",
     "puncture": "public single-call API; generate punctures in place",
     "read_matrix": "reads the TAMP0001 files that gen and amp write",

@@ -94,6 +94,8 @@ def test_community_kernels():
     assert abs(k2.gammas[1][1, 1] - (1.0 - 1.0 / q ** 2)) < 1e-12
     with pytest.raises(ValueError):
         se_community(["identity"], named_table("rom"), 4, 1)  # kappa_2 != 1/q
+    with pytest.raises(ValueError, match="kappa table must cover order 2T"):
+        se_community(["identity"], CumulantTable((0.25,)), 4, 1)
 
 
 def test_kernel_properties():

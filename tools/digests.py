@@ -18,6 +18,7 @@ matches, 1 when one does not.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -80,12 +81,11 @@ def _short(text):
 
 
 def cells(path):
-    """Per-cell hashes of a CSV (one string per line) or per-leaf hashes of a
+    """Per-cell hashes of a CSV (one string per row) or per-leaf hashes of a
     JSON file (key path -> hash); None for any other file."""
     if path.endswith(".csv"):
-        with open(path) as fh:
-            return [" ".join(_short(c) for c in line.rstrip("\n").split(","))
-                    for line in fh]
+        with open(path, newline="") as fh:
+            return [" ".join(_short(c) for c in row) for row in csv.reader(fh)]
     if path.endswith(".json"):
         with open(path) as fh:
             leaves = {}
@@ -143,8 +143,8 @@ def first_difference(path, old, new):
     if isinstance(old, dict):
         key = next(k for k in list(old) + list(new) if old.get(k) != new.get(k))
         return "key %s" % key
-    with open(path) as fh:
-        lines = [line.split(",") for line in fh.read().splitlines()]
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
     header = next((cols for cols in lines if not cols[0].startswith("#")), [])
     for i in range(max(len(old), len(new))):
         a = old[i].split() if i < len(old) else []
