@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphpoly
-from .diagrams import cycle_diagram, quotient, set_partitions
+from .diagrams import cycle_diagram, partition_mobius, quotient, set_partitions
 from .ensembles import stream_rng
 from .freeprob import CumulantTable
 from .gaussian import named_polynomial
@@ -96,7 +96,7 @@ def _window_terms(w):
         # position 0 is the root; every later position carries a weight
         verts = tuple(bi for bi, block in enumerate(blocks) if block != [0])
         positions = tuple(tuple(p for p in blocks[bi] if p) for bi in verts)
-        terms.append((graphpoly.partition_mobius(part), q, verts, positions))
+        terms.append((partition_mobius(part), q, verts, positions))
     return tuple(terms)
 
 

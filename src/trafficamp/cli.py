@@ -381,10 +381,14 @@ def cmd_amp(args):
     cfg, master_seed, trials, outdir = _setup(args)
     acfg = _amp_config_from(cfg)  # checked before any matrix is built
     spec = _ensemble_from_config(cfg)
-    if acfg.mode == "exact_treelike":  # the memory bound, before any matrix is built,
-        # for the blocks that can run at once
-        amp_mod._exact_program(spec.n, acfg,
-                               min(args.threads, len(_blocks(spec, trials, args.threads))))
+    if acfg.mode == "exact_treelike":  # before any matrix is built
+        if acfg.init == "ones" and _is_deterministic(spec):
+            # nothing is drawn from the seed: the trials would be copies of one
+            raise ValueError("exact_treelike mode from the ones start on %r: every trial "
+                             "repeats one trial" % spec.kind)
+        # the memory bound, for the trials that can run at once (each has its
+        # own matrix, so each is a block of one)
+        amp_mod._exact_program(spec.n, acfg, min(args.threads, trials))
     labels = _block_label_vector(spec)
 
     def work(m, block):  # in lockstep; trial t is keyed (its seed, stream t)
@@ -495,6 +499,13 @@ def cmd_compare(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _threshold(text):
+    value = float(text)
+    if not 0 < value < float("inf"):  # nan fails both
+        raise argparse.ArgumentTypeError("must be a positive finite number, not %r" % text)
+    return value
+
+
 def _add_globals(sp):
     # global flags accepted before or after the subcommand name
     sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -545,7 +556,8 @@ def build_parser():
     s = sub.add_parser("compare", help="z-score moments against a kernel")
     s.add_argument("--kernel", required=True)
     s.add_argument("--moments", required=True)
-    s.add_argument("--threshold", type=float, default=4.0)
+    s.add_argument("--threshold", type=_threshold, default=4.0,
+                   help="largest z that passes (a positive finite number)")
     _add_globals(s)
     s.set_defaults(fn=cmd_compare)
     return p

@@ -8,6 +8,7 @@ Diagrams are finite multigraphs (loops and parallel edges allowed) carrying
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -235,6 +236,15 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+def partition_mobius(blocks):
+    """Mobius function of the partition lattice at (discrete, P)."""
+    out = 1
+    for b in blocks:
+        k = len(b)
+        out *= (-1) ** (k - 1) * math.factorial(k - 1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -339,39 +349,37 @@ def canonical_form(d):
 # w <-> z change of basis
 # ---------------------------------------------------------------------------
 
+def _quotient_sums(dc, weight):
+    """{a: sum of weight(P) over the vertex partitions P with dc_P isomorphic to
+    a}, keyed by canonical diagram: dc first, then every other class in order
+    of first appearance in set_partitions."""
+    out = {dc: 0}
+    for part in set_partitions(range(dc.vertex_count)):
+        q = canonicalize(quotient(dc, part))
+        out[q] = out.get(q, 0) + weight(part)
+    return out
+
+
 def w_to_z_coefficients(d):
     """Coefficients of w_d = sum_a c_{a,d} z_a over canonical quotient diagrams.
 
     c_{a,d} counts vertex partitions P with d_P isomorphic to a; the
     coefficient sum is Bell(|V(d)|).
     """
-    _check_size(d)
-    out = {}
-    for part in set_partitions(range(d.vertex_count)):
-        q = canonicalize(quotient(d, part))
-        out[q] = out.get(q, 0) + 1
-    return out
+    return _quotient_sums(canonicalize(d), lambda part: 1)
 
 
 def z_to_w_coefficients(d):
-    """Integer coefficients c' with z_d = sum_a c'_{a,d} w_a (Mobius inversion).
-
-    Computed by recursively eliminating strictly coarser quotients.
-    """
+    """Integer coefficients c' with z_d = sum_a c'_{a,d} w_a (Mobius inversion
+    on the partition lattice): c'_{a,d} sums mu(P) over the vertex partitions
+    P with d_P isomorphic to a, zero coefficients dropped.  d comes first,
+    then the other classes in order of first appearance."""
     return dict(_z_to_w_cached(canonicalize(d)))
 
 
 @lru_cache(maxsize=None)
 def _z_to_w_cached(dc):
-    out = {dc: 1}
-    for a, c in w_to_z_coefficients(dc).items():
-        if a == dc:
-            continue
-        for b, c2 in _z_to_w_cached(a):
-            out[b] = out.get(b, 0) - c * c2
-            if out[b] == 0:
-                del out[b]
-    return tuple(out.items())
+    return tuple((q, c) for q, c in _quotient_sums(dc, partition_mobius).items() if c)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +418,21 @@ def cycle_diagram(length, rooted=False):
     return Diagram(length, edges, (0,) if rooted else ())
 
 
+def _closure(seeds, grow):
+    """Every canonical diagram reachable from `seeds` by `grow` (a diagram ->
+    larger candidate diagrams), sorted by (edges, vertices, canonical form)."""
+    seen = {canonicalize(d) for d in seeds}
+    todo = list(seen)
+    while todo:
+        for cand in grow(todo.pop()):
+            c = canonicalize(cand)
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return tuple(sorted(seen, key=lambda g: (g.edge_count, g.vertex_count,
+                                             canonical_form(g))))
+
+
 @lru_cache(maxsize=None)
 def enumerate_two_edge_connected(max_edges):
     """All 2-edge-connected multigraphs with at most max_edges edges, up to iso.
@@ -417,58 +440,29 @@ def enumerate_two_edge_connected(max_edges):
     Generated by ear decomposition: start from cycles (loops included) and
     repeatedly attach open or closed ears.
     """
-    seen = {}
-    frontier = []
-    for length in range(1, max_edges + 1):
-        c = canonicalize(cycle_diagram(length))
-        seen[c] = True
-        frontier.append(c)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            budget = max_edges - g.edge_count
-            for ell in range(1, budget + 1):
-                for u in range(g.vertex_count):
-                    for v in range(u, g.vertex_count):
-                        nv = g.vertex_count + ell - 1
-                        edges = list(g.edges)
-                        chain = [u] + list(range(g.vertex_count, nv)) + [v]
-                        edges.extend(zip(chain, chain[1:]))
-                        cand = canonicalize(Diagram(nv, tuple(edges), ()))
-                        if cand not in seen:
-                            seen[cand] = True
-                            nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda g: (g.edge_count, g.vertex_count,
-                                             canonical_form(g))))
+    def ears(g):
+        n = g.vertex_count
+        for ell in range(1, max_edges - g.edge_count + 1):
+            for u in range(n):
+                for v in range(u, n):
+                    chain = [u, *range(n, n + ell - 1), v]
+                    yield Diagram(n + ell - 1, g.edges + tuple(zip(chain, chain[1:])))
+
+    return _closure([cycle_diagram(k) for k in range(1, max_edges + 1)], ears)
 
 
 @lru_cache(maxsize=None)
 def enumerate_connected_multigraphs(max_vertices, max_edges):
     """All connected multigraphs within the given size bounds, up to iso."""
-    start = canonicalize(Diagram(1))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            if g.edge_count >= max_edges:
-                continue
-            cands = []
-            for u in range(g.vertex_count):
-                for v in range(u, g.vertex_count):
-                    cands.append(Diagram(g.vertex_count, g.edges + ((u, v),), ()))
-                if g.vertex_count < max_vertices:
-                    cands.append(Diagram(g.vertex_count + 1,
-                                         g.edges + ((u, g.vertex_count),), ()))
-            for cand in cands:
-                c = canonicalize(cand)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda g: (g.edge_count, g.vertex_count,
-                                             canonical_form(g))))
+    def edges(g):
+        n = g.vertex_count
+        if g.edge_count < max_edges:
+            for u in range(n):
+                # v = n adds a new vertex
+                for v in range(u, n + (n < max_vertices)):
+                    yield Diagram(max(n, v + 1), g.edges + ((u, v),))
+
+    return _closure([Diagram(1)], edges)
 
 
 # ---------------------------------------------------------------------------

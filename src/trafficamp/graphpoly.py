@@ -359,15 +359,6 @@ def eval_w_brute(d, a, budget=1e8):
     return out
 
 
-def partition_mobius(blocks):
-    """Mobius function of the partition lattice at (discrete, P)."""
-    out = 1
-    for b in blocks:
-        k = len(b)
-        out *= (-1) ** (k - 1) * math.factorial(k - 1)
-    return out
-
-
 def eval_catalog(requests, a, budget=None):
     """Values of (diagram, basis) requests on one symmetric matrix, in order.
 

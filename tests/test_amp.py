@@ -221,8 +221,7 @@ def test_exact_mode_budget_guard(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _legacy_onsager_b(a, fprime_vectors, s, t, budget=None):
-    from trafficamp.diagrams import cycle_diagram, quotient, set_partitions
-    from trafficamp.graphpoly import partition_mobius
+    from trafficamp.diagrams import cycle_diagram, partition_mobius, quotient, set_partitions
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     w = t - s

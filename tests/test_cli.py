@@ -360,6 +360,24 @@ def test_compare_single_trial_is_usage_error(tmp_path, capsys):
     assert "no statistics found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf", "-inf"])
+def test_compare_threshold_must_be_positive_and_finite(tmp_path, capsys, threshold):
+    cfg = _write_config(tmp_path, ensemble={"kind": "goe", "n": 64})
+    assert run_cli("amp", "--config", cfg, "--no-save-traces") == 0
+    kernel = tmp_path / "out" / "kernel.json"
+    assert run_cli("se", "--config", cfg, "--out", str(kernel)) == 0
+    argv = ["compare", "--kernel", str(kernel), "--moments",
+            str(tmp_path / "out" / "moments.csv"), "--out", str(tmp_path / "out" / "verdict.csv")]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--threshold=" + threshold)  # "-inf" would read as a flag
+    assert exc.value.code == 2
+    assert ("argument --threshold: must be a positive finite number, not %r" % threshold
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "verdict.csv").exists()
+    assert run_cli(*argv, "--threshold", "1e9") == 0
+
+
 def _outputs(outdir):
     return {nm: (outdir / nm).read_bytes() for nm in sorted(os.listdir(outdir))}
 
@@ -584,14 +602,15 @@ def test_amp_over_the_memory_bound_exits_3_before_building_a_matrix(tmp_path, mo
 @pytest.mark.parametrize("ensemble, trials, threads, workers", [
     ({"kind": "community", "n": 64, "q": 4, "inner": "rom"}, 1, 2, 1),
     ({"kind": "community", "n": 64, "q": 4, "inner": "rom"}, 2, 3, 2),
-    ({"kind": "punctured", "inner": "hadamard", "n": 64}, 4, 2, 2),
-    ({"kind": "punctured", "inner": "hadamard", "n": 64}, 5, 4, 3),  # blocks of 2
-    ({"kind": "punctured", "inner": "hadamard", "n": 64}, 40, 1, 1),
+    ({"kind": "community", "n": 64, "q": 2, "inner": "goe"}, 4, 2, 2),
+    ({"kind": "rom", "n": 64}, 5, 4, 4),
+    ({"kind": "goe", "n": 64}, 40, 1, 1),
 ])
 def test_amp_memory_bound_counts_only_the_blocks_that_run(tmp_path, monkeypatch, capsys,
                                                           ensemble, trials, threads, workers):
     # `threads` workers run at most one block each, so the bound holds the program
-    # peak and matrix of min(threads, blocks) trials, not of `threads`
+    # peak and matrix of min(threads, blocks) trials, not of `threads`; exact mode
+    # runs only on kinds whose trials have their own matrix, a block of one each
     import trafficamp.amp as amp_mod
     from trafficamp.cli import _amp_config_from
     cfg = _write_config(tmp_path, ensemble=ensemble, trials=trials,
@@ -626,6 +645,25 @@ def test_amp_treelike_threads_byte_identical(tmp_path):
         outputs.append(_outputs(out))
     assert len([nm for nm in outputs[0] if nm.startswith("trace_")]) == 4
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("ensemble", [
+    {"kind": "hadamard"}, {"kind": "dst"}, {"kind": "dct"},
+    {"kind": "punctured", "inner": "hadamard"}, {"kind": "punctured", "inner": "dct"},
+], ids=["hadamard", "dst", "dct", "punctured_hadamard", "punctured_dct"])
+def test_amp_exact_mode_on_a_deterministic_kind_is_a_usage_error(tmp_path, monkeypatch,
+                                                                 capsys, ensemble):
+    # from the ones start nothing is drawn from the seed, so every trial would
+    # write the same trace: exit 2 before any matrix is built, as se exits 2
+    calls = _record_generated_kinds(monkeypatch)
+    cfg = _write_config(tmp_path, ensemble=dict(ensemble, n=64), trials=4,
+                        amp={"nonlinearities": ["identity"] * 3, "T": 3,
+                             "mode": "exact_treelike", "init": "ones"})
+    assert run_cli("amp", "--config", cfg) == 2
+    assert "every trial repeats one trial" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists() or os.listdir(tmp_path / "out") == []
+    assert run_cli("se", "--config", cfg, "--out", str(tmp_path / "k.json")) == 2
 
 
 def test_amp_treelike_rejects_gaussian_init(tmp_path, capsys):
@@ -664,20 +702,23 @@ def test_amp_lockstep_threads_byte_identical(tmp_path, ensemble, amp):
 
 
 def test_amp_exact_lockstep_threads_match_legacy(tmp_path, monkeypatch):
-    # 3 exact-mode trials on punctured Hadamard: one block of 3, blocks of 2 + 1,
-    # and three blocks of one, each trial with the legacy iterates
+    # 3 exact-mode trials on a community matrix each, a block of one each, at
+    # --threads 1, 2 and 3: each trial with the legacy iterates on its matrix
+    # (exact mode on a shared matrix is a usage error)
     import trafficamp.amp as amp_mod
     from test_amp import _legacy_run_treelike
     from trafficamp.cli import _amp_config_from
 
-    ensemble = {"kind": "punctured", "inner": "hadamard", "n": 64}
+    ensemble = {"kind": "community", "n": 64, "q": 4, "inner": "rom"}
     cfg = _write_config(tmp_path, ensemble=ensemble, trials=3,
                         amp={"nonlinearities": ["identity", "cube_hermite",
                                                 "square_centered", "identity",
                                                 "cube_hermite"],
                              "T": 5, "mode": "exact_treelike", "init": "ones"})
-    m = ensembles.generate(ensembles.EnsembleSpec.from_json(ensemble)).values
-    iters = _legacy_run_treelike(m, _amp_config_from(load_config(cfg)))
+    spec = dataclasses.replace(ensembles.EnsembleSpec.from_json(ensemble), seed=1)  # master_seed
+    legacy = [_legacy_run_treelike(ensembles.generate(spec, trial).values,
+                                   _amp_config_from(load_config(cfg))).tobytes()
+              for trial in range(3)]
     traces, real_run = [], amp_mod.run
 
     def recording_run(a, cfg, keys):
@@ -694,11 +735,10 @@ def test_amp_exact_lockstep_threads_match_legacy(tmp_path, monkeypatch):
         assert run_cli("--threads", threads, "amp", "--config", cfg,
                        "--out", str(out)) == 0
         outputs.append(_outputs(out))
-        assert len(traces) == 3
-        assert all(x.tobytes() == iters.tobytes() for x in traces)
+        assert sorted(x.tobytes() for x in traces) == sorted(legacy)
         for trial in range(3):
             got = matrixio.read_matrix(str(out / ("trace_%03d.tamp" % trial)))
-            assert got.tobytes() == iters.tobytes(), trial
+            assert got.tobytes() == legacy[trial], trial
     assert outputs[0] == outputs[1] == outputs[2]
 
 

@@ -1,8 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trafficamp import graphpoly
+from trafficamp import diagrams, graphpoly
 from trafficamp.diagrams import (CATALOG, Diagram, DiagramClass, DiagramError,
                                  _block_is_cycle, biconnected_blocks,
                                  canonical_form, canonicalize, classify,
@@ -11,6 +13,8 @@ from trafficamp.diagrams import (CATALOG, Diagram, DiagramClass, DiagramError,
                                  is_connected, named_diagram, parse_diagram,
                                  quotient, set_partitions, w_to_z_coefficients,
                                  z_to_w_coefficients)
+
+from test_graphpoly import _root_options
 
 
 def test_classify_examples():
@@ -144,6 +148,49 @@ def test_z_to_w_coefficients():
     assert got == {"diagram{v=2; roots=[]; edges=[(0,1)]}": 1,
                    "diagram{v=1; roots=[]; edges=[(0,0)]}": -1}
     assert z_to_w_coefficients(Diagram(1)) == {Diagram(1): 1}
+
+
+def _legacy_z_to_w(d):
+    """z_to_w_coefficients by recursive elimination of the strictly coarser
+    quotients: z_d = w_d - sum_{a != d} c_{a,d} z_a (test oracle)."""
+    return dict(_legacy_z_to_w_cached(canonicalize(d)))
+
+
+@lru_cache(maxsize=None)
+def _legacy_z_to_w_cached(dc):
+    out = {dc: 1}
+    for a, c in w_to_z_coefficients(dc).items():
+        if a == dc:
+            continue
+        for b, c2 in _legacy_z_to_w_cached(a):
+            out[b] = out.get(b, 0) - c * c2
+            if out[b] == 0:
+                del out[b]
+    return tuple(out.items())
+
+
+def test_z_to_w_coefficients_match_the_recursive_elimination():
+    # criterion 1's family, and every root option of every catalog diagram
+    family = list(enumerate_connected_multigraphs(6, 6))
+    family += [d.with_roots(roots) for d in CATALOG.values() for roots in _root_options(d)]
+    for d in family:
+        got = z_to_w_coefficients(d)
+        assert got == _legacy_z_to_w(d), d
+        assert next(iter(got)) == canonicalize(d)  # d's own term first
+
+
+def test_z_to_w_coefficients_make_one_quotient_per_partition(monkeypatch):
+    calls = []
+    real_quotient = diagrams.quotient
+
+    def counting_quotient(d, partition):
+        calls.append(partition)
+        return real_quotient(d, partition)
+
+    monkeypatch.setattr(diagrams, "quotient", counting_quotient)
+    diagrams._z_to_w_cached.cache_clear()
+    z_to_w_coefficients(CATALOG["cycle8"].with_roots((0, 1)))
+    assert len(calls) == 4140  # Bell(8): one pass over the vertex partitions
 
 
 def test_roundtrip_small():

@@ -25,6 +25,8 @@ ALLOWED = {
     "enumerate_connected_multigraphs": "the diagrams of acceptance criterion 1",
     "cumulants_to_moments": "the forward transform of acceptance criterion 2",
     "moments_to_cumulants": "the inverse transform of acceptance criterion 2",
+    "w_to_z_coefficients": "the inverse change of basis of acceptance criterion 1's "
+                           "round trip",
     "eval_z": "public single-call API for one z-basis value",
     "puncture": "public single-call API; generate punctures in place",
     "read_matrix": "reads the TAMP0001 files that gen and amp write",
